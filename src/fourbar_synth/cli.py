@@ -31,7 +31,7 @@ from .model import (
     ValidationError,
     load_config,
 )
-from .optimizer import BoStep, OptimizationTrace, fit_surrogates, run_optimization
+from .optimizer import OptimizationTrace, fit_surrogates, run_optimization, step_from_record
 from .oracle import grid_sweep
 
 _EVAL_HEADER = "l_oa,l_ab,l_bc,c_static_i,c_static_e,c_dyn,t_rms,feasible"
@@ -220,24 +220,7 @@ def _trace_csv(trace: OptimizationTrace) -> str:
 
 
 def _gp_dump(trace: OptimizationTrace, opt_cfg) -> dict:
-    steps = []
-    for record in trace.records:
-        objective = None
-        if record.objective is not None:
-            objective = math.log(max(record.objective, 1e-300))
-        steps.append(
-            BoStep(
-                x=record.design.as_tuple(),
-                objective=objective,
-                constraints={
-                    "c_static_i": record.constraints.c_static_i,
-                    "c_static_e": record.constraints.c_static_e,
-                    "c_dyn": record.constraints.c_dyn,
-                },
-                payload=record,
-            )
-        )
-    models = fit_surrogates(steps, opt_cfg)
+    models = fit_surrogates([step_from_record(r) for r in trace.records], opt_cfg)
 
     def model_dict(model):
         return {

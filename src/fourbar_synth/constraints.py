@@ -274,5 +274,5 @@ def evaluate_design(
         try:
             objective = torque_profile(design, cfg, task, trajectory).t_rms
         except SingularState:
-            objective = None  # marginal posture on a fold; leave uncosted
+            objective = None  # transmission singularity at a sample; leave uncosted
     return EvaluationRecord(design=design, constraints=bundle, objective=objective)

@@ -9,8 +9,9 @@ the crank angle as the single generalized coordinate:
 where I_eq is the equivalent (reflected) inertia seen by the motor, G the
 gravity torque dV/dtheta, and Q_ext the generalized torque of the external
 tip force.  I_eq and G follow analytically from per-link velocity
-coefficients at unit crank rate; I_eq' uses a central finite difference
-over theta because the reflected inertia has no convenient closed form.
+coefficients at unit crank rate, and I_eq' from their theta-derivatives,
+which solve the same velocity closure with the centripetal terms as its
+right-hand side.
 
 Links are uniform slender rods (m = rho L, centroid at L/2, I = m L^2/12).
 The rocker link is the rigid union of bar B-C, the effector beam of length
@@ -31,7 +32,6 @@ from .model import (
     EmptyTrajectory,
     MechanismConfig,
     MotionTask,
-    NotAssemblable,
     SingularState,
 )
 
@@ -47,7 +47,6 @@ __all__ = [
     "torque_profile",
 ]
 
-_FD_STEP = 1e-5  # rad, central-difference step for I_eq'
 _SINGULAR_TOL = 1e-12
 
 
@@ -126,12 +125,16 @@ def _dyn_terms(
     masses: MassModel,
     a_pt: tuple[float, float],
     b_pt: tuple[float, float],
-) -> tuple[float, float, float]:
-    """(I_eq, G, Q_ext) at a geometric configuration given by points A, B.
+) -> tuple[float, float, float, float]:
+    """(I_eq, I_eq', G, Q_ext) at a geometric configuration given by points A, B.
 
     Velocity coefficients are taken at unit crank rate: v_A = perp(A - O),
     and the coupler/rocker rates solve the rigid-body velocity closure
-    v_A + omega_ab perp(B - A) = omega_r perp(B - C).
+    v_A + omega_ab perp(B - A) = omega_r perp(B - C).  Differentiating the
+    closure over theta gives the same 2x2 system for (omega_ab', omega_r')
+    with v_A replaced by -(A - O) - omega_ab^2 (B - A) + omega_r^2 (B - C);
+    the crank and rocker terms of I_eq are constant, so
+    I_eq' = 2 [m_ab v_G . a_G + I_ab omega_ab omega_ab' + I_C omega_r omega_r'].
 
     Raises SingularState when coupler and rocker are collinear, where the
     closure has no solution (the crank cannot drive through).
@@ -155,6 +158,10 @@ def _dyn_terms(
         raise SingularState("transmission singularity: coupler and rocker collinear")
     omega_r = (vax * bax + vay * bay) / den
     omega_ab = (vax * bcx + vay * bcy) / den
+    wx = -rax - omega_ab * omega_ab * bax + omega_r * omega_r * bcx
+    wy = -ray - omega_ab * omega_ab * bay + omega_r * omega_r * bcy
+    omega_r_d = (wx * bax + wy * bay) / den
+    omega_ab_d = (wx * bcx + wy * bcy) / den
 
     mm = masses
     gx, gy = cfg.gravity
@@ -169,6 +176,9 @@ def _dyn_terms(
     vgx = vax + omega_ab * (-0.5 * bay)
     vgy = vay + omega_ab * (0.5 * bax)
     i_eq += mm.coupler.mass * (vgx * vgx + vgy * vgy) + mm.coupler.i_com * omega_ab * omega_ab
+    agx = -rax - 0.5 * (omega_ab_d * bay + omega_ab * omega_ab * bax)
+    agy = -ray + 0.5 * (omega_ab_d * bax - omega_ab * omega_ab * bay)
+    i_half_d = mm.coupler.mass * (vgx * agx + vgy * agy) + mm.coupler.i_com * omega_ab * omega_ab_d
     g_sum -= mm.coupler.mass * (gx * vgx + gy * vgy)
 
     # rocker composite: rotation about C; local frame x-axis along C->B
@@ -179,6 +189,7 @@ def _dyn_terms(
     rgy = lx * sphi + ly * cphi
     i_about_c = mm.rocker.i_com + mm.rocker.mass * (rgx * rgx + rgy * rgy)
     i_eq += i_about_c * omega_r * omega_r
+    i_half_d += i_about_c * omega_r * omega_r_d
     vgx = omega_r * (-rgy)
     vgy = omega_r * rgx
     g_sum -= mm.rocker.mass * (gx * vgx + gy * vgy)
@@ -194,65 +205,20 @@ def _dyn_terms(
         ty = lt * (sphi * co + cphi * so)
         q_ext = fx * (omega_r * -ty) + fy * (omega_r * tx)
 
-    return i_eq, g_sum, q_ext
-
-
-def _fk_point_b_near(
-    design: DesignParams,
-    cfg: MechanismConfig,
-    theta: float,
-    b_ref: tuple[float, float],
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """FK at a crank angle, choosing the rocker-pin solution nearest b_ref."""
-    from .kinematics import _circle_intersections  # local to avoid cycle at import
-
-    ox, oy = cfg.pivot_o
-    a_pt = (ox + design.l_oa * math.cos(theta), oy + design.l_oa * math.sin(theta))
-    pts = _circle_intersections(a_pt, design.l_ab, cfg.pivot_c, design.l_bc)
-    if not pts:
-        raise NotAssemblable(f"no assembly at theta={theta!r}")
-    if len(pts) == 1:
-        return a_pt, pts[0]
-    d0 = (pts[0][0] - b_ref[0]) ** 2 + (pts[0][1] - b_ref[1]) ** 2
-    d1 = (pts[1][0] - b_ref[0]) ** 2 + (pts[1][1] - b_ref[1]) ** 2
-    return a_pt, pts[0] if d0 <= d1 else pts[1]
-
-
-def _terms_with_gradient(
-    design: DesignParams,
-    cfg: MechanismConfig,
-    masses: MassModel,
-    a_pt: tuple[float, float],
-    b_pt: tuple[float, float],
-    theta: float,
-) -> tuple[float, float, float, float]:
-    """(I_eq, I_eq', G, Q) at a configuration; I_eq' by central FD over theta."""
-    i_eq, g_tau, q_ext = _dyn_terms(design, cfg, masses, a_pt, b_pt)
-    h = _FD_STEP
-    try:
-        a_plus, b_plus = _fk_point_b_near(design, cfg, theta + h, b_pt)
-        a_minus, b_minus = _fk_point_b_near(design, cfg, theta - h, b_pt)
-        i_plus, _, _ = _dyn_terms(design, cfg, masses, a_plus, b_plus)
-        i_minus, _, _ = _dyn_terms(design, cfg, masses, a_minus, b_minus)
-    except NotAssemblable as exc:
-        raise SingularState(
-            "assembly fold within the inertia-gradient step"
-        ) from exc
-    i_prime = (i_plus - i_minus) / (2.0 * h)
-    return i_eq, i_prime, g_tau, q_ext
+    return i_eq, 2.0 * i_half_d, g_sum, q_ext
 
 
 def equivalent_inertia(design: DesignParams, cfg: MechanismConfig, posture: Posture) -> float:
     """Reflected inertia about the crank axis at a posture (kg m^2)."""
     masses = mass_model(design, cfg)
-    i_eq, _, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
+    i_eq, _, _, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
     return i_eq
 
 
 def gravity_torque(design: DesignParams, cfg: MechanismConfig, posture: Posture) -> float:
     """dV/dtheta at a posture (N m): crank torque needed to hold gravity."""
     masses = mass_model(design, cfg)
-    _, g_tau, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
+    _, _, g_tau, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
     return g_tau
 
 
@@ -261,7 +227,7 @@ def mechanical_energy(
 ) -> float:
     """Kinetic plus gravitational potential energy at a state (J)."""
     masses = mass_model(design, cfg)
-    i_eq, _, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
+    i_eq, _, _, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
     gx, gy = cfg.gravity
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
@@ -298,8 +264,8 @@ def torque_at_state(
     singularity, where the reflected inertia is unbounded.
     """
     masses = mass_model(design, cfg)
-    i_eq, i_prime, g_tau, q_ext = _terms_with_gradient(
-        design, cfg, masses, posture.point_a, posture.point_b, posture.theta
+    i_eq, i_prime, g_tau, q_ext = _dyn_terms(
+        design, cfg, masses, posture.point_a, posture.point_b
     )
     return i_eq * theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
 
@@ -355,9 +321,7 @@ def torque_profile(
         if abs(gap) > 1e-6 * design.l_ab:
             raise ValueError("trajectory is inconsistent with the design geometry")
         try:
-            i_eq, i_prime, g_tau, q_ext = _terms_with_gradient(
-                design, cfg, masses, a_pt, b_pt, s.theta
-            )
+            i_eq, i_prime, g_tau, q_ext = _dyn_terms(design, cfg, masses, a_pt, b_pt)
         except SingularState as exc:
             raise SingularState(str(exc), t=s.t) from exc
         tau = i_eq * s.theta_ddot + 0.5 * i_prime * s.theta_dot * s.theta_dot + g_tau - q_ext

@@ -50,8 +50,6 @@ _TANGENT_TOL = 1e-12
 # formula denominator, and for the transmission-singularity flag.
 _SINGULAR_TOL = 1e-12
 
-_FD_STEP = 1e-5  # rad, central-difference step for the second derivative
-
 
 @dataclass(frozen=True, slots=True)
 class Posture:
@@ -237,27 +235,36 @@ def solve_fk(design: DesignParams, cfg: MechanismConfig, theta: float, elbow: Br
     return posture
 
 
-def _dtheta_ddelta_at(
-    design: DesignParams, cfg: MechanismConfig, posture: Posture
-) -> tuple[float, float, float]:
-    """Velocity-ratio formula pieces: (ratio numerator, denominator, ratio).
+def kinematic_coefficients(
+    posture: Posture, design: DesignParams, cfg: MechanismConfig
+) -> KinematicCoefficients:
+    """First and second stroke derivatives of the crank angle, in closed form.
 
-    From the closure |A(theta) - B(delta)| = l_ab:
-        dtheta/ddelta = [(A-B) . dB/ddelta] / [(A-B) . dA/dtheta]
-    The denominator is proportional to sin(alpha) (crank-coupler dead
-    point), the numerator to sin(beta) (transmission singularity).
+    Differentiating the closure |A(theta) - B(delta)| = l_ab with
+    e = A - B, A_theta = perp(A - O) and B_delta = perp(B - C) gives
+        r = dtheta/ddelta = (e . B_delta) / (e . A_theta)
+    and, once more (A_theta' = -(A - O), B_delta' = -(B - C)),
+        d2theta/ddelta2 = -[(l_oa^2 - e.(A - O)) r^2 - 2 (A_theta . B_delta) r
+                            + (l_bc^2 + e.(B - C))] / (e . A_theta).
+    The shared denominator is proportional to sin(alpha) (crank-coupler
+    dead point), the numerator of r to sin(beta) (transmission singularity).
+
+    Raises SingularPosture at a crank-coupler dead point, where the
+    effector-driven ratio is unbounded.
     """
     ax, ay = posture.point_a
     bx, by = posture.point_b
     ox, oy = cfg.pivot_o
+    cx, cy = cfg.pivot_c
     ex = ax - bx
     ey = ay - by
-    # dA/dtheta = l_oa * perp(unit(A - O)); here unnormalized perp(A - O)
-    dax = -(ay - oy)
-    day = ax - ox
-    ang = posture.rocker_angle
-    dbx = -design.l_bc * math.sin(ang)
-    dby = design.l_bc * math.cos(ang)
+    rax = ax - ox
+    ray = ay - oy
+    rbx = bx - cx
+    rby = by - cy
+    # A_theta = perp(A - O), B_delta = perp(B - C)
+    dax, day = -ray, rax
+    dbx, dby = -rby, rbx
     den = ex * dax + ey * day
     num = ex * dbx + ey * dby
     if abs(den) < _SINGULAR_TOL * design.l_oa * design.l_ab:
@@ -265,51 +272,15 @@ def _dtheta_ddelta_at(
             f"crank and coupler collinear at delta={posture.delta!r}; "
             "effector cannot drive through this pose"
         )
-    return num, den, num / den
-
-
-def kinematic_coefficients(
-    posture: Posture, design: DesignParams, cfg: MechanismConfig
-) -> KinematicCoefficients:
-    """First and second stroke derivatives of the crank angle.
-
-    The first derivative is analytic.  The second is a central finite
-    difference of the first over delta with one Richardson extrapolation
-    step (h = 1e-5 rad), re-solving the IK on the posture's branch; if the
-    pose sits against an assembly fold one-sided differences are used.
-
-    Raises SingularPosture at a crank-coupler dead point, where the
-    effector-driven ratio is unbounded.
-    """
-    num, _den, ratio = _dtheta_ddelta_at(design, cfg, posture)
     transmission_singular = abs(num) < _SINGULAR_TOL * design.l_bc * design.l_ab
-
-    def g(delta: float) -> float | None:
-        try:
-            p = solve_ik(design, cfg, delta, posture.elbow)
-            return _dtheta_ddelta_at(design, cfg, p)[2]
-        except (NotAssemblable, SingularPosture):
-            return None
-
-    h = _FD_STEP
-    d0 = posture.delta
-    gp, gm = g(d0 + h), g(d0 - h)
-    gp2, gm2 = g(d0 + 0.5 * h), g(d0 - 0.5 * h)
-    if None not in (gp, gm, gp2, gm2):
-        coarse = (gp - gm) / (2.0 * h)
-        fine = (gp2 - gm2) / h
-        second = (4.0 * fine - coarse) / 3.0
-    elif gp2 is not None and gm2 is not None:
-        second = (gp2 - gm2) / h
-    elif gp2 is not None:
-        second = (gp2 - ratio) / (0.5 * h)
-    elif gm2 is not None:
-        second = (ratio - gm2) / (0.5 * h)
-    else:
-        raise SingularPosture(
-            f"cannot difference the velocity ratio at delta={posture.delta!r}"
-        )
-    return KinematicCoefficients(ratio, second, transmission_singular)
+    ratio = num / den
+    curvature = (
+        (design.l_oa * design.l_oa - (ex * rax + ey * ray)) * ratio * ratio
+        - 2.0 * (dax * dbx + day * dby) * ratio
+        + design.l_bc * design.l_bc
+        + (ex * rbx + ey * rby)
+    )
+    return KinematicCoefficients(ratio, -curvature / den, transmission_singular)
 
 
 def motion_profile(task: MotionTask) -> list[tuple[float, float, float, float]]:

@@ -60,7 +60,7 @@ class MechanismError(Exception):
 
 
 class ParseError(MechanismError):
-    """Raised when a config file is not valid JSON or misses required keys."""
+    """Raised when a config file is not valid JSON, misses required keys or has unknown ones."""
 
 
 class ValidationError(MechanismError):
@@ -340,7 +340,6 @@ class EvaluationRecord:
     design: DesignParams
     constraints: ConstraintBundle
     objective: float | None = None
-    torque_profile_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.objective is not None and not self.constraints.feasible:
@@ -399,8 +398,20 @@ def _read_pair(section: dict, key: str, default: tuple[float, float] | None) -> 
     return (float(raw[0]), float(raw[1]))
 
 
+def _reject_unknown_keys(section: dict, schema: dict, name: str) -> None:
+    """A misspelt key would otherwise fall back to its default unnoticed."""
+    for key, value in section.items():
+        if key not in schema:
+            raise ParseError(f"{name}.{key}: unknown key")
+        if isinstance(value, dict) and isinstance(schema[key], dict):
+            _reject_unknown_keys(value, schema[key], f"{name}.{key}")
+
+
 def load_config_dict(data: dict, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
-    """Build the three config objects from an already-parsed JSON dict."""
+    """Build the three config objects from an already-parsed JSON dict.
+
+    Raises ParseError naming ``section.key`` for a key the schema lacks.
+    """
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
     for key in ("mechanism", "task", "optimizer"):
@@ -463,13 +474,16 @@ def load_config_dict(data: dict, degrees: bool = False) -> tuple[MechanismConfig
         n_acq_samples=int(opt_sec.get("n_acq_samples", 4096)),
         seed=int(opt_sec.get("seed", 0)),
     )
+    schema = config_to_dict(cfg, task, opt)
+    for key in ("mechanism", "task", "optimizer"):
+        _reject_unknown_keys(data[key], schema[key], key)
     return cfg, task, opt
 
 
 def load_config(path: str, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
     """Load and validate a JSON config file.
 
-    Raises ParseError for malformed JSON or missing keys, ValidationError
+    Raises ParseError for malformed JSON or missing or unknown keys, ValidationError
     (naming the field) for value-level violations.
     """
     try:

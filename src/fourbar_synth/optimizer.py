@@ -41,6 +41,7 @@ __all__ = [
     "fit_surrogates",
     "propose_next",
     "bo_minimize",
+    "step_from_record",
     "run_optimization",
 ]
 
@@ -309,33 +310,40 @@ def bo_minimize(
     return steps, acq_values
 
 
+def step_from_record(record: EvaluationRecord) -> BoStep:
+    """The loop's view of one design evaluation.
+
+    The objective GP sees log(t_rms); the constraint GPs see the two static
+    gaps and the crank-reversal range, each missing where it was not
+    observed.  The record rides along as the payload.
+    """
+    objective = None
+    if record.objective is not None:
+        objective = math.log(max(record.objective, _LOG_FLOOR))
+    return BoStep(
+        x=record.design.as_tuple(),
+        objective=objective,
+        constraints={
+            "c_static_i": record.constraints.c_static_i,
+            "c_static_e": record.constraints.c_static_e,
+            "c_dyn": record.constraints.c_dyn,
+        },
+        payload=record,
+    )
+
+
 def run_optimization(
     cfg: MechanismConfig, task: MotionTask, opt_cfg: OptimizerConfig
 ) -> OptimizationTrace:
     """Optimize the three bar lengths for minimum RMS torque.
 
     Validates the baseline once, then runs the constrained-BO loop over
-    ``evaluate_design``.  The objective GP models log(t_rms); constraint
-    GPs model the two static gaps and the crank-reversal range, each
-    trained only on designs where the quantity was observed.
+    ``evaluate_design``, each record mapped by ``step_from_record``.
     """
     validate_baseline(cfg, task)
 
     def evaluate(x: tuple[float, ...]) -> BoStep:
-        record = evaluate_design(DesignParams(*x), cfg, task)
-        objective = None
-        if record.objective is not None:
-            objective = math.log(max(record.objective, _LOG_FLOOR))
-        return BoStep(
-            x=x,
-            objective=objective,
-            constraints={
-                "c_static_i": record.constraints.c_static_i,
-                "c_static_e": record.constraints.c_static_e,
-                "c_dyn": record.constraints.c_dyn,
-            },
-            payload=record,
-        )
+        return step_from_record(evaluate_design(DesignParams(*x), cfg, task))
 
     steps, acq_values = bo_minimize(evaluate, opt_cfg)
 

@@ -61,7 +61,7 @@ def test_evaluate_baseline_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["feasible"] is True
-    assert payload["t_rms"] == pytest.approx(1.742889513063657, rel=1e-12)
+    assert payload["t_rms"] == pytest.approx(1.7428895130664603, rel=1e-12)
     assert payload["design"] == {"l_oa": 0.1, "l_ab": 0.25, "l_bc": 0.15}
     assert payload["constraints"]["c_dyn"] == 0.0
 
@@ -104,7 +104,7 @@ def test_evaluate_csv_append(capsys, tmp_path):
     assert lines[1] == lines[2]
     fields = lines[1].split(",")
     assert fields[-1] == "true"
-    assert float(fields[6]) == pytest.approx(1.742889513063657, rel=1e-11)
+    assert float(fields[6]) == pytest.approx(1.7428895130664603, rel=1e-11)
 
 
 def test_trace_csv(capsys, tmp_path):

@@ -227,7 +227,7 @@ def test_evaluate_design_baseline(canon_cfg, canon_task):
     assert rec.constraints.c_static_e == pytest.approx(
         -(0.35 - math.sqrt(0.1125)), abs=1e-14
     )
-    assert rec.objective == pytest.approx(1.742889513063657, rel=1e-12)
+    assert rec.objective == pytest.approx(1.7428895130664603, rel=1e-12)
 
 
 def test_evaluate_design_static_failure_skips_downstream(canon_cfg, canon_task):

@@ -121,6 +121,21 @@ def test_centrifugal_term_quadratic_in_rate(canon_cfg):
     assert t2 == pytest.approx(4.0 * t1, abs=1e-10)
 
 
+def test_centrifugal_term_is_half_inertia_gradient(canon_cfg):
+    # 1/2 I_eq' theta_dot^2 against a central difference of I_eq over FK postures
+    design = canon_cfg.baseline
+    h = 1e-5
+    for elbow in ("plus", "minus"):
+        for theta in (1.2, 1.6, 2.0, 2.4):
+            p = solve_fk(design, canon_cfg, theta, elbow)
+            half_grad = torque_at_state(design, canon_cfg, p, 1.0, 0.0) - torque_at_state(
+                design, canon_cfg, p, 0.0, 0.0
+            )
+            i_hi = equivalent_inertia(design, canon_cfg, solve_fk(design, canon_cfg, theta + h, elbow))
+            i_lo = equivalent_inertia(design, canon_cfg, solve_fk(design, canon_cfg, theta - h, elbow))
+            assert half_grad == pytest.approx(0.5 * (i_hi - i_lo) / (2 * h), abs=1e-10)
+
+
 def test_gravity_flip(canon_cfg):
     flipped = dataclasses.replace(canon_cfg, gravity=(0.0, 9.81))
     design = canon_cfg.baseline
@@ -158,7 +173,7 @@ def test_canon_rms_torque(canon_cfg, canon_task):
     profile = torque_profile(design, canon_cfg, canon_task, trajectory)
     assert profile.t_cycle == pytest.approx(1.0, abs=1e-15)
     assert len(profile.samples) == 2 * canon_task.n_samples
-    assert profile.t_rms == pytest.approx(1.742889513063657, rel=1e-12)
+    assert profile.t_rms == pytest.approx(1.7428895130664603, rel=1e-12)
     # stored RMS agrees with a direct trapezoid pass over the samples
     assert profile.t_rms == pytest.approx(
         math.sqrt(trapz_sq(profile.samples) / profile.t_cycle), rel=1e-12
@@ -200,7 +215,7 @@ def test_gravity_free_rms_regression(canon_cfg, canon_task):
     cfg = dataclasses.replace(canon_cfg, gravity=(0.0, 0.0))
     trajectory = kinematic_transform(cfg.baseline, cfg, canon_task)
     profile = torque_profile(cfg.baseline, cfg, canon_task, trajectory)
-    assert profile.t_rms == pytest.approx(0.6430026397699486, rel=1e-12)
+    assert profile.t_rms == pytest.approx(0.6430026397722677, rel=1e-12)
 
 
 def test_rms_agrees_with_simpson_quadrature(canon_cfg):

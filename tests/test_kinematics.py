@@ -127,7 +127,7 @@ def test_velocity_ratio_touch_pose(canon_cfg):
     coeff = kinematic_coefficients(p, canon_cfg.baseline, canon_cfg)
     assert not coeff.transmission_singular
     assert coeff.dtheta_ddelta == pytest.approx(2.4, abs=1e-9)
-    assert coeff.d2theta_ddelta2 == pytest.approx(-8.48, abs=1e-6)
+    assert coeff.d2theta_ddelta2 == pytest.approx(-8.48, abs=1e-12)
 
 
 def test_first_coefficient_matches_finite_difference(canon_cfg):
@@ -137,9 +137,13 @@ def test_first_coefficient_matches_finite_difference(canon_cfg):
         delta = math.radians(deg)
         p = solve_ik(design, canon_cfg, delta, "plus")
         coeff = kinematic_coefficients(p, design, canon_cfg)
-        lo = solve_ik(design, canon_cfg, delta - h, "plus").theta
-        hi = solve_ik(design, canon_cfg, delta + h, "plus").theta
-        assert coeff.dtheta_ddelta == pytest.approx((hi - lo) / (2 * h), abs=1e-6)
+        lo = solve_ik(design, canon_cfg, delta - h, "plus")
+        hi = solve_ik(design, canon_cfg, delta + h, "plus")
+        assert coeff.dtheta_ddelta == pytest.approx((hi.theta - lo.theta) / (2 * h), abs=1e-6)
+        # second coefficient against a central difference of the first
+        r_lo = kinematic_coefficients(lo, design, canon_cfg).dtheta_ddelta
+        r_hi = kinematic_coefficients(hi, design, canon_cfg).dtheta_ddelta
+        assert coeff.d2theta_ddelta2 == pytest.approx((r_hi - r_lo) / (2 * h), abs=1e-7)
 
 
 def test_motion_profile_rest_to_rest(canon_task):

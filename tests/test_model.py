@@ -1,6 +1,7 @@
 """Domain types, validation rules, and config file round-trips."""
 import json
 import math
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from fourbar_synth import (
     load_config,
     load_config_dict,
 )
-from conftest import CANON_CONFIG, make_canon_cfg, make_canon_task
+from conftest import CANON_CONFIG, REPO_ROOT, make_canon_cfg, make_canon_task
 
 
 def test_design_params_reject_nonpositive_lengths():
@@ -138,6 +139,13 @@ def test_config_round_trip_is_bit_exact():
     assert opt2 == opt
 
 
+def test_readme_config_schema_matches_canon():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    documented = config_to_dict(*load_config_dict(json.loads(block)))
+    assert documented == config_to_dict(*load_config(str(CANON_CONFIG)))
+
+
 def test_load_config_dict_defaults():
     data = {
         "mechanism": {
@@ -198,6 +206,27 @@ def test_load_config_dict_rejects_even_sample_count():
     with pytest.raises(ValidationError) as err:
         load_config_dict(data)
     assert "n_samples" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("mechanism", "tip_length"),
+        ("mechanism", "baseline", "l_cd"),
+        ("task", "t_hold"),
+        ("optimizer", "budget"),
+        ("optimizer", "bounds", "l_ad"),
+    ],
+)
+def test_load_config_dict_rejects_unknown_keys(path):
+    data = json.loads(CANON_CONFIG.read_text(encoding="utf-8"))
+    section = data
+    for name in path[:-1]:
+        section = section[name]
+    section[path[-1]] = 0.25
+    with pytest.raises(ParseError) as err:
+        load_config_dict(data)
+    assert ".".join(path) in str(err.value)
 
 
 def test_load_config_missing_file_is_parse_error(tmp_path):
