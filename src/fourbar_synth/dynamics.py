@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .kinematics import Posture, TrajectorySample
 from .model import (
@@ -84,7 +83,6 @@ def _rod(density: float, length: float) -> tuple[float, tuple[float, float], flo
     return mass, (0.5 * length, 0.0), mass * length * length / 12.0
 
 
-@lru_cache(maxsize=4096)
 def mass_model(design: DesignParams, cfg: MechanismConfig) -> MassModel:
     """Per-link inertial properties for the uniform-rod mass model."""
     rho_oa, rho_ab, rho_bc = cfg.link_density

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 __all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict", "log_marginal_likelihood"]

@@ -11,16 +11,17 @@ Conventions used throughout the package:
   equations ("plus" means a positive z-component of the relevant cross
   product; each solver documents which one).
 
-All container types are frozen dataclasses so they hash, which lets the
-geometry layers memoise per-design intermediates.
+All container types are frozen dataclasses, so they compare by value and
+hash; the constraint layer memoises the baseline posture per mechanism and task.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Literal
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
+from typing import Any, Callable, Iterable, Literal, NamedTuple
 
 __all__ = [
     "Branch",
@@ -290,6 +291,10 @@ class OptimizerConfig:
             raise ValidationError("n_acq_samples", "must be >= n_acq_starts")
 
 
+def _is_feasible(c_static_i: float, c_static_e: float, c_dyn: float | None) -> bool:
+    return c_static_i <= 0.0 and c_static_e <= 0.0 and c_dyn is not None and c_dyn <= FEASIBLE_DYN_TOL
+
+
 @dataclass(frozen=True, slots=True)
 class ConstraintBundle:
     """Constraint observations for one design.
@@ -308,24 +313,12 @@ class ConstraintBundle:
     def __post_init__(self) -> None:
         if self.c_dyn is not None and self.c_dyn < 0.0:
             raise ValidationError("c_dyn", f"must be >= 0, got {self.c_dyn!r}")
-        expect = (
-            self.c_static_i <= 0.0
-            and self.c_static_e <= 0.0
-            and self.c_dyn is not None
-            and self.c_dyn <= FEASIBLE_DYN_TOL
-        )
-        if self.feasible != expect:
+        if self.feasible != _is_feasible(self.c_static_i, self.c_static_e, self.c_dyn):
             raise ValidationError("feasible", "flag inconsistent with constraint values")
 
     @classmethod
     def from_values(cls, c_static_i: float, c_static_e: float, c_dyn: float | None) -> "ConstraintBundle":
-        feasible = (
-            c_static_i <= 0.0
-            and c_static_e <= 0.0
-            and c_dyn is not None
-            and c_dyn <= FEASIBLE_DYN_TOL
-        )
-        return cls(c_static_i, c_static_e, c_dyn, feasible)
+        return cls(c_static_i, c_static_e, c_dyn, _is_feasible(c_static_i, c_static_e, c_dyn))
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,143 +341,166 @@ class EvaluationRecord:
 
 # ---------------------------------------------------------------------------
 # config ingestion
+#
+# One table per JSON object maps each key to the kind of its value.  The same
+# table reads the object (rejecting keys it lacks) and writes it back in
+# config_to_dict, so the key list is written once.  Defaults live only on the
+# dataclass fields and range checks only in their __post_init__.
 
-_ANGLE_FIELDS_MECH = ("effector_offset",)
-_ANGLE_FIELDS_TASK = ("delta_i", "delta_e")
+
+class _Kind(NamedTuple):
+    """How one config value is read from JSON and written back."""
+
+    read: Callable[[Any, str, bool], Any]  # (raw, "section.key", degrees) -> value
+    write: Callable[[Any], Any] = lambda value: value
 
 
-def _read_angle(section: dict, key: str, default: float | None, degrees: bool) -> float:
-    """Angle fields accept a bare number or {"value": x, "units": "deg"|"rad"}."""
-    if key not in section:
-        if default is None:
-            raise ParseError(f"missing required key {key!r}")
-        return default
-    raw = section[key]
+def _number(raw: Any, name: str, degrees: bool = False) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{name}: expected a number, got {raw!r}")
+    return float(raw)
+
+
+def _integer(raw: Any, name: str, degrees: bool) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ParseError(f"{name}: expected an integer, got {raw!r}")
+    return raw
+
+
+def _vector(raw: Any, name: str, degrees: bool) -> tuple[float, ...]:
+    """A list of numbers; the dataclass checks its length."""
+    if not isinstance(raw, (list, tuple)):
+        raise ParseError(f"{name}: expected a list of numbers, got {raw!r}")
+    return tuple(_number(x, name) for x in raw)
+
+
+def _branch(raw: Any, name: str, degrees: bool) -> str:
+    if not isinstance(raw, str):
+        raise ParseError(f"{name}: expected a string, got {raw!r}")
+    return raw
+
+
+def _units(raw: Any, name: str, degrees: bool) -> str:
+    if raw not in ("rad", "deg"):
+        raise ParseError(f"{name}: must be 'rad' or 'deg', got {raw!r}")
+    return raw
+
+
+def _angle(raw: Any, name: str, degrees: bool) -> float:
+    """A bare number (degrees if ``degrees``, else radians) or {"value": x, "units": "rad"|"deg"}."""
     if isinstance(raw, dict):
-        try:
-            value = float(raw["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{key}: bad angle object, need numeric 'value'") from exc
-        units = raw.get("units", "rad")
-        if units not in ("rad", "deg"):
-            raise ParseError(f"{key}: units must be 'rad' or 'deg', got {units!r}")
-        return math.radians(value) if units == "deg" else value
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{key}: expected a number") from exc
+        angle = _read_keys(raw, name, _ANGLE_OBJECT, ("value",), degrees)
+        degrees = angle.get("units", "rad") == "deg"
+        raw = angle["value"]
+    value = _number(raw, name)
     return math.radians(value) if degrees else value
 
 
-def _read_number(section: dict, key: str, default: float | None = None) -> float:
-    if key not in section:
-        if default is None:
-            raise ParseError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(section[key])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{key}: expected a number") from exc
-
-
-def _read_pair(section: dict, key: str, default: tuple[float, float] | None) -> tuple[float, float]:
-    if key not in section:
-        if default is None:
-            raise ParseError(f"missing required key {key!r}")
-        return default
-    raw = section[key]
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ParseError(f"{key}: expected a 2-element list")
-    return (float(raw[0]), float(raw[1]))
-
-
-def _reject_unknown_keys(section: dict, schema: dict, name: str) -> None:
-    """A misspelt key would otherwise fall back to its default unnoticed."""
-    for key, value in section.items():
-        if key not in schema:
+def _read_keys(
+    raw: Any, name: str, table: dict[str, _Kind], required: Iterable[str], degrees: bool
+) -> dict[str, Any]:
+    """Read the keys present in one JSON object; each must be in ``table``."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{name}: expected an object, got {raw!r}")
+    values = {}
+    for key, value in raw.items():
+        if key not in table:
             raise ParseError(f"{name}.{key}: unknown key")
-        if isinstance(value, dict) and isinstance(schema[key], dict):
-            _reject_unknown_keys(value, schema[key], f"{name}.{key}")
+        values[key] = table[key].read(value, f"{name}.{key}", degrees)
+    for key in required:
+        if key not in values:
+            raise ParseError(f"{name}.{key}: missing required key")
+    return values
+
+
+def _read_object(cls: type, table: dict[str, _Kind], raw: Any, name: str, degrees: bool) -> Any:
+    """Build ``cls`` from the keys present; an absent key takes the field default."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return cls(**_read_keys(raw, name, table, required, degrees))
+
+
+def _write_object(table: dict[str, _Kind], obj: Any) -> dict[str, Any]:
+    return {key: kind.write(getattr(obj, key)) for key, kind in table.items()}
+
+
+def _read_bounds(raw: Any, name: str, degrees: bool) -> tuple[tuple[float, ...], ...]:
+    pairs = _read_keys(raw, name, _BOUNDS, _BOUNDS, degrees)
+    return tuple(pairs[key] for key in _BOUNDS)
+
+
+def _write_bounds(bounds: tuple[tuple[float, float], ...]) -> dict[str, list[float]]:
+    return {key: list(pair) for key, pair in zip(_BOUNDS, bounds)}
+
+
+_NUMBER = _Kind(_number)
+_INTEGER = _Kind(_integer)
+_VECTOR = _Kind(_vector, list)
+_ANGLE = _Kind(_angle)
+_ANGLE_OBJECT = {"value": _NUMBER, "units": _Kind(_units)}
+_DESIGN = dict.fromkeys(("l_oa", "l_ab", "l_bc"), _NUMBER)
+_BOUNDS = dict.fromkeys(_DESIGN, _VECTOR)
+_SECTIONS: dict[str, tuple[type, dict[str, _Kind]]] = {
+    "mechanism": (
+        MechanismConfig,
+        {
+            "pivot_o": _VECTOR,
+            "pivot_c": _VECTOR,
+            "baseline": _Kind(partial(_read_object, DesignParams, _DESIGN), partial(_write_object, _DESIGN)),
+            "branch": _Kind(_branch),
+            "effector_offset": _ANGLE,
+            "link_density": _VECTOR,
+            "payload_mass": _NUMBER,
+            "effector_tip_length": _NUMBER,
+            "tip_force": _VECTOR,
+            "gravity": _VECTOR,
+            "overshoot_cap": _NUMBER,
+        },
+    ),
+    "task": (
+        MotionTask,
+        {"delta_i": _ANGLE, "delta_e": _ANGLE, "t_move": _NUMBER, "t_dwell": _NUMBER, "n_samples": _INTEGER},
+    ),
+    "optimizer": (
+        OptimizerConfig,
+        {
+            "bounds": _Kind(_read_bounds, _write_bounds),
+            "n_init": _INTEGER,
+            "n_max": _INTEGER,
+            "n_acq_starts": _INTEGER,
+            "n_acq_samples": _INTEGER,
+            "seed": _INTEGER,
+        },
+    ),
+}
 
 
 def load_config_dict(data: dict, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
     """Build the three config objects from an already-parsed JSON dict.
 
-    Raises ParseError naming ``section.key`` for a key the schema lacks.
+    Raises ParseError naming ``section.key`` for a key the schema lacks, a
+    missing required key or a value of the wrong kind, and ValidationError
+    (naming the field) for a value out of range.
     """
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
-    for key in ("mechanism", "task", "optimizer"):
-        if key not in data or not isinstance(data[key], dict):
-            raise ParseError(f"missing required section {key!r}")
-
-    mech = data["mechanism"]
-    if "baseline" not in mech or not isinstance(mech["baseline"], dict):
-        raise ParseError("mechanism.baseline must be an object with l_oa, l_ab, l_bc")
-    base = mech["baseline"]
-    baseline = DesignParams(
-        l_oa=_read_number(base, "l_oa"),
-        l_ab=_read_number(base, "l_ab"),
-        l_bc=_read_number(base, "l_bc"),
-    )
-    density = mech.get("link_density", [0.0, 0.0, 0.0])
-    if not isinstance(density, (list, tuple)) or len(density) != 3:
-        raise ParseError("mechanism.link_density: expected a 3-element list")
-    branch = mech.get("branch")
-    if branch not in ("plus", "minus"):
-        raise ValidationError("branch", f"must be 'plus' or 'minus', got {branch!r}")
-    cfg = MechanismConfig(
-        pivot_c=_read_pair(mech, "pivot_c", None),
-        baseline=baseline,
-        branch=branch,
-        pivot_o=_read_pair(mech, "pivot_o", (0.0, 0.0)),
-        effector_offset=_read_angle(mech, "effector_offset", 0.0, degrees),
-        link_density=tuple(float(d) for d in density),
-        payload_mass=_read_number(mech, "payload_mass", 0.0),
-        effector_tip_length=_read_number(mech, "effector_tip_length", 0.0),
-        tip_force=_read_pair(mech, "tip_force", (0.0, 0.0)),
-        gravity=_read_pair(mech, "gravity", (0.0, -9.81)),
-        overshoot_cap=_read_number(mech, "overshoot_cap", 0.020),
-    )
-
-    task_sec = data["task"]
-    n_samples_raw = task_sec.get("n_samples", 201)
-    if not isinstance(n_samples_raw, int) or isinstance(n_samples_raw, bool):
-        raise ValidationError("n_samples", "must be an integer")
-    task = MotionTask(
-        delta_i=_read_angle(task_sec, "delta_i", None, degrees),
-        delta_e=_read_angle(task_sec, "delta_e", None, degrees),
-        t_move=_read_number(task_sec, "t_move"),
-        t_dwell=_read_number(task_sec, "t_dwell", 0.0),
-        n_samples=n_samples_raw,
-    )
-
-    opt_sec = data["optimizer"]
-    if "bounds" not in opt_sec or not isinstance(opt_sec["bounds"], dict):
-        raise ParseError("optimizer.bounds must be an object with l_oa, l_ab, l_bc pairs")
-    bounds = tuple(_read_pair(opt_sec["bounds"], k, None) for k in ("l_oa", "l_ab", "l_bc"))
-    for name, (lo, _hi) in zip(("l_oa", "l_ab", "l_bc"), bounds):
+    objects = []
+    for name, (cls, table) in _SECTIONS.items():
+        if name not in data:
+            raise ParseError(f"missing required section {name!r}")
+        objects.append(_read_object(cls, table, data[name], name, degrees))
+    cfg, task, opt = objects
+    # OptimizerConfig also serves signed analytic boxes; bar lengths must be positive.
+    for name, (lo, _hi) in zip(_BOUNDS, opt.bounds):
         if lo <= 0.0:
             raise ValidationError("bounds", f"{name} lower bound must be positive")
-    opt = OptimizerConfig(
-        bounds=bounds,  # type: ignore[arg-type]
-        n_init=int(opt_sec.get("n_init", 12)),
-        n_max=int(opt_sec.get("n_max", 60)),
-        n_acq_starts=int(opt_sec.get("n_acq_starts", 32)),
-        n_acq_samples=int(opt_sec.get("n_acq_samples", 4096)),
-        seed=int(opt_sec.get("seed", 0)),
-    )
-    schema = config_to_dict(cfg, task, opt)
-    for key in ("mechanism", "task", "optimizer"):
-        _reject_unknown_keys(data[key], schema[key], key)
     return cfg, task, opt
 
 
 def load_config(path: str, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
     """Load and validate a JSON config file.
 
-    Raises ParseError for malformed JSON or missing or unknown keys, ValidationError
-    (naming the field) for value-level violations.
+    Raises ParseError for malformed JSON or a malformed, missing or unknown key,
+    ValidationError (naming the field) for value-level violations.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -498,41 +514,5 @@ def load_config(path: str, degrees: bool = False) -> tuple[MechanismConfig, Moti
 
 def config_to_dict(cfg: MechanismConfig, task: MotionTask, opt: OptimizerConfig) -> dict[str, Any]:
     """Serialize configs back to the JSON schema; round-trips bit-for-bit."""
-    return {
-        "mechanism": {
-            "pivot_o": list(cfg.pivot_o),
-            "pivot_c": list(cfg.pivot_c),
-            "baseline": {
-                "l_oa": cfg.baseline.l_oa,
-                "l_ab": cfg.baseline.l_ab,
-                "l_bc": cfg.baseline.l_bc,
-            },
-            "branch": cfg.branch,
-            "effector_offset": cfg.effector_offset,
-            "link_density": list(cfg.link_density),
-            "payload_mass": cfg.payload_mass,
-            "effector_tip_length": cfg.effector_tip_length,
-            "tip_force": list(cfg.tip_force),
-            "gravity": list(cfg.gravity),
-            "overshoot_cap": cfg.overshoot_cap,
-        },
-        "task": {
-            "delta_i": task.delta_i,
-            "delta_e": task.delta_e,
-            "t_move": task.t_move,
-            "t_dwell": task.t_dwell,
-            "n_samples": task.n_samples,
-        },
-        "optimizer": {
-            "bounds": {
-                "l_oa": list(opt.bounds[0]),
-                "l_ab": list(opt.bounds[1]),
-                "l_bc": list(opt.bounds[2]),
-            },
-            "n_init": opt.n_init,
-            "n_max": opt.n_max,
-            "n_acq_starts": opt.n_acq_starts,
-            "n_acq_samples": opt.n_acq_samples,
-            "seed": opt.seed,
-        },
-    }
+    objects = (cfg, task, opt)
+    return {name: _write_object(table, obj) for (name, (_cls, table)), obj in zip(_SECTIONS.items(), objects)}

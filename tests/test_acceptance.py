@@ -27,7 +27,7 @@ from fourbar_synth.model import DesignParams, NotAssemblable, OptimizerConfig
 from fourbar_synth.optimizer import BoStep, bo_minimize, run_optimization
 from fourbar_synth.oracle import brute_static_gap, brute_theta_sweep, grid_sweep
 
-from conftest import CANON_CONFIG, REPO_ROOT, make_canon_cfg, make_canon_task
+from conftest import CANON_CONFIG, REPO_ROOT
 
 ARTIFACTS = REPO_ROOT / "artifacts"
 

@@ -46,6 +46,17 @@ def test_missing_config_is_a_validation_failure(capsys):
     assert "error:" in err
 
 
+def test_malformed_config_is_a_validation_failure(capsys, tmp_path):
+    data = json.loads(CANON_CONFIG.read_text())
+    data["optimizer"]["n_acq_samples"] = "abc"
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "validate", "--config", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "optimizer.n_acq_samples" in err
+    assert "Traceback" not in err
+
+
 def test_infeasible_baseline_fails_validation(capsys, tmp_path):
     data = json.loads(CANON_CONFIG.read_text())
     data["mechanism"]["baseline"] = {"l_oa": 0.02, "l_ab": 0.05, "l_bc": 0.15}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fourbar_synth.gp import GpModel, KernelParams, gp_fit, gp_predict, log_marginal_likelihood
+from fourbar_synth.gp import KernelParams, gp_fit, gp_predict, log_marginal_likelihood
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 

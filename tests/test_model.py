@@ -161,6 +161,9 @@ def test_load_config_dict_defaults():
     assert cfg.overshoot_cap == 0.020
     assert task.t_dwell == 0.0
     assert task.n_samples == 201
+    assert cfg == MechanismConfig(pivot_c=(0.3, 0.0), baseline=DesignParams(0.10, 0.25, 0.15), branch="plus")
+    assert task == MotionTask(delta_i=2.6, delta_e=1.57, t_move=0.5)
+    assert opt == OptimizerConfig(bounds=((0.03, 0.14), (0.15, 0.34), (0.08, 0.25)))
 
 
 def test_load_config_dict_rejects_nonpositive_length_bounds():
@@ -227,6 +230,34 @@ def test_load_config_dict_rejects_unknown_keys(path):
     with pytest.raises(ParseError) as err:
         load_config_dict(data)
     assert ".".join(path) in str(err.value)
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("task", "delta_i", {"value": 150, "unit": "deg"}),
+        ("task", "delta_i", {"value": 150, "units": "deg", "x": 1}),
+        ("optimizer", "n_init", 12.9),
+        ("optimizer", "seed", "7"),
+        ("optimizer", "n_acq_samples", "abc"),
+        ("mechanism", "pivot_c", ["x", 0]),
+        ("mechanism", "link_density", ["a", 2, 2]),
+        ("task", "t_move", True),
+        ("mechanism", "branch", _DROP),
+    ],
+)
+def test_load_config_dict_rejects_malformed_values(section, key, value):
+    data = json.loads(CANON_CONFIG.read_text(encoding="utf-8"))
+    if value is _DROP:
+        del data[section][key]
+    else:
+        data[section][key] = value
+    with pytest.raises(ParseError) as err:
+        load_config_dict(data)
+    assert f"{section}.{key}" in str(err.value)
 
 
 def test_load_config_missing_file_is_parse_error(tmp_path):

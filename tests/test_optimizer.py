@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +5,9 @@ import pytest
 from scipy.stats import norm
 
 from fourbar_synth.gp import KernelParams, gp_fit, gp_predict
-from fourbar_synth.model import DesignParams, OptimizerConfig, ValidationError
+from fourbar_synth.model import OptimizerConfig, ValidationError
 from fourbar_synth.optimizer import (
     BoStep,
-    SurrogateSet,
     bo_minimize,
     constrained_ei,
     fit_surrogates,
