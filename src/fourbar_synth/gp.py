@@ -6,10 +6,26 @@ are standardized; hyperparameters (signal variance, per-dimension
 lengthscales, noise variance) maximize the log marginal likelihood by
 multi-start L-BFGS ascent in log-space with analytic gradients.
 
-The implementation is deliberately small and deterministic: a seeded RNG
-draws the multistart points, scipy does the factorizations, and the fitted
-model caches its Cholesky factor so prediction is a pair of triangular
-solves.
+The fit is dominated by call overhead, not arithmetic: training sets are
+small (tens of points) and L-BFGS evaluates the likelihood a few hundred
+times per start.  ``_LmlWorkspace`` therefore holds everything that stays
+fixed across one fit (the per-dimension squared differences flattened to
+(d, n^2), the identity, the diagonal view, the 2*pi constant, reused
+(n, n) buffers) and each evaluation fills the buffers with in-place ufuncs
+and factors through ``scipy.linalg.lapack.dpotrf``/``dpotrs`` directly, with
+the same escalating jitter as the final fit.  The gradient is GPML eq. 5.9,
+dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta), with K^-1 from
+``dpotrs`` against the identity.  The fitted model caches its Cholesky
+factor, the box offset and width, the lengthscales and the scaled training
+inputs, so prediction is one kernel block, a product and one ``dtrtrs``.
+
+Invariant: these shortcuts change only call overhead.  Every elementwise
+operation and every reduction runs in the same order and over the same
+memory layout as the plain expressions they replace (for instance each
+gradient sum is ``.sum()`` over a C-ordered (n, n) array), so for a given
+seed a fit, and with it a whole optimization trace, is bit-for-bit what
+the straightforward scipy.linalg code gives.  Deterministic: a seeded RNG
+draws the multistart points.
 """
 
 from __future__ import annotations
@@ -18,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, lapack
 from scipy.optimize import minimize
 
 __all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict", "log_marginal_likelihood"]
@@ -44,7 +60,13 @@ class KernelParams:
 
 @dataclass
 class GpModel:
-    """Fitted GP: training data, kernel, and cached factorization."""
+    """Fitted GP: training data, kernel, and what prediction reuses.
+
+    Besides the Cholesky factor and K^-1 y, a non-degenerate model keeps
+    the box offset ``lo`` and ``width`` (hi - lo), the lengthscale array
+    ``ls`` and the training inputs in kernel units ``x_scaled`` (unit-cube
+    inputs divided by ``ls``).
+    """
 
     train_x: np.ndarray  # (n, d) raw inputs
     train_y: np.ndarray  # (n,) raw targets
@@ -56,6 +78,10 @@ class GpModel:
     x_unit: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     chol: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     alpha: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    lo: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    width: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    ls: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    x_scaled: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
     def prior_variance(self) -> float:
@@ -63,18 +89,16 @@ class GpModel:
         return self.kernel.signal_variance * self.y_sd * self.y_sd
 
 
-def _normalize(x: np.ndarray, bounds: tuple[tuple[float, float], ...]) -> np.ndarray:
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return (x - lo) / (hi - lo)
+def _scaled_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances between rows already divided by the lengthscales.
 
-
-def _scaled_sq_dists(x1: np.ndarray, x2: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances after per-dimension lengthscale division."""
-    a = x1[:, None, :] / ls
-    b = x2[None, :, :] / ls
-    d = a - b
-    return np.einsum("ijk,ijk->ij", d, d)
+    The (m, n, d) difference array is filled one input dimension at a time:
+    a single broadcast subtraction would run m * n inner loops of length d.
+    """
+    diff = np.empty((a.shape[0], b.shape[0], a.shape[1]))
+    for k in range(a.shape[1]):
+        np.subtract(a[:, k, None], b[:, k], out=diff[:, :, k])
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def _matern52(r: np.ndarray, s2: float) -> np.ndarray:
@@ -84,7 +108,8 @@ def _matern52(r: np.ndarray, s2: float) -> np.ndarray:
 
 def _kernel_matrix(x_unit: np.ndarray, params: KernelParams) -> np.ndarray:
     ls = np.asarray(params.lengthscales)
-    r = np.sqrt(np.maximum(_scaled_sq_dists(x_unit, x_unit, ls), 0.0))
+    x_scaled = x_unit / ls
+    r = np.sqrt(np.maximum(_scaled_sq_dists(x_scaled, x_scaled), 0.0))
     k = _matern52(r, params.signal_variance)
     k[np.diag_indices_from(k)] += params.noise_variance
     return k
@@ -92,57 +117,88 @@ def _kernel_matrix(x_unit: np.ndarray, params: KernelParams) -> np.ndarray:
 
 def _factorize(k: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky with escalating jitter; returns (L, alpha = K^-1 y)."""
-    last: Exception | None = None
     for jitter in _JITTERS:
-        try:
-            kj = k if jitter == 0.0 else k + jitter * np.eye(k.shape[0])
-            low = cholesky(kj, lower=True)
-            alpha = cho_solve((low, True), y)
+        kj = k if jitter == 0.0 else k + jitter * np.eye(k.shape[0])
+        low, info = lapack.dpotrf(kj, lower=1)
+        if info == 0:
+            alpha, _ = lapack.dpotrs(low, y, lower=1)
             return low, alpha
-        except LinAlgError as exc:
-            last = exc
-    raise LinAlgError(f"kernel matrix not positive definite even with jitter: {last}")
+    raise LinAlgError(f"kernel matrix not positive definite even with jitter (dpotrf info {info})")
 
 
-def _neg_lml_and_grad(
-    log_params: np.ndarray, raw_sq: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Negative log marginal likelihood and gradient in log-space.
+class _LmlWorkspace:
+    """Negative log marginal likelihood and its log-space gradient for one fit.
 
-    ``raw_sq`` holds the per-dimension squared coordinate differences of the
-    normalized training inputs, shape (d, n, n), precomputed once per fit.
+    Built once from the unit-cube inputs and standardized targets; calling
+    it with log(signal variance, lengthscales..., noise variance) returns
+    (NLML, gradient) as ``scipy.optimize.minimize(jac=True)`` expects.  A
+    kernel matrix that no jitter rung can factor scores 1e25 with a zero
+    gradient, which steers L-BFGS away.
     """
-    d = raw_sq.shape[0]
-    n = raw_sq.shape[1]
-    s2 = math.exp(log_params[0])
-    inv_l2 = np.exp(-2.0 * log_params[1 : 1 + d])
-    noise = math.exp(log_params[1 + d])
 
-    r2 = np.tensordot(inv_l2, raw_sq, axes=1)
-    r = np.sqrt(np.maximum(r2, 0.0))
-    c = _SQRT5 * r
-    expc = np.exp(-c)
-    k_signal = s2 * (1.0 + c + 5.0 * r2 / 3.0) * expc
-    k = k_signal.copy()
-    k[np.diag_indices(n)] += noise
+    def __init__(self, x_unit: np.ndarray, y: np.ndarray) -> None:
+        n, d = x_unit.shape
+        diff = x_unit.T[:, :, None] - x_unit.T[:, None, :]
+        self.raw_sq = diff * diff  # (d, n, n) squared coordinate differences
+        # a strided view, not a copy: raw_sq is laid out (n, n, d) in memory,
+        # and the BLAS kernel behind the dot below (so its rounding) follows
+        self.flat = self.raw_sq.reshape(d, n * n)
+        self.y = y
+        self.eye = np.eye(n)
+        self.const = 0.5 * n * math.log(2.0 * math.pi)
+        self.d = d
+        self.n = n
+        self.c = np.empty((n, n))
+        self.expc = np.empty((n, n))
+        self.onec = np.empty((n, n))  # 1 + c, then the lengthscale factor
+        self.tmp = np.empty((n, n))
+        self.k_signal = np.empty((n, n))
+        self.k = np.empty((n, n))
+        self.k_diag = self.k.reshape(n * n)[:: n + 1]
+        self.w = np.empty((n, n))
 
-    try:
-        low, alpha = _factorize(k, y)
-    except LinAlgError:
-        return 1e25, np.zeros_like(log_params)
+    def __call__(self, log_params: np.ndarray) -> tuple[float, np.ndarray]:
+        d, n = self.d, self.n
+        c, expc, onec, tmp, ks, w = self.c, self.expc, self.onec, self.tmp, self.k_signal, self.w
+        s2 = math.exp(log_params[0])
+        inv_l2 = np.exp(-2.0 * log_params[1 : 1 + d])
+        noise = math.exp(log_params[1 + d])
 
-    nlml = 0.5 * float(y @ alpha) + float(np.log(np.diag(low)).sum()) + 0.5 * n * math.log(2.0 * math.pi)
+        r2 = np.dot(inv_l2[None, :], self.flat).reshape(n, n)  # >= 0: needs no clamp
+        np.sqrt(r2, out=c)
+        np.multiply(c, _SQRT5, out=c)
+        np.negative(c, out=expc)
+        np.exp(expc, out=expc)
+        # k_signal = s2 * (1 + c + 5 r^2 / 3) * exp(-c), left to right
+        np.add(c, 1.0, out=onec)
+        np.multiply(r2, 5.0, out=tmp)
+        np.divide(tmp, 3.0, out=tmp)
+        np.add(onec, tmp, out=ks)
+        np.multiply(ks, s2, out=ks)
+        np.multiply(ks, expc, out=ks)
+        np.copyto(self.k, ks)
+        np.add(self.k_diag, noise, out=self.k_diag)
 
-    k_inv = cho_solve((low, True), np.eye(n))
-    w = np.outer(alpha, alpha) - k_inv  # dLML/dK = 0.5 * W
+        try:
+            low, alpha = _factorize(self.k, self.y)
+        except LinAlgError:
+            return 1e25, np.zeros_like(log_params)
 
-    grad = np.empty_like(log_params)
-    grad[0] = -0.5 * float((w * k_signal).sum())  # d/dlog s2 (negated for NLML)
-    wb = w * (s2 * (5.0 / 3.0) * (1.0 + c) * expc)
-    for j in range(d):
-        grad[1 + j] = -0.5 * inv_l2[j] * float((wb * raw_sq[j]).sum())
-    grad[1 + d] = -0.5 * noise * float(np.trace(w))
-    return nlml, grad
+        nlml = 0.5 * float(self.y @ alpha) + float(np.log(low.diagonal()).sum()) + self.const
+
+        k_inv, _ = lapack.dpotrs(low, self.eye, lower=1)
+        np.multiply(alpha[:, None], alpha[None, :], out=w)
+        np.subtract(w, k_inv, out=w)  # dLML/dK = 0.5 * W
+
+        grad = np.empty_like(log_params)
+        grad[0] = -0.5 * float(np.multiply(w, ks, out=tmp).sum())  # d/dlog s2 (negated for NLML)
+        np.multiply(onec, s2 * (5.0 / 3.0), out=onec)
+        np.multiply(onec, expc, out=onec)
+        np.multiply(w, onec, out=onec)
+        for j in range(d):
+            grad[1 + j] = -0.5 * inv_l2[j] * float(np.multiply(onec, self.raw_sq[j], out=tmp).sum())
+        grad[1 + d] = -0.5 * noise * float(w.trace())
+        return nlml, grad
 
 
 def gp_fit(
@@ -186,11 +242,12 @@ def gp_fit(
     y_mean = float(y.mean())
     y_sd = float(y.std())
     y_std = (y - y_mean) / y_sd
-    x_unit = _normalize(x, tuple(bounds))
+    lo = np.array([b[0] for b in bounds])
+    width = np.array([b[1] for b in bounds]) - lo
+    x_unit = (x - lo) / width
 
     if kernel is None:
-        diff = x_unit.T[:, :, None] - x_unit.T[:, None, :]
-        raw_sq = diff * diff  # (d, n, n), fixed across hyperparameter evals
+        lml = _LmlWorkspace(x_unit, y_std)
         rng = np.random.default_rng(seed)
         starts = [np.array([0.0] + [math.log(0.5)] * d + [math.log(1e-4)])]
         for _ in range(7):
@@ -206,9 +263,8 @@ def gp_fit(
         best = None
         for s in starts:
             res = minimize(
-                _neg_lml_and_grad,
+                lml,
                 s,
-                args=(raw_sq, y_std),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=box,
@@ -225,6 +281,7 @@ def gp_fit(
 
     k = _kernel_matrix(x_unit, kernel)
     low, alpha = _factorize(k, y_std)
+    ls = np.asarray(kernel.lengthscales)
     return GpModel(
         train_x=x,
         train_y=y,
@@ -236,6 +293,10 @@ def gp_fit(
         x_unit=x_unit,
         chol=low,
         alpha=alpha,
+        lo=lo,
+        width=width,
+        ls=ls,
+        x_scaled=x_unit / ls,
     )
 
 
@@ -243,10 +304,13 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray | float, np.ndarray | floa
     """Posterior mean and variance at query inputs, in original units.
 
     Accepts a single d-vector (returns floats) or an (m, d) array (returns
-    arrays).  Variance is that of the latent function; tiny negative values
-    from rounding are clamped to zero.
+    arrays); any other shape raises ``ValueError``.  Variance is that of the
+    latent function; tiny negative values from rounding are clamped to zero.
     """
     q = np.asarray(x, dtype=float)
+    d = len(model.bounds)
+    if q.ndim not in (1, 2) or q.shape[-1] != d:
+        raise ValueError(f"query shape {q.shape} does not match a {d}-dimensional model")
     single = q.ndim == 1
     if single:
         q = q[None, :]
@@ -256,13 +320,13 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray | float, np.ndarray | floa
         var = np.zeros(q.shape[0])
         return (float(mean[0]), float(var[0])) if single else (mean, var)
 
-    ls = np.asarray(model.kernel.lengthscales)
-    q_unit = _normalize(q, model.bounds)
-    r = np.sqrt(np.maximum(_scaled_sq_dists(q_unit, model.x_unit, ls), 0.0))
-    k_star = _matern52(r, model.kernel.signal_variance)  # (m, n)
+    s2 = model.kernel.signal_variance
+    q_scaled = (q - model.lo) / model.width / model.ls
+    r = np.sqrt(np.maximum(_scaled_sq_dists(q_scaled, model.x_scaled), 0.0))
+    k_star = _matern52(r, s2)  # (m, n)
     mean_std = k_star @ model.alpha
-    v = solve_triangular(model.chol, k_star.T, lower=True)
-    var_std = model.kernel.signal_variance - np.einsum("ij,ij->j", v, v)
+    v, _ = lapack.dtrtrs(model.chol, k_star.T, lower=1, overwrite_b=1)  # solves in k_star
+    var_std = s2 - np.einsum("ij,ij->j", v, v)
     var_std = np.maximum(var_std, 0.0)
 
     mean = model.y_mean + model.y_sd * mean_std

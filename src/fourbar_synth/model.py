@@ -289,6 +289,8 @@ class OptimizerConfig:
             raise ValidationError("n_acq_starts", "must be >= 1")
         if self.n_acq_samples < self.n_acq_starts:
             raise ValidationError("n_acq_samples", "must be >= n_acq_starts")
+        if self.seed < 0:
+            raise ValidationError("seed", f"must be >= 0, got {self.seed!r}")
 
 
 def _is_feasible(c_static_i: float, c_static_e: float, c_dyn: float | None) -> bool:

@@ -222,6 +222,15 @@ def test_optimize_seed_override_changes_initialization(capsys, tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_optimize_negative_seed_is_a_validation_failure(capsys, tmp_path):
+    config = small_opt_config(tmp_path)
+    code, out, err = run_cli(capsys, "optimize", "--config", config, "--seed", "-3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: seed: ")
+    assert "Traceback" not in err
+
+
 def test_optimize_budget_override(capsys, tmp_path):
     config = small_opt_config(tmp_path)
     out_csv = tmp_path / "opt.csv"

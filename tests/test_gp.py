@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from fourbar_synth.gp import KernelParams, gp_fit, gp_predict, log_marginal_likelihood
+from fourbar_synth import gp
+from fourbar_synth.gp import KernelParams, _LmlWorkspace, gp_fit, gp_predict, log_marginal_likelihood
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 
@@ -156,3 +158,163 @@ def test_rejects_degenerate_inputs():
         gp_fit([((0.1, 0.2), 1.0), ((0.3, 0.4), float("nan"))], BOUNDS)
     with pytest.raises(ValueError):
         gp_fit([((0.1,), 1.0), ((0.3,), 2.0)], BOUNDS)
+
+
+def test_predict_rejects_query_of_wrong_dimension():
+    bounds3 = ((0.0, 1.0),) * 3
+    pts = [((0.1, 0.2, 0.3), 1.0), ((0.5, 0.6, 0.4), 2.0), ((0.9, 0.1, 0.7), 0.5)]
+    constant = [(p[0], 4.0) for p in pts]
+    for model in (gp_fit(pts, bounds3, seed=0), gp_fit(constant, bounds3)):
+        for bad in ([0.5], np.full((4, 1), 0.5), np.full((2, 3, 3), 0.5), 0.5):
+            with pytest.raises(ValueError):
+                gp_predict(model, bad)
+        gp_predict(model, (0.5, 0.5, 0.5))
+
+
+def standardized(pts):
+    y = np.array([p[1] for p in pts])
+    return (y - y.mean()) / y.std()
+
+
+def test_lml_workspace_value_matches_fitted_model():
+    xs, pts = make_points(7)
+    kernel = KernelParams(signal_variance=0.7, lengthscales=(0.35, 0.8), noise_variance=2e-3)
+    log_params = np.log([0.7, 0.35, 0.8, 2e-3])
+    nlml, _ = _LmlWorkspace(xs, standardized(pts))(log_params)
+    model = gp_fit(pts, BOUNDS, kernel=kernel)
+    assert nlml == pytest.approx(-log_marginal_likelihood(model), rel=1e-12)
+
+
+def test_lml_workspace_gradient_matches_central_differences():
+    xs, pts = make_points(9, seed=4)
+    lml = _LmlWorkspace(xs, standardized(pts))
+    log_params = np.log([1.3, 0.4, 0.6, 1e-2])
+    _, grad = lml(log_params)
+    h = 1e-5
+    for i in range(log_params.size):  # signal variance, each lengthscale, noise
+        step = np.zeros_like(log_params)
+        step[i] = h
+        fd = (lml(log_params + step)[0] - lml(log_params - step)[0]) / (2.0 * h)
+        assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def test_lml_workspace_survives_singular_kernel():
+    # duplicated inputs and a vanishing noise make K exactly singular, so
+    # only a jitter rung can factor it
+    xs, pts = make_points(5)
+    xs = np.vstack([xs, xs[:2]])
+    pts = pts + pts[:2]
+    log_params = np.array([0.0, math.log(0.3), math.log(0.3), math.log(1e-300)])
+    kernel = KernelParams(1.0, (0.3, 0.3), 1e-300)
+    k = matern52_dense(xs, xs, kernel) + 1e-300 * np.eye(len(xs))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(k)
+    nlml, grad = _LmlWorkspace(xs, standardized(pts))(log_params)
+    assert math.isfinite(nlml) and nlml < 1e25
+    assert np.all(np.isfinite(grad))
+
+
+def test_fit_reaches_minimize_through_module_global(monkeypatch):
+    # the benchmark counts likelihood evaluations by wrapping gp.minimize
+    results = []
+    real = gp.minimize
+
+    def counting(*args, **kwargs):
+        res = real(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(gp, "minimize", counting)
+    _, pts = make_points(8)
+    gp_fit(pts, BOUNDS, seed=2)
+    assert len(results) == 8
+    assert all(res.nfev > 0 for res in results)
+
+
+# Straightforward scipy.linalg versions of the fit's likelihood, the fit's
+# factorization and the prediction.  The module computes the same
+# expressions through reused buffers and direct LAPACK calls; its results
+# must equal these bit for bit, which keeps optimization traces unchanged.
+
+
+def plain_neg_lml_and_grad(log_params, x_unit, y):
+    diff = x_unit.T[:, :, None] - x_unit.T[:, None, :]
+    raw_sq = diff * diff
+    d, n = raw_sq.shape[0], raw_sq.shape[1]
+    s2 = math.exp(log_params[0])
+    inv_l2 = np.exp(-2.0 * log_params[1 : 1 + d])
+    noise = math.exp(log_params[1 + d])
+    r2 = np.tensordot(inv_l2, raw_sq, axes=1)
+    c = math.sqrt(5.0) * np.sqrt(np.maximum(r2, 0.0))
+    expc = np.exp(-c)
+    k_signal = s2 * (1.0 + c + 5.0 * r2 / 3.0) * expc
+    k = k_signal.copy()
+    k[np.diag_indices(n)] += noise
+    low = cholesky(k, lower=True)
+    alpha = cho_solve((low, True), y)
+    nlml = 0.5 * float(y @ alpha) + float(np.log(np.diag(low)).sum()) + 0.5 * n * math.log(2.0 * math.pi)
+    w = np.outer(alpha, alpha) - cho_solve((low, True), np.eye(n))
+    grad = np.empty_like(log_params)
+    grad[0] = -0.5 * float((w * k_signal).sum())
+    wb = w * (s2 * (5.0 / 3.0) * (1.0 + c) * expc)
+    for j in range(d):
+        grad[1 + j] = -0.5 * inv_l2[j] * float((wb * raw_sq[j]).sum())
+    grad[1 + d] = -0.5 * noise * float(np.trace(w))
+    return nlml, grad
+
+
+def plain_kernel(xa, xb, kernel):
+    ls = np.asarray(kernel.lengthscales)
+    diff = xa[:, None, :] / ls - xb[None, :, :] / ls
+    r = np.sqrt(np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0))
+    c = math.sqrt(5.0) * r
+    return kernel.signal_variance * (1.0 + c + 5.0 * r * r / 3.0) * np.exp(-c)
+
+
+def plain_predict(model, q):
+    lo = np.array([b[0] for b in model.bounds])
+    hi = np.array([b[1] for b in model.bounds])
+    k_star = plain_kernel((q - lo) / (hi - lo), model.x_unit, model.kernel)
+    v = solve_triangular(model.chol, k_star.T, lower=True)
+    var = np.maximum(model.kernel.signal_variance - np.einsum("ij,ij->j", v, v), 0.0)
+    return model.y_mean + model.y_sd * (k_star @ model.alpha), model.y_sd * model.y_sd * var
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (9, 2), (17, 3), (40, 3)])
+def test_lml_workspace_is_bit_identical_to_plain_expressions(n, d):
+    rng = np.random.default_rng(n)
+    x_unit = rng.uniform(0.0, 1.0, size=(n, d))
+    y = rng.normal(size=n)
+    lml = _LmlWorkspace(x_unit, y)
+    for _ in range(20):
+        log_params = np.concatenate(
+            [rng.uniform(-2.0, 2.0, 1), rng.uniform(-2.5, 1.0, d), rng.uniform(-9.0, -2.0, 1)]
+        )
+        nlml, grad = lml(log_params)
+        ref_nlml, ref_grad = plain_neg_lml_and_grad(log_params, x_unit, y)
+        assert nlml == ref_nlml
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (12, 3), (30, 3)])
+def test_fit_and_predict_are_bit_identical_to_plain_expressions(n, d):
+    rng = np.random.default_rng(100 + n)
+    bounds = tuple((lo, lo + w) for lo, w in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(0.1, 2.0, d)))
+    lo = np.array([b[0] for b in bounds])
+    width = np.array([b[1] for b in bounds]) - lo
+    xs = lo + rng.uniform(0.0, 1.0, size=(n, d)) * width
+    pts = [(tuple(x), float(v)) for x, v in zip(xs, rng.normal(size=n))]
+    model = gp_fit(pts, bounds, seed=n)
+
+    k = plain_kernel(model.x_unit, model.x_unit, model.kernel)
+    k[np.diag_indices(n)] += model.kernel.noise_variance
+    low = cholesky(k, lower=True)
+    assert np.array_equal(model.chol, low)
+    assert np.array_equal(model.alpha, cho_solve((low, True), standardized(pts)))
+
+    for m in (1, 7, 300):
+        q = lo + rng.uniform(-0.1, 1.1, size=(m, d)) * width
+        mean, var = gp_predict(model, q)
+        ref_mean, ref_var = plain_predict(model, q)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(var, ref_var)

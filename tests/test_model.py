@@ -93,6 +93,15 @@ def test_optimizer_config_budget_ordering():
         OptimizerConfig(bounds=((0.0, 1.0),), n_init=3, n_max=10)
 
 
+def test_load_config_dict_rejects_negative_seed():
+    # numpy's generators take no negative seed; the config check names the key
+    data = json.loads(CANON_CONFIG.read_text(encoding="utf-8"))
+    data["optimizer"]["seed"] = -1
+    with pytest.raises(ValidationError) as err:
+        load_config_dict(data)
+    assert err.value.field_name == "seed"
+
+
 def test_constraint_bundle_feasible_flag_must_match_values():
     ConstraintBundle(-0.01, -0.01, 0.0, True)
     with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from fourbar_synth import optimizer
 from fourbar_synth.gp import KernelParams, gp_fit, gp_predict
 from fourbar_synth.model import OptimizerConfig, ValidationError
 from fourbar_synth.optimizer import (
@@ -164,6 +165,28 @@ def test_bo_minimize_improves_on_initial_design():
     final_best = min(s.objective for s in steps)
     assert final_best <= init_best
     assert final_best < 0.02
+
+
+def test_bo_minimize_reaches_gp_through_module_attributes(monkeypatch):
+    # the benchmark times fits and predictions by wrapping these two names
+    calls = {"fit": 0, "predict": 0}
+
+    def counting_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return gp_fit(*args, **kwargs)
+
+    def counting_predict(*args, **kwargs):
+        calls["predict"] += 1
+        return gp_predict(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "gp_fit", counting_fit)
+    monkeypatch.setattr(optimizer, "gp_predict", counting_predict)
+
+    def evaluate(x):
+        return BoStep(x=x, objective=bowl(x), constraints={"c": x[0] - 0.8})
+
+    bo_minimize(evaluate, small_cfg(n_max=6))
+    assert calls["fit"] > 0 and calls["predict"] > 0
 
 
 def test_fit_surrogates_best_uses_only_constraint_satisfying_steps():
