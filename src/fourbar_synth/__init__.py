@@ -10,6 +10,7 @@ fast path for verification.
 
 from .constraints import (
     DynamicConstraintResult,
+    Pose,
     StaticGapResult,
     baseline_posture,
     dynamic_constraint,
@@ -72,6 +73,7 @@ from .optimizer import (
     latin_hypercube,
     propose_next,
     run_optimization,
+    step_from_record,
 )
 from .oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep
 
@@ -123,6 +125,7 @@ __all__ = [
     "torque_at_state",
     "torque_profile",
     # constraints
+    "Pose",
     "StaticGapResult",
     "DynamicConstraintResult",
     "baseline_posture",
@@ -144,6 +147,7 @@ __all__ = [
     "fit_surrogates",
     "propose_next",
     "bo_minimize",
+    "step_from_record",
     "run_optimization",
     # oracles
     "brute_ik",

@@ -120,8 +120,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_validate(args) -> int:
     cfg, task, _opt = load_config(args.config, degrees=args.degrees)
-    postures = validate_baseline(cfg, task)
-    print(json.dumps({"status": "ok", "baseline_samples": len(postures)}))
+    samples = validate_baseline(cfg, task)
+    print(json.dumps({"status": "ok", "baseline_samples": len(samples)}))
     return 0
 
 

@@ -25,7 +25,9 @@ from functools import lru_cache
 from typing import Literal
 
 from .dynamics import torque_profile
-from .kinematics import TrajectorySample, _transform_full, solve_ik
+from .kinematics import TrajectorySample, solve_ik
+# perfbench traces this module attribute as its kinematics span.
+from .kinematics import kinematic_transform as _transform_full
 from .model import (
     BaselineInfeasible,
     ConstraintBundle,
@@ -263,7 +265,7 @@ def evaluate_design(
     objective: float | None = None
     if gap_i.value <= 0.0 and gap_e.value <= 0.0:
         try:
-            trajectory, _postures = _transform_full(design, cfg, task)
+            trajectory = _transform_full(design, cfg, task)
         except (SeedUnsolvable, TransformUnsolvable):
             trajectory = None  # assembles at the endpoints but not throughout
         if trajectory is not None:

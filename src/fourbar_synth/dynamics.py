@@ -286,11 +286,12 @@ def torque_profile(
 ) -> TorqueProfile:
     """Motor torque over the full duty cycle and its RMS value.
 
-    The forward stroke follows the given trajectory.  The return stroke is
-    the time-reversed effector profile, recomputed through the same torque
-    model (the crank rate flips sign; because the rate enters only squared
-    the return torque mirrors the forward one in time).  Dwells contribute
-    the static holding torque at the stroke endpoints.
+    The forward stroke follows the given trajectory, at the joints its
+    samples carry.  The return stroke is the time-reversed effector
+    profile, recomputed through the same torque model (the crank rate flips
+    sign; because the rate enters only squared the return torque mirrors
+    the forward one in time).  Dwells contribute the static holding torque
+    at the stroke endpoints.
 
     t_rms = sqrt( (1/t_cycle) * integral of T_m^2 dt )  (trapezoid rule).
     """
@@ -301,19 +302,12 @@ def torque_profile(
         raise ValueError("trajectory sample count does not match the task")
 
     masses = mass_model(design, cfg)
-    ox, oy = cfg.pivot_o
-    cx, cy = cfg.pivot_c
 
     fwd_t: list[float] = []
     fwd_tau: list[float] = []
     holding: list[float] = []  # static torque at first and last sample
     for k, s in enumerate(trajectory):
-        a_pt = (
-            ox + design.l_oa * math.cos(s.theta),
-            oy + design.l_oa * math.sin(s.theta),
-        )
-        ang = s.delta - cfg.effector_offset
-        b_pt = (cx + design.l_bc * math.cos(ang), cy + design.l_bc * math.sin(ang))
+        a_pt, b_pt = s.point_a, s.point_b
         # cheap consistency guard: the sample must close the coupler
         gap = math.hypot(a_pt[0] - b_pt[0], a_pt[1] - b_pt[1]) - design.l_ab
         if abs(gap) > 1e-6 * design.l_ab:

@@ -10,6 +10,10 @@ solve once at ``delta_mid`` on the configured branch, then walk outward to
 both stroke ends, always keeping the intersection nearest the previous
 point A.  This keeps the solution on one assembly branch without relying on
 the sign tag, which flips spuriously when the crank crosses the O-B line.
+
+``kinematic_transform`` is the one stroke walk: its samples carry the
+joints A and B, which the dynamics reads as they are, and
+``validate_baseline`` checks the baseline on that same walk.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ __all__ = [
 _TANGENT_TOL = 1e-12
 
 # Threshold scale for the crank-coupler dead point test in the coefficient
-# formula denominator, and for the transmission-singularity flag.
+# formula denominator.
 _SINGULAR_TOL = 1e-12
 
 
@@ -73,22 +77,20 @@ class Posture:
 
 @dataclass(frozen=True, slots=True)
 class KinematicCoefficients:
-    """First and second derivative of crank angle w.r.t. effector angle.
-
-    ``transmission_singular`` is set when the coupler and rocker are
-    collinear (transmission angle at 0 or pi).  There dtheta/ddelta vanishes
-    and the inverse ratio ddelta/dtheta blows up: the crank is at a motion
-    reversal, which the dynamic constraint quantifies.
-    """
+    """First and second derivative of crank angle w.r.t. effector angle."""
 
     dtheta_ddelta: float
     d2theta_ddelta2: float
-    transmission_singular: bool
 
 
 @dataclass(frozen=True, slots=True)
 class TrajectorySample:
-    """Time-stamped state along the stroke, effector and crank side."""
+    """Time-stamped state along the stroke: effector, crank and joints.
+
+    ``point_a`` and ``point_b`` are the joints the continuation assembled at
+    this sample.  ``theta`` is continuous along the stroke, so it may leave
+    (-pi, pi] when the crank passes theta = pi.
+    """
 
     t: float
     delta: float
@@ -97,6 +99,8 @@ class TrajectorySample:
     theta: float
     theta_dot: float
     theta_ddot: float
+    point_a: tuple[float, float]
+    point_b: tuple[float, float]
 
 
 def _rocker_tip(cfg: MechanismConfig, design: DesignParams, delta: float) -> tuple[float, float]:
@@ -247,13 +251,27 @@ def kinematic_coefficients(
         d2theta/ddelta2 = -[(l_oa^2 - e.(A - O)) r^2 - 2 (A_theta . B_delta) r
                             + (l_bc^2 + e.(B - C))] / (e . A_theta).
     The shared denominator is proportional to sin(alpha) (crank-coupler
-    dead point), the numerator of r to sin(beta) (transmission singularity).
+    dead point), the numerator of r to sin(beta) (transmission singularity,
+    where r vanishes and the crank reverses).
 
     Raises SingularPosture at a crank-coupler dead point, where the
     effector-driven ratio is unbounded.
     """
-    ax, ay = posture.point_a
-    bx, by = posture.point_b
+    return KinematicCoefficients(
+        *_crank_coefficients(design, cfg, posture.point_a, posture.point_b, posture.delta)
+    )
+
+
+def _crank_coefficients(
+    design: DesignParams,
+    cfg: MechanismConfig,
+    a_pt: tuple[float, float],
+    b_pt: tuple[float, float],
+    delta: float,
+) -> tuple[float, float]:
+    """(dtheta/ddelta, d2theta/ddelta2) at joints A, B; see kinematic_coefficients."""
+    ax, ay = a_pt
+    bx, by = b_pt
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
     ex = ax - bx
@@ -269,10 +287,9 @@ def kinematic_coefficients(
     num = ex * dbx + ey * dby
     if abs(den) < _SINGULAR_TOL * design.l_oa * design.l_ab:
         raise SingularPosture(
-            f"crank and coupler collinear at delta={posture.delta!r}; "
+            f"crank and coupler collinear at delta={delta!r}; "
             "effector cannot drive through this pose"
         )
-    transmission_singular = abs(num) < _SINGULAR_TOL * design.l_bc * design.l_ab
     ratio = num / den
     curvature = (
         (design.l_oa * design.l_oa - (ex * rax + ey * ray)) * ratio * ratio
@@ -280,7 +297,7 @@ def kinematic_coefficients(
         + design.l_bc * design.l_bc
         + (ex * rbx + ey * rby)
     )
-    return KinematicCoefficients(ratio, -curvature / den, transmission_singular)
+    return ratio, -curvature / den
 
 
 def motion_profile(task: MotionTask) -> list[tuple[float, float, float, float]]:
@@ -303,13 +320,30 @@ def motion_profile(task: MotionTask) -> list[tuple[float, float, float, float]]:
     return rows
 
 
-def _continuation_postures(
-    design: DesignParams,
-    cfg: MechanismConfig,
-    deltas: list[float],
-    mid: int,
-) -> list[Posture]:
-    """Solve IK along a delta schedule by mid-seeded bidirectional continuation."""
+def kinematic_transform(
+    design: DesignParams, cfg: MechanismConfig, task: MotionTask
+) -> list[TrajectorySample]:
+    """Map the effector stroke onto the crank: full state at every sample.
+
+    Samples are uniform in time over the forward stroke (delta_e to
+    delta_i); the mid-stroke sample is the continuation seed on the
+    configured branch, and both halves are walked outward keeping the
+    crank-pin position nearest the previous point A.  Each sample carries
+    the joints A and B it assembled, and a crank angle continued from the
+    previous sample (the seed's lies in (-pi, pi]).  Crank rates come from
+    the chain rule:
+    theta_dot = (dtheta/ddelta) delta_dot,
+    theta_ddot = (d2theta/ddelta2) delta_dot^2 + (dtheta/ddelta) delta_ddot.
+
+    Raises SeedUnsolvable if the mid-stroke pose does not assemble and
+    TransformUnsolvable (with the failing delta) if continuation loses
+    assembly partway or meets a crank-coupler dead point inside the stroke.
+    """
+    prof = motion_profile(task)
+    span = task.delta_i - task.delta_e
+    deltas = [task.delta_e + s * span for (_t, s, _sd, _sdd) in prof]
+    n = task.n_samples
+    mid = n // 2
     try:
         seed = solve_ik(design, cfg, deltas[mid], cfg.branch)
     except NotAssemblable as exc:
@@ -317,51 +351,29 @@ def _continuation_postures(
             f"mid-stroke pose delta={deltas[mid]!r} not assemblable"
         ) from exc
 
-    postures: list[Posture | None] = [None] * len(deltas)
-    postures[mid] = seed
-
-    for direction in (1, -1):
-        prev = seed.point_a
-        k = mid + direction
-        while 0 <= k < len(deltas):
+    ox, oy = cfg.pivot_o
+    last = n - 1
+    samples: list[TrajectorySample] = [None] * n  # type: ignore[list-item]
+    # outward from the seed: up to the last sample, then down to the first
+    for k in [*range(mid, n), *range(mid - 1, -1, -1)]:
+        if k == mid:
+            a_pt, b_pt, theta = seed.point_a, seed.point_b, seed.theta
+        else:
+            prev = samples[k - 1] if k > mid else samples[k + 1]
             b_pt, pts = _ik_candidates(design, cfg, deltas[k])
             if not pts:
                 raise TransformUnsolvable(deltas[k])
-            if len(pts) == 1:
-                a_pt = pts[0]
-            else:
-                d0 = (pts[0][0] - prev[0]) ** 2 + (pts[0][1] - prev[1]) ** 2
-                d1 = (pts[1][0] - prev[0]) ** 2 + (pts[1][1] - prev[1]) ** 2
-                a_pt = pts[0] if d0 <= d1 else pts[1]
-            ox, oy = cfg.pivot_o
-            cross = (b_pt[0] - ox) * (a_pt[1] - oy) - (b_pt[1] - oy) * (a_pt[0] - ox)
-            elbow: Branch = "plus" if cross >= 0.0 else "minus"
-            postures[k] = _build_posture(cfg, deltas[k], a_pt, b_pt, elbow)
-            prev = a_pt
-            k += direction
-    return postures  # type: ignore[return-value]
-
-
-def _transform_full(
-    design: DesignParams, cfg: MechanismConfig, task: MotionTask
-) -> tuple[list[TrajectorySample], list[Posture]]:
-    """kinematic_transform plus the posture at every sample (internal)."""
-    prof = motion_profile(task)
-    span = task.delta_i - task.delta_e
-    deltas = [task.delta_e + s * span for (_t, s, _sd, _sdd) in prof]
-    mid = task.n_samples // 2
-    postures = _continuation_postures(design, cfg, deltas, mid)
-
-    samples = []
-    last = task.n_samples - 1
-    for k, (t, _s, sd, sdd) in enumerate(prof):
+            pa = prev.point_a
+            a_pt = min(pts, key=lambda q: (q[0] - pa[0]) ** 2 + (q[1] - pa[1]) ** 2)
+            theta = math.atan2(a_pt[1] - oy, a_pt[0] - ox)
+            theta += math.tau * round((prev.theta - theta) / math.tau)
+        t, _s, sd, sdd = prof[k]
         ddot = sd * span
         dddot = sdd * span
-        p = postures[k]
         try:
-            coeff = kinematic_coefficients(p, design, cfg)
-            th_dot = coeff.dtheta_ddelta * ddot
-            th_ddot = coeff.d2theta_ddelta2 * ddot * ddot + coeff.dtheta_ddelta * dddot
+            ratio, curvature = _crank_coefficients(design, cfg, a_pt, b_pt, deltas[k])
+            th_dot = ratio * ddot
+            th_ddot = curvature * ddot * ddot + ratio * dddot
         except SingularPosture:
             if k in (0, last):
                 # Dead point exactly at a stroke end: the quintic brings the
@@ -370,66 +382,41 @@ def _transform_full(
                 th_ddot = 0.0
             else:
                 raise TransformUnsolvable(deltas[k])
-        samples.append(
-            TrajectorySample(
-                t=t,
-                delta=deltas[k],
-                delta_dot=ddot,
-                delta_ddot=dddot,
-                theta=p.theta,
-                theta_dot=th_dot,
-                theta_ddot=th_ddot,
-            )
+        samples[k] = TrajectorySample(
+            t=t,
+            delta=deltas[k],
+            delta_dot=ddot,
+            delta_ddot=dddot,
+            theta=theta,
+            theta_dot=th_dot,
+            theta_ddot=th_ddot,
+            point_a=a_pt,
+            point_b=b_pt,
         )
-    return samples, postures
-
-
-def kinematic_transform(
-    design: DesignParams, cfg: MechanismConfig, task: MotionTask
-) -> list[TrajectorySample]:
-    """Map the effector stroke onto the crank: full state at every sample.
-
-    Samples are uniform in time over the forward stroke (delta_e to
-    delta_i); the mid-stroke sample is the continuation seed on the
-    configured branch, and both halves are walked outward with nearest-A
-    branch tracking.  Crank rates come from the chain rule:
-    theta_dot = (dtheta/ddelta) delta_dot,
-    theta_ddot = (d2theta/ddelta2) delta_dot^2 + (dtheta/ddelta) delta_ddot.
-
-    Raises SeedUnsolvable if the mid-stroke pose does not assemble and
-    TransformUnsolvable (with the failing delta) if continuation loses
-    assembly partway.
-    """
-    samples, _postures = _transform_full(design, cfg, task)
     return samples
 
 
-def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> list[Posture]:
-    """Check the baseline design over the full stroke; return its postures.
+def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> list[TrajectorySample]:
+    """Check the baseline design over the full stroke; return its samples.
 
-    The baseline must assemble at every one of n_samples poses spanning the
-    stroke (solved by continuation from delta_mid on the configured branch)
-    and its crank angle must be strictly monotonic in delta.
+    The baseline is walked exactly as every design is scored:
+    ``kinematic_transform`` on the task's time grid.  It must assemble at
+    every sample, meet no crank-coupler dead point inside the stroke, and
+    its crank angle must be strictly monotonic along the stroke.
 
     Raises BaselineInfeasible (naming the first failing delta) or
     BaselineDefective.
     """
-    lo = min(task.delta_i, task.delta_e)
-    hi = max(task.delta_i, task.delta_e)
-    n = task.n_samples
-    deltas = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-    mid = n // 2
     try:
-        postures = _continuation_postures(cfg.baseline, cfg, deltas, mid)
+        samples = kinematic_transform(cfg.baseline, cfg, task)
     except SeedUnsolvable as exc:
         raise BaselineInfeasible(task.delta_mid, "baseline seed pose unsolvable") from exc
     except TransformUnsolvable as exc:
         raise BaselineInfeasible(exc.delta) from exc
 
-    thetas = [p.theta for p in postures]
-    diffs = [thetas[k + 1] - thetas[k] for k in range(n - 1)]
-    if any(d == 0.0 for d in diffs) or not (all(d > 0.0 for d in diffs) or all(d < 0.0 for d in diffs)):
+    steps = [b.theta - a.theta for a, b in zip(samples, samples[1:])]
+    if not (all(d > 0.0 for d in steps) or all(d < 0.0 for d in steps)):
         raise BaselineDefective(
             "baseline crank angle is not strictly monotonic over the stroke"
         )
-    return postures
+    return samples

@@ -25,6 +25,7 @@ from .constraints import evaluate_design
 from .gp import GpModel, gp_fit, gp_predict
 from .kinematics import validate_baseline
 from .model import (
+    FEASIBLE_DYN_TOL,
     DesignParams,
     EvaluationRecord,
     MechanismConfig,
@@ -315,18 +316,23 @@ def step_from_record(record: EvaluationRecord) -> BoStep:
 
     The objective GP sees log(t_rms); the constraint GPs see the two static
     gaps and the crank-reversal range, each missing where it was not
-    observed.  The record rides along as the payload.
+    observed.  A range within FEASIBLE_DYN_TOL is reported as 0.0, so the
+    loop's feasibility (every constraint <= 0) agrees with the record's.
+    The record rides along as the payload.
     """
     objective = None
     if record.objective is not None:
         objective = math.log(max(record.objective, _LOG_FLOOR))
+    c_dyn = record.constraints.c_dyn
+    if c_dyn is not None and c_dyn <= FEASIBLE_DYN_TOL:
+        c_dyn = 0.0
     return BoStep(
         x=record.design.as_tuple(),
         objective=objective,
         constraints={
             "c_static_i": record.constraints.c_static_i,
             "c_static_e": record.constraints.c_static_e,
-            "c_dyn": record.constraints.c_dyn,
+            "c_dyn": c_dyn,
         },
         payload=record,
     )

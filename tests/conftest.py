@@ -50,3 +50,13 @@ def canon_opt() -> OptimizerConfig:
         n_acq_samples=4096,
         seed=0,
     )
+
+
+def counting(calls: dict, name: str, fn):
+    """Wrap fn so that each call adds one to calls[name]."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapper

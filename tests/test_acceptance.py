@@ -181,7 +181,8 @@ def test_criterion_05_dynamic_constraint_correctness(canon_cfg, canon_task):
     # hand trace: two forward samples, two reversed, one recovering
     hand = [
         TrajectorySample(t=float(k), delta=0.0, delta_dot=0.0, delta_ddot=0.0,
-                         theta=th, theta_dot=r, theta_ddot=0.0)
+                         theta=th, theta_dot=r, theta_ddot=0.0,
+                         point_a=(0.0, 0.0), point_b=(0.0, 0.0))
         for k, (th, r) in enumerate(
             zip([0.0, 0.20, 0.15, 0.05, 0.10], [1.0, 1.0, -1.0, -1.0, 1.0])
         )

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbar_synth import constraints
 from fourbar_synth.constraints import (
     baseline_posture,
     dynamic_constraint,
     evaluate_design,
     static_gap,
 )
-from fourbar_synth.kinematics import TrajectorySample, solve_ik
+from fourbar_synth.kinematics import TrajectorySample, kinematic_transform, solve_ik
 from fourbar_synth.model import (
     DesignParams,
     EmptyTrajectory,
@@ -19,13 +20,14 @@ from fourbar_synth.model import (
     MotionTask,
 )
 
-from conftest import make_canon_cfg, make_canon_task
+from conftest import counting, make_canon_cfg, make_canon_task
 
 
 def fake_trajectory(thetas, rates):
     return [
         TrajectorySample(t=float(k), delta=0.0, delta_dot=0.0, delta_ddot=0.0,
-                         theta=th, theta_dot=r, theta_ddot=0.0)
+                         theta=th, theta_dot=r, theta_ddot=0.0,
+                         point_a=(0.0, 0.0), point_b=(0.0, 0.0))
         for k, (th, r) in enumerate(zip(thetas, rates))
     ]
 
@@ -236,3 +238,14 @@ def test_evaluate_design_static_failure_skips_downstream(canon_cfg, canon_task):
     assert rec.constraints.c_dyn is None
     assert rec.objective is None
     assert not rec.constraints.feasible
+
+
+def test_evaluate_design_reaches_layers_through_module_attributes(monkeypatch, canon_cfg, canon_task):
+    # the benchmark times each layer by wrapping these names in constraints;
+    # _transform_full must be the one stroke walk
+    assert constraints._transform_full is kinematic_transform
+    calls = {}
+    for name in ("static_gap", "_transform_full", "dynamic_constraint", "torque_profile"):
+        monkeypatch.setattr(constraints, name, counting(calls, name, getattr(constraints, name)))
+    assert evaluate_design(canon_cfg.baseline, canon_cfg, canon_task).objective is not None
+    assert calls == {"static_gap": 2, "_transform_full": 1, "dynamic_constraint": 1, "torque_profile": 1}

@@ -258,3 +258,11 @@ def test_trajectory_task_mismatch(canon_cfg, canon_task):
         torque_profile(canon_cfg.baseline, canon_cfg, other, trajectory)
     with pytest.raises(EmptyTrajectory):
         torque_profile(canon_cfg.baseline, canon_cfg, canon_task, [])
+
+
+def test_torque_profile_checks_the_carried_joints(canon_cfg, canon_task):
+    trajectory = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    ax, ay = trajectory[7].point_a
+    trajectory[7] = dataclasses.replace(trajectory[7], point_a=(ax + 1e-3, ay))
+    with pytest.raises(ValueError):
+        torque_profile(canon_cfg.baseline, canon_cfg, canon_task, trajectory)

@@ -1,5 +1,10 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, and the package
+exports every public name of its modules."""
 import ast
+import importlib
+import pkgutil
+
+import fourbar_synth
 
 from conftest import REPO_ROOT
 
@@ -31,3 +36,13 @@ def test_no_unused_imports():
         if names:
             found[str(path.relative_to(REPO_ROOT))] = names
     assert found == {}
+
+
+def test_package_exports_every_module_export():
+    expected = {"__version__"}
+    for info in pkgutil.iter_modules(fourbar_synth.__path__):
+        module = importlib.import_module(f"fourbar_synth.{info.name}")
+        expected.update(getattr(module, "__all__", ()))
+    assert len(fourbar_synth.__all__) == len(set(fourbar_synth.__all__))
+    assert set(fourbar_synth.__all__) == expected
+    assert all(hasattr(fourbar_synth, name) for name in expected)

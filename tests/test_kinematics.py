@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbar_synth.constraints import evaluate_design
 from fourbar_synth.kinematics import (
     kinematic_coefficients,
     kinematic_transform,
@@ -125,7 +126,6 @@ def test_velocity_ratio_touch_pose(canon_cfg):
     # rigid-coupler velocity balance at the 3-4-5 pose gives exactly 12/5
     p = solve_ik(canon_cfg.baseline, canon_cfg, math.pi / 2, "plus")
     coeff = kinematic_coefficients(p, canon_cfg.baseline, canon_cfg)
-    assert not coeff.transmission_singular
     assert coeff.dtheta_ddelta == pytest.approx(2.4, abs=1e-9)
     assert coeff.d2theta_ddelta2 == pytest.approx(-8.48, abs=1e-12)
 
@@ -226,3 +226,42 @@ def test_validate_baseline_nonmonotonic(canon_cfg, canon_task):
     )
     with pytest.raises(BaselineDefective):
         validate_baseline(wobbly, canon_task)
+
+
+def test_transform_samples_carry_their_joints(canon_cfg, canon_task):
+    samples = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    for s in samples:
+        p = solve_ik(canon_cfg.baseline, canon_cfg, s.delta, "plus")
+        assert s.point_a == pytest.approx(p.point_a, abs=1e-15)
+        assert s.point_b == p.point_b
+        assert s.theta == math.atan2(s.point_a[1], s.point_a[0])
+
+
+def test_validate_baseline_wrapped_crank(canon_cfg, canon_task):
+    # the crank passes theta = pi inside this stroke; its angle continues
+    # across it, so the stroke is monotonic and evaluates feasible
+    wrapped = dataclasses.replace(
+        canon_cfg,
+        baseline=DesignParams(0.18574091600846127, 0.3327444862266863, 0.2095751370653121),
+    )
+    samples = validate_baseline(wrapped, canon_task)
+    assert len(samples) == canon_task.n_samples
+    assert all(abs(b.theta - a.theta) < math.pi for a, b in zip(samples, samples[1:]))
+    assert -math.pi < samples[len(samples) // 2].theta <= math.pi
+    assert max(s.theta for s in samples) > math.pi
+    assert evaluate_design(wrapped.baseline, wrapped, canon_task).constraints.feasible
+
+
+def test_validate_baseline_interior_dead_point(canon_task):
+    # crank and coupler stretch into one line at mid-stroke: the effector
+    # cannot drive the crank through it, so validation fails like evaluation
+    cfg = MechanismConfig(
+        pivot_c=(0.25, 0.0),
+        baseline=DesignParams(0.125, 0.375, 0.25),
+        branch="plus",
+        effector_offset=canon_task.delta_mid,
+    )
+    with pytest.raises(BaselineInfeasible) as exc:
+        validate_baseline(cfg, canon_task)
+    assert exc.value.delta == pytest.approx(canon_task.delta_mid, abs=1e-12)
+    assert evaluate_design(cfg.baseline, cfg, canon_task).constraints.c_dyn is None

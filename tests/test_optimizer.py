@@ -6,7 +6,13 @@ from scipy.stats import norm
 
 from fourbar_synth import optimizer
 from fourbar_synth.gp import KernelParams, gp_fit, gp_predict
-from fourbar_synth.model import OptimizerConfig, ValidationError
+from fourbar_synth.model import (
+    ConstraintBundle,
+    DesignParams,
+    EvaluationRecord,
+    OptimizerConfig,
+    ValidationError,
+)
 from fourbar_synth.optimizer import (
     BoStep,
     bo_minimize,
@@ -15,7 +21,10 @@ from fourbar_synth.optimizer import (
     latin_hypercube,
     propose_next,
     run_optimization,
+    step_from_record,
 )
+
+from conftest import counting
 
 UNIT2 = ((0.0, 1.0), (0.0, 1.0))
 
@@ -251,3 +260,36 @@ def test_optimizer_config_validation():
         OptimizerConfig(bounds=UNIT2, n_init=3)
     with pytest.raises(ValidationError):
         OptimizerConfig(bounds=UNIT2, n_init=8, n_max=8)
+
+
+def test_run_optimization_reaches_evaluate_design_through_module_attribute(
+    monkeypatch, canon_cfg, canon_task
+):
+    # the benchmark times each design evaluation by wrapping this name
+    calls = {}
+    monkeypatch.setattr(
+        optimizer, "evaluate_design", counting(calls, "evaluate_design", optimizer.evaluate_design)
+    )
+    opt = OptimizerConfig(
+        bounds=((0.03, 0.14), (0.15, 0.34), (0.08, 0.25)),
+        n_init=4, n_max=7, n_acq_starts=4, n_acq_samples=256, seed=0,
+    )
+    assert len(run_optimization(canon_cfg, canon_task, opt).records) == 7
+    assert calls == {"evaluate_design": 7}
+
+
+def test_step_from_record_counts_the_tolerance_band_as_zero():
+    # a crank-reversal range within FEASIBLE_DYN_TOL is feasible on the
+    # record, so the loop must see it as satisfied and take it as f_best
+    bounds = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
+    band = EvaluationRecord(
+        DesignParams(0.10, 0.25, 0.15), ConstraintBundle.from_values(-0.01, -0.02, 5e-10), 1.5
+    )
+    clean = EvaluationRecord(
+        DesignParams(0.12, 0.20, 0.10), ConstraintBundle.from_values(-0.01, -0.01, 0.0), 2.0
+    )
+    assert band.constraints.feasible
+    step = step_from_record(band)
+    assert step.constraints["c_dyn"] == 0.0
+    models = fit_surrogates([step, step_from_record(clean)], small_cfg(bounds=bounds))
+    assert models.f_best == math.log(1.5)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fourbar_synth import oracle
 from fourbar_synth.constraints import static_gap
 from fourbar_synth.kinematics import kinematic_transform, solve_ik
 from fourbar_synth.model import DesignParams, MechanismConfig
 from fourbar_synth.oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep
 
-from conftest import make_canon_task
+from conftest import counting, make_canon_task
 
 
 def test_brute_ik_finds_the_closed_form_roots(canon_cfg):
@@ -99,3 +100,12 @@ def test_theta_sweep_tracks_reversals(canon_cfg):
     thetas = [theta for _, _, theta in swept]
     diffs = [b - a for a, b in zip(thetas, thetas[1:])]
     assert any(d > 0 for d in diffs) and any(d < 0 for d in diffs)
+
+
+def test_grid_sweep_reaches_evaluate_design_through_module_attribute(monkeypatch, canon_cfg, canon_task):
+    # the benchmark times each grid cell by wrapping this name in oracle
+    calls = {}
+    monkeypatch.setattr(oracle, "evaluate_design", counting(calls, "evaluate_design", oracle.evaluate_design))
+    bounds = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
+    assert len(grid_sweep(canon_cfg, canon_task, bounds, resolution=2)) == 8
+    assert calls == {"evaluate_design": 8}
