@@ -32,7 +32,7 @@ from .gp import GpModel, KernelParams, gp_fit, gp_predict, log_marginal_likeliho
 from .kinematics import (
     KinematicCoefficients,
     Posture,
-    TrajectorySample,
+    Stroke,
     kinematic_coefficients,
     kinematic_transform,
     motion_profile,
@@ -107,7 +107,7 @@ __all__ = [
     # kinematics
     "Posture",
     "KinematicCoefficients",
-    "TrajectorySample",
+    "Stroke",
     "solve_ik",
     "solve_fk",
     "kinematic_coefficients",

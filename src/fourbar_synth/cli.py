@@ -120,8 +120,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_validate(args) -> int:
     cfg, task, _opt = load_config(args.config, degrees=args.degrees)
-    samples = validate_baseline(cfg, task)
-    print(json.dumps({"status": "ok", "baseline_samples": len(samples)}))
+    stroke = validate_baseline(cfg, task)
+    print(json.dumps({"status": "ok", "baseline_samples": len(stroke)}))
     return 0
 
 
@@ -158,28 +158,22 @@ def _cmd_evaluate(args) -> int:
 def _cmd_trace(args) -> int:
     cfg, task, _opt = load_config(args.config, degrees=args.degrees)
     design = args.design if args.design is not None else cfg.baseline
-    samples = kinematic_transform(design, cfg, task)
-    profile = torque_profile(design, cfg, task, samples)
+    stroke = kinematic_transform(design, cfg, task)
+    profile = torque_profile(design, cfg, task, stroke)
 
+    # the torque column is indexed like the stroke, so rows share one t
+    columns = (
+        stroke.t,
+        stroke.delta,
+        stroke.delta_dot,
+        stroke.delta_ddot,
+        stroke.theta,
+        stroke.theta_dot,
+        stroke.theta_ddot,
+        profile.torque,
+    )
     lines = [_TRACE_HEADER]
-    for s, (t_prof, torque) in zip(samples, profile.samples[: len(samples)]):
-        if abs(t_prof - s.t) > 1e-12:
-            raise MechanismError("torque profile does not align with the trajectory")
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    s.t,
-                    s.delta,
-                    s.delta_dot,
-                    s.delta_ddot,
-                    s.theta,
-                    s.theta_dot,
-                    s.theta_ddot,
-                    torque,
-                )
-            )
-        )
+    lines.extend(",".join(_fmt(v) for v in row) for row in zip(*(c.tolist() for c in columns)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
+import numpy as np
+
 from .dynamics import torque_profile
-from .kinematics import TrajectorySample, solve_ik
+from .kinematics import Stroke, solve_ik
 # perfbench traces this module attribute as its kinematics span.
 from .kinematics import kinematic_transform as _transform_full
 from .model import (
@@ -82,7 +84,6 @@ class DynamicConstraintResult:
     """
 
     value: float
-    violating_indices: tuple[int, ...]
     reference_sign: int
 
 
@@ -219,7 +220,7 @@ def static_gap(
     )
 
 
-def dynamic_constraint(trajectory: list[TrajectorySample]) -> DynamicConstraintResult:
+def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:
     """Crank-angle range travelled against the net direction of the stroke.
 
     Zero when the crank rate keeps one sign over the whole stroke.
@@ -229,22 +230,19 @@ def dynamic_constraint(trajectory: list[TrajectorySample]) -> DynamicConstraintR
 
     Raises EmptyTrajectory on empty input.
     """
-    if not trajectory:
+    if len(stroke) == 0:
         raise EmptyTrajectory("dynamic_constraint needs at least one sample")
-    rates = [s.theta_dot for s in trajectory]
-    net = trajectory[-1].theta - trajectory[0].theta
+    rates = stroke.theta_dot
+    net = stroke.theta[-1] - stroke.theta[0]
     reference_sign = 1 if net >= 0.0 else -1
-    if all(r >= 0.0 for r in rates) or all(r <= 0.0 for r in rates):
-        return DynamicConstraintResult(0.0, (), reference_sign)
-    bad = [
-        k
-        for k, r in enumerate(rates)
-        if abs(r) > _RATE_EPS and (1 if r > 0.0 else -1) == -reference_sign
-    ]
-    if not bad:
-        return DynamicConstraintResult(0.0, (), reference_sign)
-    values = [trajectory[k].theta for k in bad]
-    return DynamicConstraintResult(max(values) - min(values), tuple(bad), reference_sign)
+    if (rates >= 0.0).all() or (rates <= 0.0).all():
+        return DynamicConstraintResult(0.0, reference_sign)
+    against = rates < 0.0 if reference_sign > 0 else rates > 0.0
+    bad = against & (np.abs(rates) > _RATE_EPS)
+    if not bad.any():
+        return DynamicConstraintResult(0.0, reference_sign)
+    values = stroke.theta[bad]
+    return DynamicConstraintResult(float(values.max() - values.min()), reference_sign)
 
 
 def evaluate_design(
@@ -265,16 +263,16 @@ def evaluate_design(
     objective: float | None = None
     if gap_i.value <= 0.0 and gap_e.value <= 0.0:
         try:
-            trajectory = _transform_full(design, cfg, task)
+            stroke = _transform_full(design, cfg, task)
         except (SeedUnsolvable, TransformUnsolvable):
-            trajectory = None  # assembles at the endpoints but not throughout
-        if trajectory is not None:
-            c_dyn = dynamic_constraint(trajectory).value
+            stroke = None  # assembles at the endpoints but not throughout
+        if stroke is not None:
+            c_dyn = dynamic_constraint(stroke).value
 
     bundle = ConstraintBundle.from_values(gap_i.value, gap_e.value, c_dyn)
     if bundle.feasible:
         try:
-            objective = torque_profile(design, cfg, task, trajectory).t_rms
+            objective = torque_profile(design, cfg, task, stroke).t_rms
         except SingularState:
             objective = None  # transmission singularity at a sample; leave uncosted
     return EvaluationRecord(design=design, constraints=bundle, objective=objective)

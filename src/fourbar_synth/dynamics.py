@@ -25,7 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kinematics import Posture, TrajectorySample
+import numpy as np
+
+from .kinematics import Posture, Stroke
 from .model import (
     DesignParams,
     EmptyTrajectory,
@@ -69,11 +71,16 @@ class MassModel:
     rocker: LinkInertia
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TorqueProfile:
-    """Motor torque over one full duty cycle (stroke, dwell, return, dwell)."""
+    """Motor torque over one full duty cycle (stroke, dwell, return, dwell).
 
-    samples: tuple[tuple[float, float], ...]
+    ``torque`` is the forward-stroke torque column, one entry per stroke
+    sample; the return stroke mirrors it in time and the dwells hold the
+    static torque at the stroke ends.
+    """
+
+    torque: np.ndarray
     t_cycle: float
     t_rms: float
 
@@ -121,10 +128,16 @@ def _dyn_terms(
     design: DesignParams,
     cfg: MechanismConfig,
     masses: MassModel,
-    a_pt: tuple[float, float],
-    b_pt: tuple[float, float],
-) -> tuple[float, float, float, float]:
-    """(I_eq, I_eq', G, Q_ext) at a geometric configuration given by points A, B.
+    ax: np.ndarray,
+    ay: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+    t: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(I_eq, I_eq', G, Q_ext) at configurations given by joints A and B.
+
+    Elementwise over scalars or stroke columns; ``t``, the time column of
+    the stroke, only names the first singular sample in the error.
 
     Velocity coefficients are taken at unit crank rate: v_A = perp(A - O),
     and the coupler/rocker rates solve the rigid-body velocity closure
@@ -139,8 +152,6 @@ def _dyn_terms(
     """
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
-    ax, ay = a_pt
-    bx, by = b_pt
 
     rax = ax - ox
     ray = ay - oy
@@ -152,8 +163,12 @@ def _dyn_terms(
     bcy = by - cy
 
     den = bcx * bay - bcy * bax  # cross(B - C, B - A), ~ sin(beta)
-    if abs(den) < _SINGULAR_TOL * design.l_bc * design.l_ab:
-        raise SingularState("transmission singularity: coupler and rocker collinear")
+    singular = np.abs(den) < _SINGULAR_TOL * design.l_bc * design.l_ab
+    if singular.any():
+        raise SingularState(
+            "transmission singularity: coupler and rocker collinear",
+            t=None if t is None else float(t[np.argmax(singular)]),
+        )
     omega_r = (vax * bax + vay * bay) / den
     omega_ab = (vax * bcx + vay * bcy) / den
     wx = -rax - omega_ab * omega_ab * bax + omega_r * omega_r * bcx
@@ -206,18 +221,24 @@ def _dyn_terms(
     return i_eq, 2.0 * i_half_d, g_sum, q_ext
 
 
+def _posture_terms(
+    design: DesignParams, cfg: MechanismConfig, masses: MassModel, posture: Posture
+) -> tuple[float, float, float, float]:
+    """(I_eq, I_eq', G, Q_ext) at one posture."""
+    ax, ay = posture.point_a
+    bx, by = posture.point_b
+    terms = _dyn_terms(design, cfg, masses, *np.array([ax, ay, bx, by]))
+    return tuple(float(v) for v in terms)
+
+
 def equivalent_inertia(design: DesignParams, cfg: MechanismConfig, posture: Posture) -> float:
     """Reflected inertia about the crank axis at a posture (kg m^2)."""
-    masses = mass_model(design, cfg)
-    i_eq, _, _, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
-    return i_eq
+    return _posture_terms(design, cfg, mass_model(design, cfg), posture)[0]
 
 
 def gravity_torque(design: DesignParams, cfg: MechanismConfig, posture: Posture) -> float:
     """dV/dtheta at a posture (N m): crank torque needed to hold gravity."""
-    masses = mass_model(design, cfg)
-    _, _, g_tau, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
-    return g_tau
+    return _posture_terms(design, cfg, mass_model(design, cfg), posture)[2]
 
 
 def mechanical_energy(
@@ -225,7 +246,7 @@ def mechanical_energy(
 ) -> float:
     """Kinetic plus gravitational potential energy at a state (J)."""
     masses = mass_model(design, cfg)
-    i_eq, _, _, _ = _dyn_terms(design, cfg, masses, posture.point_a, posture.point_b)
+    i_eq = _posture_terms(design, cfg, masses, posture)[0]
     gx, gy = cfg.gravity
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
@@ -261,95 +282,72 @@ def torque_at_state(
     Raises SingularState when the posture sits on a transmission
     singularity, where the reflected inertia is unbounded.
     """
-    masses = mass_model(design, cfg)
-    i_eq, i_prime, g_tau, q_ext = _dyn_terms(
-        design, cfg, masses, posture.point_a, posture.point_b
-    )
+    i_eq, i_prime, g_tau, q_ext = _posture_terms(design, cfg, mass_model(design, cfg), posture)
     return i_eq * theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
 
 
-def _trapezoid_sq(times: list[float], values: list[float]) -> float:
-    """Integral of value^2 dt by the trapezoid rule."""
-    acc = 0.0
-    for k in range(len(times) - 1):
-        y0 = values[k] * values[k]
-        y1 = values[k + 1] * values[k + 1]
-        acc += 0.5 * (y0 + y1) * (times[k + 1] - times[k])
-    return acc
+def _trapezoid_sq(times: np.ndarray, values: np.ndarray) -> float:
+    """Integral of value^2 dt by the trapezoid rule, summed in sample order."""
+    sq = values * values
+    steps = 0.5 * (sq[:-1] + sq[1:]) * (times[1:] - times[:-1])
+    # add.accumulate adds sequentially, like a loop; a pairwise sum would not
+    return float(np.add.accumulate(steps)[-1])
 
 
 def torque_profile(
     design: DesignParams,
     cfg: MechanismConfig,
     task: MotionTask,
-    trajectory: list[TrajectorySample],
+    stroke: Stroke,
 ) -> TorqueProfile:
     """Motor torque over the full duty cycle and its RMS value.
 
-    The forward stroke follows the given trajectory, at the joints its
-    samples carry.  The return stroke is the time-reversed effector
-    profile, recomputed through the same torque model (the crank rate flips
-    sign; because the rate enters only squared the return torque mirrors
-    the forward one in time).  Dwells contribute the static holding torque
-    at the stroke endpoints.
+    The forward stroke follows the given stroke, at the joints it carries.
+    The return stroke is the time-reversed effector profile, recomputed
+    through the same torque model (the crank rate flips sign; because the
+    rate enters only squared the return torque mirrors the forward one in
+    time).  Dwells contribute the static holding torque at the stroke
+    endpoints.
 
     t_rms = sqrt( (1/t_cycle) * integral of T_m^2 dt )  (trapezoid rule).
+
+    Raises ValueError when the joints do not close the coupler, and
+    SingularState, with the time of the first singular sample, at a
+    transmission singularity.
     """
-    n = len(trajectory)
+    n = len(stroke)
     if n == 0:
         raise EmptyTrajectory("torque_profile needs a non-empty trajectory")
     if n != task.n_samples:
         raise ValueError("trajectory sample count does not match the task")
 
+    ax, ay = stroke.point_a.T
+    bx, by = stroke.point_b.T
+    # cheap consistency guard: every sample must close the coupler
+    gap = np.hypot(ax - bx, ay - by) - design.l_ab
+    if (np.abs(gap) > 1e-6 * design.l_ab).any():
+        raise ValueError("trajectory is inconsistent with the design geometry")
     masses = mass_model(design, cfg)
+    i_eq, i_prime, g_tau, q_ext = _dyn_terms(design, cfg, masses, ax, ay, bx, by, stroke.t)
+    theta_dot = stroke.theta_dot
+    fwd_t = stroke.t
+    fwd_tau = i_eq * stroke.theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
+    holding = g_tau - q_ext  # static torque; the dwells hold its end values
+    hold_e, hold_i = float(holding[0]), float(holding[-1])
 
-    fwd_t: list[float] = []
-    fwd_tau: list[float] = []
-    holding: list[float] = []  # static torque at first and last sample
-    for k, s in enumerate(trajectory):
-        a_pt, b_pt = s.point_a, s.point_b
-        # cheap consistency guard: the sample must close the coupler
-        gap = math.hypot(a_pt[0] - b_pt[0], a_pt[1] - b_pt[1]) - design.l_ab
-        if abs(gap) > 1e-6 * design.l_ab:
-            raise ValueError("trajectory is inconsistent with the design geometry")
-        try:
-            i_eq, i_prime, g_tau, q_ext = _dyn_terms(design, cfg, masses, a_pt, b_pt)
-        except SingularState as exc:
-            raise SingularState(str(exc), t=s.t) from exc
-        tau = i_eq * s.theta_ddot + 0.5 * i_prime * s.theta_dot * s.theta_dot + g_tau - q_ext
-        fwd_t.append(s.t)
-        fwd_tau.append(tau)
-        if k == 0 or k == n - 1:
-            holding.append(g_tau - q_ext)
-
-    hold_e, hold_i = holding[0], holding[1]
     tm = task.t_move
     td = task.t_dwell
     t_cycle = task.t_cycle
 
-    samples: list[tuple[float, float]] = list(zip(fwd_t, fwd_tau))
     integral = _trapezoid_sq(fwd_t, fwd_tau)
-
-    t0 = tm
     if td > 0.0:
-        samples.append((t0, hold_i))
-        samples.append((t0 + td, hold_i))
         integral += hold_i * hold_i * td
-    t0 = tm + td
 
     # return stroke: sample j revisits forward sample n-1-j with the crank
     # rate negated; squared-rate dynamics make the torque the forward one
     # mirrored in time
-    ret_t = [t0 + fwd_t[j] for j in range(n)]
-    ret_tau = [fwd_tau[n - 1 - j] for j in range(n)]
-    samples.extend(zip(ret_t, ret_tau))
-    integral += _trapezoid_sq(ret_t, ret_tau)
-
-    t0 = 2.0 * tm + td
+    integral += _trapezoid_sq((tm + td) + fwd_t, fwd_tau[::-1])
     if td > 0.0:
-        samples.append((t0, hold_e))
-        samples.append((t0 + td, hold_e))
         integral += hold_e * hold_e * td
 
-    t_rms = math.sqrt(integral / t_cycle)
-    return TorqueProfile(samples=tuple(samples), t_cycle=t_cycle, t_rms=t_rms)
+    return TorqueProfile(torque=fwd_tau, t_cycle=t_cycle, t_rms=math.sqrt(integral / t_cycle))

@@ -5,14 +5,16 @@ The linkage is driven in two directions: the motor drives the crank angle
 effector angle ``delta`` (inverse kinematics).  Both reduce to classic
 circle-circle intersections with an explicit branch tag.
 
-Trajectories are generated by numerical continuation seeded at mid-stroke:
-solve once at ``delta_mid`` on the configured branch, then walk outward to
-both stroke ends, always keeping the intersection nearest the previous
-point A.  This keeps the solution on one assembly branch without relying on
-the sign tag, which flips spuriously when the crank crosses the O-B line.
-
-``kinematic_transform`` is the one stroke walk: its samples carry the
-joints A and B, which the dynamics reads as they are, and
+``kinematic_transform`` is the one stroke walk.  It solves every sample at
+once, as array expressions over the sample axis, and takes the crank pin A
+on one fixed intersection label: the configured branch, on which the
+mid-stroke seed is assembled.  One label is the same as continuing the seed
+sample by sample, always keeping the intersection nearest the previous A:
+the two intersections can only trade places where they coincide (h^2 = 0),
+and there A lies on the line O-B, which is a crank-coupler dead point.  A
+dead point inside the stroke ends the walk, so a stroke that completes
+never changes label.  The walk returns a ``Stroke``, a struct of arrays
+whose joint columns the dynamics reads as they are, and
 ``validate_baseline`` checks the baseline on that same walk.
 """
 
@@ -20,6 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .model import (
     Branch,
@@ -37,7 +42,7 @@ from .model import (
 __all__ = [
     "Posture",
     "KinematicCoefficients",
-    "TrajectorySample",
+    "Stroke",
     "solve_ik",
     "solve_fk",
     "kinematic_coefficients",
@@ -59,19 +64,13 @@ _SINGULAR_TOL = 1e-12
 class Posture:
     """One assembled configuration of the linkage.
 
-    ``alpha`` is the interior angle at A between rays A->O and A->B;
-    ``beta`` is the transmission angle at B between rays B->A and B->C.
-    Both are unsigned, in (0, pi) away from dead points.  ``elbow`` records
-    the branch tag the posture was constructed on.
+    ``elbow`` records the branch tag the posture was constructed on.
     """
 
     theta: float
     delta: float
-    rocker_angle: float
     point_a: tuple[float, float]
     point_b: tuple[float, float]
-    alpha: float
-    beta: float
     elbow: Branch
 
 
@@ -83,24 +82,29 @@ class KinematicCoefficients:
     d2theta_ddelta2: float
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectorySample:
-    """Time-stamped state along the stroke: effector, crank and joints.
+@dataclass(frozen=True, slots=True, eq=False)
+class Stroke:
+    """The forward stroke as columns over its samples.
 
-    ``point_a`` and ``point_b`` are the joints the continuation assembled at
-    this sample.  ``theta`` is continuous along the stroke, so it may leave
-    (-pi, pi] when the crank passes theta = pi.
+    Every column is a float array with one entry per sample, uniform in
+    time; ``point_a`` and ``point_b`` are (n, 2) arrays of the joints
+    assembled at each sample.  ``theta`` is continuous along the stroke, so
+    it may leave (-pi, pi] when the crank passes theta = pi.  The columns
+    ``kinematic_transform`` returns are read-only.
     """
 
-    t: float
-    delta: float
-    delta_dot: float
-    delta_ddot: float
-    theta: float
-    theta_dot: float
-    theta_ddot: float
-    point_a: tuple[float, float]
-    point_b: tuple[float, float]
+    t: np.ndarray
+    delta: np.ndarray
+    delta_dot: np.ndarray
+    delta_ddot: np.ndarray
+    theta: np.ndarray
+    theta_dot: np.ndarray
+    theta_ddot: np.ndarray
+    point_a: np.ndarray
+    point_b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def _rocker_tip(cfg: MechanismConfig, design: DesignParams, delta: float) -> tuple[float, float]:
@@ -119,7 +123,8 @@ def _circle_intersections(
     """Intersection points of two circles; one point means tangency.
 
     Near-tangency within a 1e-12 relative band is snapped to exact tangency
-    so that marginally assemblable designs still solve.
+    so that marginally assemblable designs still solve.  With two points,
+    the first lies to the left of the ray c0 -> c1.
     """
     dx = c1[0] - c0[0]
     dy = c1[1] - c0[1]
@@ -143,13 +148,6 @@ def _circle_intersections(
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
-def _angle_between(ux: float, uy: float, vx: float, vy: float) -> float:
-    """Unsigned angle between two vectors, in [0, pi]."""
-    cross = ux * vy - uy * vx
-    dot = ux * vx + uy * vy
-    return math.atan2(abs(cross), dot)
-
-
 def _build_posture(
     cfg: MechanismConfig,
     delta: float,
@@ -158,31 +156,8 @@ def _build_posture(
     elbow: Branch,
 ) -> Posture:
     ox, oy = cfg.pivot_o
-    cx, cy = cfg.pivot_c
-    ax, ay = a_pt
-    bx, by = b_pt
-    theta = math.atan2(ay - oy, ax - ox)
-    alpha = _angle_between(ox - ax, oy - ay, bx - ax, by - ay)
-    beta = _angle_between(ax - bx, ay - by, cx - bx, cy - by)
-    return Posture(
-        theta=theta,
-        delta=delta,
-        rocker_angle=delta - cfg.effector_offset,
-        point_a=a_pt,
-        point_b=b_pt,
-        alpha=alpha,
-        beta=beta,
-        elbow=elbow,
-    )
-
-
-def _ik_candidates(
-    design: DesignParams, cfg: MechanismConfig, delta: float
-) -> tuple[tuple[float, float], list[tuple[float, float]]]:
-    """Point B plus all valid crank-pin positions A for a given delta."""
-    b_pt = _rocker_tip(cfg, design, delta)
-    pts = _circle_intersections(cfg.pivot_o, design.l_oa, b_pt, design.l_ab)
-    return b_pt, pts
+    theta = math.atan2(a_pt[1] - oy, a_pt[0] - ox)
+    return Posture(theta=theta, delta=delta, point_a=a_pt, point_b=b_pt, elbow=elbow)
 
 
 def solve_ik(design: DesignParams, cfg: MechanismConfig, delta: float, elbow: Branch) -> Posture:
@@ -194,7 +169,8 @@ def solve_ik(design: DesignParams, cfg: MechanismConfig, delta: float, elbow: Br
 
     Raises NotAssemblable when the two circles do not intersect.
     """
-    b_pt, pts = _ik_candidates(design, cfg, delta)
+    b_pt = _rocker_tip(cfg, design, delta)
+    pts = _circle_intersections(cfg.pivot_o, design.l_oa, b_pt, design.l_ab)
     if not pts:
         raise NotAssemblable(
             f"no crank-pin position at delta={delta!r} for lengths {design.as_tuple()!r}"
@@ -235,8 +211,7 @@ def solve_fk(design: DesignParams, cfg: MechanismConfig, theta: float, elbow: Br
     cx, cy = cfg.pivot_c
     rocker_angle = math.atan2(b_pt[1] - cy, b_pt[0] - cx)
     delta = rocker_angle + cfg.effector_offset
-    posture = _build_posture(cfg, delta, a_pt, b_pt, elbow)
-    return posture
+    return _build_posture(cfg, delta, a_pt, b_pt, elbow)
 
 
 def kinematic_coefficients(
@@ -257,21 +232,30 @@ def kinematic_coefficients(
     Raises SingularPosture at a crank-coupler dead point, where the
     effector-driven ratio is unbounded.
     """
-    return KinematicCoefficients(
-        *_crank_coefficients(design, cfg, posture.point_a, posture.point_b, posture.delta)
+    ratio, accel, singular = _crank_coefficients(
+        design, cfg, *np.asarray(posture.point_a), *np.asarray(posture.point_b)
     )
+    if singular:
+        raise SingularPosture(
+            f"crank and coupler collinear at delta={posture.delta!r}; "
+            "effector cannot drive through this pose"
+        )
+    return KinematicCoefficients(float(ratio), float(accel))
 
 
 def _crank_coefficients(
     design: DesignParams,
     cfg: MechanismConfig,
-    a_pt: tuple[float, float],
-    b_pt: tuple[float, float],
-    delta: float,
-) -> tuple[float, float]:
-    """(dtheta/ddelta, d2theta/ddelta2) at joints A, B; see kinematic_coefficients."""
-    ax, ay = a_pt
-    bx, by = b_pt
+    ax: np.ndarray,
+    ay: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dtheta/ddelta, d2theta/ddelta2, dead point) at joints A, B.
+
+    Elementwise over scalars or sample columns; see kinematic_coefficients.
+    At a dead point (the third result) the two ratios are not finite.
+    """
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
     ex = ax - bx
@@ -285,19 +269,16 @@ def _crank_coefficients(
     dbx, dby = -rby, rbx
     den = ex * dax + ey * day
     num = ex * dbx + ey * dby
-    if abs(den) < _SINGULAR_TOL * design.l_oa * design.l_ab:
-        raise SingularPosture(
-            f"crank and coupler collinear at delta={delta!r}; "
-            "effector cannot drive through this pose"
+    singular = np.abs(den) < _SINGULAR_TOL * design.l_oa * design.l_ab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+        curvature = (
+            (design.l_oa * design.l_oa - (ex * rax + ey * ray)) * ratio * ratio
+            - 2.0 * (dax * dbx + day * dby) * ratio
+            + design.l_bc * design.l_bc
+            + (ex * rbx + ey * rby)
         )
-    ratio = num / den
-    curvature = (
-        (design.l_oa * design.l_oa - (ex * rax + ey * ray)) * ratio * ratio
-        - 2.0 * (dax * dbx + day * dby) * ratio
-        + design.l_bc * design.l_bc
-        + (ex * rbx + ey * rby)
-    )
-    return ratio, -curvature / den
+        return ratio, -curvature / den, singular
 
 
 def motion_profile(task: MotionTask) -> list[tuple[float, float, float, float]]:
@@ -320,84 +301,114 @@ def motion_profile(task: MotionTask) -> list[tuple[float, float, float, float]]:
     return rows
 
 
-def kinematic_transform(
-    design: DesignParams, cfg: MechanismConfig, task: MotionTask
-) -> list[TrajectorySample]:
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=16)
+def _motion_law(task: MotionTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (t, delta, delta_dot, delta_ddot) columns of the task's stroke."""
+    span = task.delta_i - task.delta_e
+    cols = [
+        (t, task.delta_e + s * span, sd * span, sdd * span)
+        for t, s, sd, sdd in motion_profile(task)
+    ]
+    law = tuple(np.array(c) for c in zip(*cols))
+    _read_only(*law)
+    return law
+
+
+def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: MotionTask) -> Stroke:
     """Map the effector stroke onto the crank: full state at every sample.
 
     Samples are uniform in time over the forward stroke (delta_e to
-    delta_i); the mid-stroke sample is the continuation seed on the
-    configured branch, and both halves are walked outward keeping the
-    crank-pin position nearest the previous point A.  Each sample carries
-    the joints A and B it assembled, and a crank angle continued from the
-    previous sample (the seed's lies in (-pi, pi]).  Crank rates come from
-    the chain rule:
+    delta_i).  The mid-stroke sample is the seed, assembled by ``solve_ik``
+    on the configured branch; every other sample takes the crank pin A on
+    that branch's intersection label, which equals continuing the seed (see
+    the module docstring).  The crank angle is continued outward from the
+    seed, whose angle lies in (-pi, pi].  Crank rates come from the chain
+    rule:
     theta_dot = (dtheta/ddelta) delta_dot,
     theta_ddot = (d2theta/ddelta2) delta_dot^2 + (dtheta/ddelta) delta_ddot.
+    A crank-coupler dead point at a stroke end sets that end's crank rates
+    to zero: the quintic brings the effector to rest there.
 
     Raises SeedUnsolvable if the mid-stroke pose does not assemble and
-    TransformUnsolvable (with the failing delta) if continuation loses
-    assembly partway or meets a crank-coupler dead point inside the stroke.
+    TransformUnsolvable with the delta of the first failing sample in walk
+    order (the seed up to the last sample, then down to the first), where a
+    sample fails when it does not assemble or meets a crank-coupler dead
+    point inside the stroke.
     """
-    prof = motion_profile(task)
-    span = task.delta_i - task.delta_e
-    deltas = [task.delta_e + s * span for (_t, s, _sd, _sdd) in prof]
+    t, delta, delta_dot, delta_ddot = _motion_law(task)
     n = task.n_samples
     mid = n // 2
     try:
-        seed = solve_ik(design, cfg, deltas[mid], cfg.branch)
+        seed = solve_ik(design, cfg, float(delta[mid]), cfg.branch)
     except NotAssemblable as exc:
         raise SeedUnsolvable(
-            f"mid-stroke pose delta={deltas[mid]!r} not assemblable"
+            f"mid-stroke pose delta={float(delta[mid])!r} not assemblable"
         ) from exc
 
     ox, oy = cfg.pivot_o
-    last = n - 1
-    samples: list[TrajectorySample] = [None] * n  # type: ignore[list-item]
-    # outward from the seed: up to the last sample, then down to the first
-    for k in [*range(mid, n), *range(mid - 1, -1, -1)]:
-        if k == mid:
-            a_pt, b_pt, theta = seed.point_a, seed.point_b, seed.theta
-        else:
-            prev = samples[k - 1] if k > mid else samples[k + 1]
-            b_pt, pts = _ik_candidates(design, cfg, deltas[k])
-            if not pts:
-                raise TransformUnsolvable(deltas[k])
-            pa = prev.point_a
-            a_pt = min(pts, key=lambda q: (q[0] - pa[0]) ** 2 + (q[1] - pa[1]) ** 2)
-            theta = math.atan2(a_pt[1] - oy, a_pt[0] - ox)
-            theta += math.tau * round((prev.theta - theta) / math.tau)
-        t, _s, sd, sdd = prof[k]
-        ddot = sd * span
-        dddot = sdd * span
-        try:
-            ratio, curvature = _crank_coefficients(design, cfg, a_pt, b_pt, deltas[k])
-            th_dot = ratio * ddot
-            th_ddot = curvature * ddot * ddot + ratio * dddot
-        except SingularPosture:
-            if k in (0, last):
-                # Dead point exactly at a stroke end: the quintic brings the
-                # effector to rest there, so the crank rate limit is zero.
-                th_dot = 0.0
-                th_ddot = 0.0
-            else:
-                raise TransformUnsolvable(deltas[k])
-        samples[k] = TrajectorySample(
-            t=t,
-            delta=deltas[k],
-            delta_dot=ddot,
-            delta_ddot=dddot,
-            theta=theta,
-            theta_dot=th_dot,
-            theta_ddot=th_ddot,
-            point_a=a_pt,
-            point_b=b_pt,
-        )
-    return samples
+    cx, cy = cfg.pivot_c
+    r0, r1 = design.l_oa, design.l_ab
+    ang = delta - cfg.effector_offset
+    bx = cx + design.l_bc * np.cos(ang)
+    by = cy + design.l_bc * np.sin(ang)
+    # crank circle about O meets coupler circle about B, as _circle_intersections
+    dx = bx - ox
+    dy = by - oy
+    d2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (d2 + r0 * r0 - r1 * r1) / (2.0 * d2)
+        h2 = r0 * r0 - a * a * d2
+        assembles = (d2 > 0.0) & (h2 >= -4.0 * _TANGENT_TOL * r0 * r1)
+        h_over_d = np.sqrt(np.maximum(h2, 0.0) / d2)
+    foot_x = ox + a * dx
+    foot_y = oy + a * dy
+    half_x = -dy * h_over_d
+    half_y = dx * h_over_d
+    # the first intersection, foot + half chord, is the "plus" branch
+    if cfg.branch == "plus":
+        ax, ay = foot_x + half_x, foot_y + half_y
+    else:
+        ax, ay = foot_x - half_x, foot_y - half_y
+    ax[mid], ay[mid] = seed.point_a
+
+    ratio, accel, dead = _crank_coefficients(design, cfg, ax, ay, bx, by)
+    failed = ~assembles
+    failed[1:-1] |= dead[1:-1]
+    if failed.any():
+        upper = np.flatnonzero(failed[mid:])
+        k = mid + upper[0] if upper.size else np.flatnonzero(failed[:mid])[-1]
+        raise TransformUnsolvable(float(delta[k]))
+    with np.errstate(invalid="ignore"):
+        theta_dot = ratio * delta_dot
+        theta_ddot = accel * delta_dot * delta_dot + ratio * delta_ddot
+    for k in (0, n - 1):
+        if dead[k]:
+            theta_dot[k] = theta_ddot[k] = 0.0
+
+    # math.atan2, not np.arctan2: the two differ in the last bit
+    raw = np.fromiter(map(math.atan2, (ay - oy).tolist(), (ax - ox).tolist()), float, n)
+    # whole turns that keep each step from the seed below pi
+    turns = np.round((raw[:-1] - raw[1:]) / math.tau)
+    offset = np.zeros(n)
+    offset[mid + 1 :] = np.cumsum(turns[mid:])
+    offset[:mid] = np.cumsum(-turns[mid - 1 :: -1])[::-1]
+    theta = raw + math.tau * offset
+    theta[mid] = seed.theta
+
+    # (n, 2) in column-major order, so that each coordinate is contiguous
+    point_a = np.array((ax, ay)).T
+    point_b = np.array((bx, by)).T
+    _read_only(theta, theta_dot, theta_ddot, point_a, point_b)
+    return Stroke(t, delta, delta_dot, delta_ddot, theta, theta_dot, theta_ddot, point_a, point_b)
 
 
-def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> list[TrajectorySample]:
-    """Check the baseline design over the full stroke; return its samples.
+def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> Stroke:
+    """Check the baseline design over the full stroke; return its stroke.
 
     The baseline is walked exactly as every design is scored:
     ``kinematic_transform`` on the task's time grid.  It must assemble at
@@ -408,15 +419,15 @@ def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> list[Trajectory
     BaselineDefective.
     """
     try:
-        samples = kinematic_transform(cfg.baseline, cfg, task)
+        stroke = kinematic_transform(cfg.baseline, cfg, task)
     except SeedUnsolvable as exc:
         raise BaselineInfeasible(task.delta_mid, "baseline seed pose unsolvable") from exc
     except TransformUnsolvable as exc:
         raise BaselineInfeasible(exc.delta) from exc
 
-    steps = [b.theta - a.theta for a, b in zip(samples, samples[1:])]
-    if not (all(d > 0.0 for d in steps) or all(d < 0.0 for d in steps)):
+    steps = np.diff(stroke.theta)
+    if not ((steps > 0.0).all() or (steps < 0.0).all()):
         raise BaselineDefective(
             "baseline crank angle is not strictly monotonic over the stroke"
         )
-    return samples
+    return stroke

@@ -124,26 +124,12 @@ def _oracle_posture(
     ang = delta - cfg.effector_offset
     a_pt = (ox + design.l_oa * math.cos(theta), oy + design.l_oa * math.sin(theta))
     b_pt = (cx + design.l_bc * math.cos(ang), cy + design.l_bc * math.sin(ang))
-
-    def interior(px, py, qx, qy) -> float:
-        # acos form, distinct from the main path's atan2 form
-        dot = px * qx + py * qy
-        nn = math.hypot(px, py) * math.hypot(qx, qy)
-        if nn == 0.0:
-            return 0.0
-        return math.acos(max(-1.0, min(1.0, dot / nn)))
-
-    alpha = interior(ox - a_pt[0], oy - a_pt[1], b_pt[0] - a_pt[0], b_pt[1] - a_pt[1])
-    beta = interior(a_pt[0] - b_pt[0], a_pt[1] - b_pt[1], cx - b_pt[0], cy - b_pt[1])
     cross = (b_pt[0] - ox) * (a_pt[1] - oy) - (b_pt[1] - oy) * (a_pt[0] - ox)
     return Posture(
         theta=theta,
         delta=delta,
-        rocker_angle=ang,
         point_a=a_pt,
         point_b=b_pt,
-        alpha=alpha,
-        beta=beta,
         elbow="plus" if cross >= 0.0 else "minus",
     )
 

@@ -2,9 +2,10 @@
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from fourbar_synth import DesignParams, MechanismConfig, MotionTask, OptimizerConfig
+from fourbar_synth import DesignParams, MechanismConfig, MotionTask, OptimizerConfig, Stroke
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CANON_CONFIG = REPO_ROOT / "configs" / "canon.json"
@@ -60,3 +61,14 @@ def counting(calls: dict, name: str, fn):
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+def fake_stroke(thetas, rates) -> Stroke:
+    """A stroke with only crank angles and rates set, one sample per second."""
+    n = len(thetas)
+    zeros = np.zeros(n)
+    return Stroke(
+        t=np.arange(n, dtype=float), delta=zeros, delta_dot=zeros, delta_ddot=zeros,
+        theta=np.array(thetas, dtype=float), theta_dot=np.array(rates, dtype=float),
+        theta_ddot=zeros, point_a=np.zeros((n, 2)), point_b=np.zeros((n, 2)),
+    )

@@ -17,7 +17,6 @@ from fourbar_synth.constraints import dynamic_constraint, static_gap
 from fourbar_synth.dynamics import mechanical_energy, torque_profile
 from fourbar_synth.gp import KernelParams, gp_fit, gp_predict
 from fourbar_synth.kinematics import (
-    TrajectorySample,
     kinematic_coefficients,
     kinematic_transform,
     solve_fk,
@@ -27,7 +26,7 @@ from fourbar_synth.model import DesignParams, NotAssemblable, OptimizerConfig
 from fourbar_synth.optimizer import BoStep, bo_minimize, run_optimization
 from fourbar_synth.oracle import brute_static_gap, brute_theta_sweep, grid_sweep
 
-from conftest import CANON_CONFIG, REPO_ROOT
+from conftest import CANON_CONFIG, REPO_ROOT, fake_stroke
 
 ARTIFACTS = REPO_ROOT / "artifacts"
 
@@ -79,8 +78,8 @@ def test_criterion_02_hand_checkable_kinematics(canon_cfg):
 
 def test_criterion_03_energy_balance(canon_cfg, canon_task):
     design = canon_cfg.baseline
-    trajectory = kinematic_transform(design, canon_cfg, canon_task)
-    profile = torque_profile(design, canon_cfg, canon_task, trajectory)
+    stroke = kinematic_transform(design, canon_cfg, canon_task)
+    profile = torque_profile(design, canon_cfg, canon_task, stroke)
     de = canon_task.delta_i - canon_task.delta_e
     tm = canon_task.t_move
 
@@ -95,9 +94,9 @@ def test_criterion_03_energy_balance(canon_cfg, canon_task):
     h = 1e-6
     worst = 0.0
     for k in range(1, canon_task.n_samples - 1):
-        t = trajectory[k].t
+        t = stroke.t[k]
         e_dot = (energy_at(t + h) - energy_at(t - h)) / (2.0 * h)
-        power = profile.samples[k][1] * trajectory[k].theta_dot
+        power = profile.torque[k] * stroke.theta_dot[k]
         worst = max(worst, abs(power - e_dot) / max(1.0, abs(power)))
     assert worst <= 1e-5
     print(f"PASS criterion 3: energy balance on the stroke, worst residual {worst:.3e}")
@@ -175,18 +174,11 @@ def test_criterion_05_dynamic_constraint_correctness(canon_cfg, canon_task):
         and (1 if thetas[k] - thetas[k - 1] > 0 else -1) == -ref
     ]
     oracle_range = max(viol) - min(viol)
-    grid_step = max(abs(b.theta - a.theta) for a, b in zip(traj, traj[1:]))
+    grid_step = float(np.abs(np.diff(traj.theta)).max())
     assert abs(c_dyn - oracle_range) <= grid_step
 
     # hand trace: two forward samples, two reversed, one recovering
-    hand = [
-        TrajectorySample(t=float(k), delta=0.0, delta_dot=0.0, delta_ddot=0.0,
-                         theta=th, theta_dot=r, theta_ddot=0.0,
-                         point_a=(0.0, 0.0), point_b=(0.0, 0.0))
-        for k, (th, r) in enumerate(
-            zip([0.0, 0.20, 0.15, 0.05, 0.10], [1.0, 1.0, -1.0, -1.0, 1.0])
-        )
-    ]
+    hand = fake_stroke([0.0, 0.20, 0.15, 0.05, 0.10], [1.0, 1.0, -1.0, -1.0, 1.0])
     hand_value = dynamic_constraint(hand).value
     assert hand_value == 0.15 - 0.05
     assert hand_value == pytest.approx(0.10, abs=1e-15)

@@ -135,6 +135,32 @@ def test_trace_csv(capsys, tmp_path):
     assert float(last[1]) == pytest.approx(math.radians(150.0), rel=1e-11)
     for line in lines[1:]:
         assert len(line.split(",")) == 8
+    assert lines[1] == "0,1.57079632679,0,0,0.927295218002,0,0,0.20601"
+    assert lines[101] == (
+        "0.25,2.09439510239,3.92699081699,0,1.80155233066,5.46881085105,-7.07177315302,"
+        "-0.97065050713"
+    )
+    assert lines[201] == "0.5,2.61799387799,0,0,2.48968517029,0,0,-1.93641706543"
+
+
+def test_trace_csv_wrapped_crank(capsys, tmp_path):
+    # the crank passes theta = pi mid-stroke; the trace keeps it continuous
+    data = json.loads(CANON_CONFIG.read_text())
+    data["mechanism"]["baseline"] = {
+        "l_oa": 0.18574091600846127, "l_ab": 0.3327444862266863, "l_bc": 0.2095751370653121,
+    }
+    config = tmp_path / "wrapped.json"
+    config.write_text(json.dumps(data))
+    out_csv = tmp_path / "trace.csv"
+    assert run_cli(capsys, "trace", "--config", str(config), "--out", str(out_csv))[0] == 0
+    lines = out_csv.read_text().splitlines()
+    assert len(lines) == 202
+    assert lines[1] == "0,1.57079632679,0,0,1.74221117879,0,0,-0.161150875304"
+    assert lines[101] == (
+        "0.25,2.09439510239,3.92699081699,0,2.37203932987,5.17214845334,10.6747051435,"
+        "-1.644925693"
+    )
+    assert lines[201] == "0.5,2.61799387799,0,0,3.35252089499,0,0,-1.56530827588"
 
 
 def test_unwritable_output_path(capsys):

@@ -12,7 +12,7 @@ from fourbar_synth.constraints import (
     evaluate_design,
     static_gap,
 )
-from fourbar_synth.kinematics import TrajectorySample, kinematic_transform, solve_ik
+from fourbar_synth.kinematics import kinematic_transform, solve_ik
 from fourbar_synth.model import (
     DesignParams,
     EmptyTrajectory,
@@ -20,16 +20,7 @@ from fourbar_synth.model import (
     MotionTask,
 )
 
-from conftest import counting, make_canon_cfg, make_canon_task
-
-
-def fake_trajectory(thetas, rates):
-    return [
-        TrajectorySample(t=float(k), delta=0.0, delta_dot=0.0, delta_ddot=0.0,
-                         theta=th, theta_dot=r, theta_ddot=0.0,
-                         point_a=(0.0, 0.0), point_b=(0.0, 0.0))
-        for k, (th, r) in enumerate(zip(thetas, rates))
-    ]
+from conftest import counting, fake_stroke, make_canon_cfg, make_canon_task
 
 
 def rotate(pt, phi):
@@ -187,28 +178,32 @@ def test_static_gap_rotation_invariant(l_oa, l_ab, l_bc, phi, pose):
 
 
 def test_dynamic_constraint_hand_trace():
-    traj = fake_trajectory([0.0, 0.20, 0.15, 0.05, 0.10], [1.0, 1.0, -1.0, -1.0, 1.0])
-    res = dynamic_constraint(traj)
+    rates = [1.0, 1.0, -1.0, -1.0, 1.0]
+    res = dynamic_constraint(fake_stroke([0.0, 0.20, 0.15, 0.05, 0.10], rates))
     assert res.reference_sign == 1
-    assert res.violating_indices == (2, 3)
+    assert res.value == 0.15 - 0.05
     assert res.value == pytest.approx(0.10, abs=1e-15)
+    # the violators are samples 2 and 3 alone: the others' angles do not count
+    far = dynamic_constraint(fake_stroke([-5.0, 5.0, 0.15, 0.05, 9.0], rates))
+    assert far.value == 0.15 - 0.05
+    flipped = dynamic_constraint(fake_stroke([-5.0, 5.0, 0.15, 0.05, 9.0], rates[:4] + [-1.0]))
+    assert flipped.value == 9.0 - 0.05
 
 
 def test_dynamic_constraint_clean_strokes():
-    ups = fake_trajectory([0.0, 0.1, 0.2], [0.0, 1.0, 0.0])
+    ups = fake_stroke([0.0, 0.1, 0.2], [0.0, 1.0, 0.0])
     assert dynamic_constraint(ups).value == 0.0
-    downs = fake_trajectory([0.2, 0.1, 0.0], [0.0, -1.0, 0.0])
+    downs = fake_stroke([0.2, 0.1, 0.0], [0.0, -1.0, 0.0])
     res = dynamic_constraint(downs)
     assert res.value == 0.0
     assert res.reference_sign == -1
-    assert res.violating_indices == ()
 
 
 def test_dynamic_constraint_ignores_numerical_rest():
-    traj = fake_trajectory([0.0, 0.1, 0.2], [1.0, -1e-13, 1.0])
+    traj = fake_stroke([0.0, 0.1, 0.2], [1.0, -1e-13, 1.0])
     assert dynamic_constraint(traj).value == 0.0
     with pytest.raises(EmptyTrajectory):
-        dynamic_constraint([])
+        dynamic_constraint(fake_stroke([], []))
 
 
 def test_reversal_design_scored_not_costed(canon_cfg, canon_task):

@@ -12,7 +12,13 @@ from fourbar_synth.dynamics import (
     torque_at_state,
     torque_profile,
 )
-from fourbar_synth.kinematics import kinematic_transform, solve_fk, solve_ik, validate_baseline
+from fourbar_synth.kinematics import (
+    Posture,
+    kinematic_transform,
+    solve_fk,
+    solve_ik,
+    validate_baseline,
+)
 from fourbar_synth.model import (
     DesignParams,
     EmptyTrajectory,
@@ -20,7 +26,7 @@ from fourbar_synth.model import (
     SingularState,
 )
 
-from conftest import make_canon_task
+from conftest import fake_stroke, make_canon_task
 
 
 def trapz_sq(samples):
@@ -28,6 +34,28 @@ def trapz_sq(samples):
     for (t0, y0), (t1, y1) in zip(samples, samples[1:]):
         acc += 0.5 * (y0 * y0 + y1 * y1) * (t1 - t0)
     return acc
+
+
+def cycle_samples(task, stroke, profile):
+    """(t, torque) over the duty cycle: stroke, dwell, mirrored return, dwell."""
+    tm, td = task.t_move, task.t_dwell
+    fwd = list(zip(stroke.t.tolist(), profile.torque.tolist()))
+    ret = [(tm + td + t, tau) for (t, _), (_, tau) in zip(fwd, fwd[::-1])]
+    hold_e, hold_i = fwd[0][1], fwd[-1][1]
+    dwell_i = [(tm, hold_i), (tm + td, hold_i)] if td > 0.0 else []
+    dwell_e = [(2 * tm + td, hold_e), (2 * tm + 2 * td, hold_e)] if td > 0.0 else []
+    return fwd + dwell_i + ret + dwell_e
+
+
+def postures(stroke, branch="plus"):
+    """The stroke's samples as postures, at the joints it carries."""
+    return [
+        Posture(theta, delta, tuple(a), tuple(b), branch)
+        for theta, delta, a, b in zip(
+            stroke.theta.tolist(), stroke.delta.tolist(),
+            stroke.point_a.tolist(), stroke.point_b.tolist(),
+        )
+    ]
 
 
 def test_rod_links(canon_cfg):
@@ -145,7 +173,7 @@ def test_gravity_flip(canon_cfg):
 
 
 def test_reflected_inertia_positive_over_stroke(canon_cfg, canon_task):
-    for p in validate_baseline(canon_cfg, canon_task):
+    for p in postures(validate_baseline(canon_cfg, canon_task)):
         assert equivalent_inertia(canon_cfg.baseline, canon_cfg, p) > 0.0
 
 
@@ -169,52 +197,56 @@ def test_energy_splits_into_kinetic_and_potential(canon_cfg):
 
 def test_canon_rms_torque(canon_cfg, canon_task):
     design = canon_cfg.baseline
-    trajectory = kinematic_transform(design, canon_cfg, canon_task)
-    profile = torque_profile(design, canon_cfg, canon_task, trajectory)
+    stroke = kinematic_transform(design, canon_cfg, canon_task)
+    profile = torque_profile(design, canon_cfg, canon_task, stroke)
     assert profile.t_cycle == pytest.approx(1.0, abs=1e-15)
-    assert len(profile.samples) == 2 * canon_task.n_samples
+    assert len(profile.torque) == canon_task.n_samples
     assert profile.t_rms == pytest.approx(1.7428895130664603, rel=1e-12)
-    # stored RMS agrees with a direct trapezoid pass over the samples
+    # stored RMS agrees with a direct trapezoid pass over the cycle
+    cycle = cycle_samples(canon_task, stroke, profile)
+    assert len(cycle) == 2 * canon_task.n_samples
     assert profile.t_rms == pytest.approx(
-        math.sqrt(trapz_sq(profile.samples) / profile.t_cycle), rel=1e-12
+        math.sqrt(trapz_sq(cycle) / profile.t_cycle), rel=1e-12
     )
 
 
 def test_return_stroke_mirrors_forward(canon_cfg, canon_task):
+    # the return stroke revisits each pose with the crank rate negated and
+    # the same acceleration; its torque is the forward one
     design = canon_cfg.baseline
-    trajectory = kinematic_transform(design, canon_cfg, canon_task)
-    profile = torque_profile(design, canon_cfg, canon_task, trajectory)
-    n = canon_task.n_samples
-    fwd = profile.samples[:n]
-    ret = profile.samples[n:]
-    for j in range(n):
-        assert ret[j][1] == fwd[n - 1 - j][1]
-        assert ret[j][0] == pytest.approx(canon_task.t_move + fwd[j][0], abs=1e-15)
+    stroke = kinematic_transform(design, canon_cfg, canon_task)
+    profile = torque_profile(design, canon_cfg, canon_task, stroke)
+    for k, p in enumerate(postures(stroke)):
+        back = torque_at_state(design, canon_cfg, p, -stroke.theta_dot[k], stroke.theta_ddot[k])
+        assert back == profile.torque[k]
+    half = trapz_sq(list(zip(stroke.t.tolist(), profile.torque.tolist())))
+    assert profile.t_rms == pytest.approx(math.sqrt(2.0 * half / profile.t_cycle), rel=1e-12)
 
 
 def test_dwell_holds_static_torque(canon_cfg):
     task = make_canon_task()
     task = dataclasses.replace(task, t_dwell=0.1)
     design = canon_cfg.baseline
-    trajectory = kinematic_transform(design, canon_cfg, task)
-    profile = torque_profile(design, canon_cfg, task, trajectory)
+    stroke = kinematic_transform(design, canon_cfg, task)
+    profile = torque_profile(design, canon_cfg, task, stroke)
     n = task.n_samples
     assert profile.t_cycle == pytest.approx(1.2, abs=1e-15)
-    assert len(profile.samples) == 2 * n + 4
-    t_in, tau_in = profile.samples[n]
+    cycle = cycle_samples(task, stroke, profile)
+    assert len(cycle) == 2 * n + 4
+    t_in, tau_in = cycle[n]
     assert t_in == pytest.approx(task.t_move, abs=1e-15)
-    assert profile.samples[n + 1] == pytest.approx((task.t_move + 0.1, tau_in))
+    assert cycle[n + 1] == pytest.approx((task.t_move + 0.1, tau_in))
     p_end = solve_ik(design, canon_cfg, task.delta_i, "plus")
     assert tau_in == pytest.approx(gravity_torque(design, canon_cfg, p_end), abs=1e-12)
     assert profile.t_rms == pytest.approx(
-        math.sqrt(trapz_sq(profile.samples) / profile.t_cycle), rel=1e-12
+        math.sqrt(trapz_sq(cycle) / profile.t_cycle), rel=1e-12
     )
 
 
 def test_gravity_free_rms_regression(canon_cfg, canon_task):
     cfg = dataclasses.replace(canon_cfg, gravity=(0.0, 0.0))
-    trajectory = kinematic_transform(cfg.baseline, cfg, canon_task)
-    profile = torque_profile(cfg.baseline, cfg, canon_task, trajectory)
+    stroke = kinematic_transform(cfg.baseline, cfg, canon_task)
+    profile = torque_profile(cfg.baseline, cfg, canon_task, stroke)
     assert profile.t_rms == pytest.approx(0.6430026397722677, rel=1e-12)
 
 
@@ -222,11 +254,9 @@ def test_rms_agrees_with_simpson_quadrature(canon_cfg):
     # trapezoid vs Simpson on a dense grid: quadrature error, not model error
     cfg = dataclasses.replace(canon_cfg, gravity=(0.0, 0.0))
     task = make_canon_task(n_samples=4001)
-    trajectory = kinematic_transform(cfg.baseline, cfg, task)
-    profile = torque_profile(cfg.baseline, cfg, task, trajectory)
-    ts = [t for t, _ in profile.samples[: task.n_samples]]
-    taus = [tau for _, tau in profile.samples[: task.n_samples]]
-    integral = simpson([tau * tau for tau in taus], x=ts)
+    stroke = kinematic_transform(cfg.baseline, cfg, task)
+    profile = torque_profile(cfg.baseline, cfg, task, stroke)
+    integral = simpson(profile.torque * profile.torque, x=stroke.t)
     rms = math.sqrt(integral / task.t_move)  # mirrored return doubles both factors
     assert profile.t_rms == pytest.approx(rms, rel=1e-4)
     assert abs(profile.t_rms - rms) / rms < 1e-6
@@ -236,33 +266,52 @@ def test_power_balance_along_stroke(canon_cfg):
     # motor power equals the rate of change of mechanical energy
     task = make_canon_task(n_samples=4001)
     design = canon_cfg.baseline
-    trajectory = kinematic_transform(design, canon_cfg, task)
-    profile = torque_profile(design, canon_cfg, task, trajectory)
+    stroke = kinematic_transform(design, canon_cfg, task)
+    profile = torque_profile(design, canon_cfg, task, stroke)
     energies = []
-    for s in trajectory:
-        p = solve_ik(design, canon_cfg, s.delta, "plus")
-        energies.append(mechanical_energy(design, canon_cfg, p, s.theta_dot))
+    for delta, theta_dot in zip(stroke.delta.tolist(), stroke.theta_dot.tolist()):
+        p = solve_ik(design, canon_cfg, delta, "plus")
+        energies.append(mechanical_energy(design, canon_cfg, p, theta_dot))
     worst = 0.0
     for k in range(1, task.n_samples - 1):
-        h2 = trajectory[k + 1].t - trajectory[k - 1].t
+        h2 = stroke.t[k + 1] - stroke.t[k - 1]
         e_dot = (energies[k + 1] - energies[k - 1]) / h2
-        power = profile.samples[k][1] * trajectory[k].theta_dot
+        power = profile.torque[k] * stroke.theta_dot[k]
         worst = max(worst, abs(power - e_dot))
     assert worst < 1e-5
 
 
 def test_trajectory_task_mismatch(canon_cfg, canon_task):
-    trajectory = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    stroke = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
     other = make_canon_task(n_samples=101)
     with pytest.raises(ValueError):
-        torque_profile(canon_cfg.baseline, canon_cfg, other, trajectory)
+        torque_profile(canon_cfg.baseline, canon_cfg, other, stroke)
     with pytest.raises(EmptyTrajectory):
-        torque_profile(canon_cfg.baseline, canon_cfg, canon_task, [])
+        torque_profile(canon_cfg.baseline, canon_cfg, canon_task, fake_stroke([], []))
+
+
+def test_torque_profile_names_the_first_singular_sample(canon_cfg, canon_task):
+    # coupler folded back onto the rocker at sample 37: the walk completes
+    # (the crank only reverses there) but the reflected inertia is unbounded
+    cfg = dataclasses.replace(canon_cfg, branch="minus")
+    stroke = kinematic_transform(cfg.baseline, cfg, canon_task)
+    k = 37
+    bx, by = stroke.point_b[k]
+    cx, cy = cfg.pivot_c
+    ax, ay = bx - 0.25 * (bx - cx) / 0.15, by - 0.25 * (by - cy) / 0.15
+    design = DesignParams(math.hypot(ax, ay), 0.25, 0.15)
+    folded = kinematic_transform(design, cfg, canon_task)
+    with pytest.raises(SingularState) as exc:
+        torque_profile(design, cfg, canon_task, folded)
+    assert exc.value.t == folded.t[k]
+    assert str(exc.value).endswith(f"at t={float(folded.t[k])!r}")
 
 
 def test_torque_profile_checks_the_carried_joints(canon_cfg, canon_task):
-    trajectory = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
-    ax, ay = trajectory[7].point_a
-    trajectory[7] = dataclasses.replace(trajectory[7], point_a=(ax + 1e-3, ay))
+    stroke = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    point_a = stroke.point_a.copy()
+    point_a[7, 0] += 1e-3
     with pytest.raises(ValueError):
-        torque_profile(canon_cfg.baseline, canon_cfg, canon_task, trajectory)
+        torque_profile(
+            canon_cfg.baseline, canon_cfg, canon_task, dataclasses.replace(stroke, point_a=point_a)
+        )

@@ -1,12 +1,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbar_synth import kinematics
 from fourbar_synth.constraints import evaluate_design
 from fourbar_synth.kinematics import (
+    Posture,
     kinematic_coefficients,
     kinematic_transform,
     motion_profile,
@@ -20,6 +23,9 @@ from fourbar_synth.model import (
     DesignParams,
     MechanismConfig,
     NotAssemblable,
+    SeedUnsolvable,
+    SingularPosture,
+    TransformUnsolvable,
 )
 
 from conftest import make_canon_cfg, make_canon_task
@@ -41,7 +47,9 @@ def test_ik_touch_pose_exact_triangle(canon_cfg):
     assert p.point_a == pytest.approx((0.06, 0.08), abs=1e-12)
     assert p.theta == pytest.approx(math.atan2(0.08, 0.06), abs=1e-12)
     assert p.delta == math.pi / 2
-    assert p.rocker_angle == pytest.approx(math.pi / 2, abs=1e-15)
+    # rocker C->B points straight up at delta = pi/2 with no effector offset
+    cx, cy = canon_cfg.pivot_c
+    assert (p.point_b[0] - cx, p.point_b[1] - cy) == pytest.approx((0.0, 0.15), abs=1e-15)
     assert p.elbow == "plus"
 
 
@@ -90,7 +98,10 @@ def test_ik_tangency_single_solution():
     assert plus.point_a == (2.0, 0.0)
     assert plus.point_b == (4.0, 0.0)
     assert plus.theta == 0.0
-    assert abs(plus.alpha) == pytest.approx(math.pi, abs=1e-15)
+    # crank and coupler stretched into one line: A sits between O and B
+    (ox, oy), (ax, ay), (bx, by) = cfg.pivot_o, plus.point_a, plus.point_b
+    assert (ox - ax) * (by - ay) - (oy - ay) * (bx - ax) == 0.0
+    assert (ox - ax) * (bx - ax) + (oy - ay) * (by - ay) < 0.0
     assert minus.point_a == plus.point_a
     assert minus.theta == plus.theta
 
@@ -102,7 +113,10 @@ def test_fk_tangency_single_solution():
     p = solve_fk(design, cfg, 0.0, "plus")
     assert p.point_a == (1.0, 0.0)
     assert p.point_b == (2.5, 0.0)
-    assert abs(p.beta) == pytest.approx(math.pi, abs=1e-15)
+    # coupler and rocker stretched into one line: B sits between A and C
+    (ax, ay), (bx, by), (cx, cy) = p.point_a, p.point_b, cfg.pivot_c
+    assert (ax - bx) * (cy - by) - (ay - by) * (cx - bx) == 0.0
+    assert (ax - bx) * (cx - bx) + (ay - by) * (cy - by) < 0.0
     assert p.delta == pytest.approx(math.pi, abs=1e-15)
     m = solve_fk(design, cfg, 0.0, "minus")
     assert m.point_b == p.point_b
@@ -168,49 +182,50 @@ def test_motion_profile_symmetry(canon_task):
 
 
 def test_transform_samples_canon(canon_cfg, canon_task):
-    samples = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
-    assert len(samples) == canon_task.n_samples
-    assert samples[0].delta == pytest.approx(canon_task.delta_e, abs=1e-15)
-    assert samples[-1].delta == pytest.approx(canon_task.delta_i, abs=1e-15)
-    mid = samples[len(samples) // 2]
-    assert mid.delta == pytest.approx(canon_task.delta_mid, abs=1e-14)
+    stroke = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    assert len(stroke) == canon_task.n_samples
+    columns = (stroke.t, stroke.delta, stroke.delta_dot, stroke.delta_ddot,
+               stroke.theta, stroke.theta_dot, stroke.theta_ddot)
+    assert all(c.shape == (canon_task.n_samples,) for c in columns)
+    assert stroke.point_a.shape == stroke.point_b.shape == (canon_task.n_samples, 2)
+    assert stroke.delta[0] == pytest.approx(canon_task.delta_e, abs=1e-15)
+    assert stroke.delta[-1] == pytest.approx(canon_task.delta_i, abs=1e-15)
+    mid = len(stroke) // 2
+    assert stroke.delta[mid] == pytest.approx(canon_task.delta_mid, abs=1e-14)
     # rest-to-rest law pins the crank state at both ends
-    for s in (samples[0], samples[-1]):
-        assert s.delta_dot == 0.0
-        assert s.theta_dot == 0.0
-        assert s.theta_ddot == 0.0
-    assert all(s.delta_dot >= 0.0 for s in samples)
-    ts = [s.t for s in samples]
-    assert all(b > a for a, b in zip(ts, ts[1:]))
+    for k in (0, -1):
+        assert stroke.delta_dot[k] == 0.0
+        assert stroke.theta_dot[k] == 0.0
+        assert stroke.theta_ddot[k] == 0.0
+    assert (stroke.delta_dot >= 0.0).all()
+    assert (np.diff(stroke.t) > 0.0).all()
 
 
 def test_transform_matches_direct_ik(canon_cfg, canon_task):
-    samples = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
-    for s in samples:
-        p = solve_ik(canon_cfg.baseline, canon_cfg, s.delta, "plus")
-        assert s.theta == pytest.approx(p.theta, abs=1e-10)
-    thetas = [s.theta for s in samples]
-    assert max(abs(b - a) for a, b in zip(thetas, thetas[1:])) < 0.05
+    stroke = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    for delta, theta in zip(stroke.delta.tolist(), stroke.theta.tolist()):
+        p = solve_ik(canon_cfg.baseline, canon_cfg, delta, "plus")
+        assert theta == pytest.approx(p.theta, abs=1e-10)
+    assert np.abs(np.diff(stroke.theta)).max() < 0.05
 
 
 def test_transform_rates_match_time_differences(canon_cfg):
     task = make_canon_task(n_samples=2001)
-    samples = kinematic_transform(canon_cfg.baseline, canon_cfg, task)
-    h = samples[1].t - samples[0].t
-    for k in range(3, len(samples) - 3):
-        fd_vel = (samples[k + 1].theta - samples[k - 1].theta) / (2 * h)
-        assert samples[k].theta_dot == pytest.approx(fd_vel, abs=1e-4)
-        fd_acc = (samples[k + 1].theta_dot - samples[k - 1].theta_dot) / (2 * h)
-        assert samples[k].theta_ddot == pytest.approx(fd_acc, abs=1e-3)
+    stroke = kinematic_transform(canon_cfg.baseline, canon_cfg, task)
+    h = stroke.t[1] - stroke.t[0]
+    for k in range(3, len(stroke) - 3):
+        fd_vel = (stroke.theta[k + 1] - stroke.theta[k - 1]) / (2 * h)
+        assert stroke.theta_dot[k] == pytest.approx(fd_vel, abs=1e-4)
+        fd_acc = (stroke.theta_dot[k + 1] - stroke.theta_dot[k - 1]) / (2 * h)
+        assert stroke.theta_ddot[k] == pytest.approx(fd_acc, abs=1e-3)
 
 
 def test_validate_baseline_canon(canon_cfg, canon_task):
-    postures = validate_baseline(canon_cfg, canon_task)
-    assert len(postures) == canon_task.n_samples
-    assert postures[0].delta == pytest.approx(canon_task.delta_e, abs=1e-15)
-    assert postures[-1].delta == pytest.approx(canon_task.delta_i, abs=1e-15)
-    thetas = [p.theta for p in postures]
-    assert all(b > a for a, b in zip(thetas, thetas[1:]))
+    stroke = validate_baseline(canon_cfg, canon_task)
+    assert len(stroke) == canon_task.n_samples
+    assert stroke.delta[0] == pytest.approx(canon_task.delta_e, abs=1e-15)
+    assert stroke.delta[-1] == pytest.approx(canon_task.delta_i, abs=1e-15)
+    assert (np.diff(stroke.theta) > 0.0).all()
 
 
 def test_validate_baseline_unreachable(canon_cfg, canon_task):
@@ -229,12 +244,14 @@ def test_validate_baseline_nonmonotonic(canon_cfg, canon_task):
 
 
 def test_transform_samples_carry_their_joints(canon_cfg, canon_task):
-    samples = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
-    for s in samples:
-        p = solve_ik(canon_cfg.baseline, canon_cfg, s.delta, "plus")
-        assert s.point_a == pytest.approx(p.point_a, abs=1e-15)
-        assert s.point_b == p.point_b
-        assert s.theta == math.atan2(s.point_a[1], s.point_a[0])
+    stroke = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    rows = zip(stroke.delta.tolist(), stroke.theta.tolist(),
+               stroke.point_a.tolist(), stroke.point_b.tolist())
+    for delta, theta, point_a, point_b in rows:
+        p = solve_ik(canon_cfg.baseline, canon_cfg, delta, "plus")
+        assert tuple(point_a) == pytest.approx(p.point_a, abs=1e-15)
+        assert tuple(point_b) == p.point_b
+        assert theta == math.atan2(point_a[1], point_a[0])
 
 
 def test_validate_baseline_wrapped_crank(canon_cfg, canon_task):
@@ -244,11 +261,11 @@ def test_validate_baseline_wrapped_crank(canon_cfg, canon_task):
         canon_cfg,
         baseline=DesignParams(0.18574091600846127, 0.3327444862266863, 0.2095751370653121),
     )
-    samples = validate_baseline(wrapped, canon_task)
-    assert len(samples) == canon_task.n_samples
-    assert all(abs(b.theta - a.theta) < math.pi for a, b in zip(samples, samples[1:]))
-    assert -math.pi < samples[len(samples) // 2].theta <= math.pi
-    assert max(s.theta for s in samples) > math.pi
+    stroke = validate_baseline(wrapped, canon_task)
+    assert len(stroke) == canon_task.n_samples
+    assert (np.abs(np.diff(stroke.theta)) < math.pi).all()
+    assert -math.pi < stroke.theta[len(stroke) // 2] <= math.pi
+    assert stroke.theta.max() > math.pi
     assert evaluate_design(wrapped.baseline, wrapped, canon_task).constraints.feasible
 
 
@@ -265,3 +282,164 @@ def test_validate_baseline_interior_dead_point(canon_task):
         validate_baseline(cfg, canon_task)
     assert exc.value.delta == pytest.approx(canon_task.delta_mid, abs=1e-12)
     assert evaluate_design(cfg.baseline, cfg, canon_task).constraints.c_dyn is None
+
+
+DEFECTIVE = DesignParams(0.244710222, 0.133037882, 0.166103598)
+WRAPPED = DesignParams(0.18574091600846127, 0.3327444862266863, 0.2095751370653121)
+
+
+def stroke_deltas(task):
+    span = task.delta_i - task.delta_e
+    return [task.delta_e + s * span for _t, s, _sd, _sdd in motion_profile(task)]
+
+
+def reach(cfg, delta, l_bc):
+    """|B - O| at an effector angle; O at the origin, no effector offset."""
+    cx, cy = cfg.pivot_c
+    return math.hypot(cx + l_bc * math.cos(delta), cy + l_bc * math.sin(delta))
+
+
+def crank_pins(design, cfg, delta):
+    return kinematics._circle_intersections(
+        cfg.pivot_o, design.l_oa, kinematics._rocker_tip(cfg, design, delta), design.l_ab
+    )
+
+
+def test_interior_tangency_is_a_dead_point(canon_cfg, canon_task):
+    # the crank circle just touches the coupler circle at sample 40, inside
+    # the tangency band: the pin assembles there but the dead point ends the
+    # walk, and samples further down never assemble
+    deltas = stroke_deltas(canon_task)
+    k = 40
+    design = DesignParams(0.1, reach(canon_cfg, deltas[k], 0.15) - 0.1 - 1e-13, 0.15)
+    assert len(crank_pins(design, canon_cfg, deltas[k])) == 1
+    assert crank_pins(design, canon_cfg, deltas[k - 1]) == []
+    assert len(crank_pins(design, canon_cfg, deltas[k + 1])) == 2
+    with pytest.raises(TransformUnsolvable) as exc:
+        kinematic_transform(design, canon_cfg, canon_task)
+    assert exc.value.delta == deltas[k]
+
+
+def test_dead_point_at_stroke_end_rests_the_crank(canon_cfg, canon_task):
+    deltas = stroke_deltas(canon_task)
+    design = DesignParams(0.1, reach(canon_cfg, deltas[0], 0.15) - 0.1 - 1e-13, 0.15)
+    (pin,) = crank_pins(design, canon_cfg, deltas[0])
+    end = Posture(0.0, deltas[0], pin, kinematics._rocker_tip(canon_cfg, design, deltas[0]), "plus")
+    with pytest.raises(SingularPosture):
+        kinematic_coefficients(end, design, canon_cfg)
+    stroke = kinematic_transform(design, canon_cfg, canon_task)
+    assert stroke.theta_dot[0] == 0.0 and stroke.theta_ddot[0] == 0.0
+    assert tuple(stroke.point_a[0]) == pin
+    assert stroke.theta_dot[1] != 0.0
+
+
+def test_failure_in_both_halves_reports_the_upper_one(canon_cfg, canon_task):
+    # reachable |B - O| is [0.2, 0.32]: the stroke leaves it at both ends,
+    # and the walk meets the upper half first
+    design = DesignParams(0.06, 0.26, 0.15)
+    deltas = stroke_deltas(canon_task)
+    mid = len(deltas) // 2
+    lost = [k for k, d in enumerate(deltas) if not 0.2 <= reach(canon_cfg, d, 0.15) <= 0.32]
+    assert min(lost) < mid < max(lost)
+    with pytest.raises(TransformUnsolvable) as exc:
+        kinematic_transform(design, canon_cfg, canon_task)
+    assert exc.value.delta == deltas[min(k for k in lost if k > mid)]
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_walk_label_at_seed_is_the_branch(canon_cfg, canon_task, branch):
+    cfg = dataclasses.replace(canon_cfg, branch=branch)
+    stroke = kinematic_transform(cfg.baseline, cfg, canon_task)
+    mid = len(stroke) // 2
+    pins = crank_pins(cfg.baseline, cfg, float(stroke.delta[mid]))
+    label = pins[0] if branch == "plus" else pins[1]
+    assert tuple(stroke.point_a[mid]) == label
+    assert label == solve_ik(cfg.baseline, cfg, float(stroke.delta[mid]), branch).point_a
+
+
+def test_stroke_columns_cannot_corrupt_the_motion_law(canon_cfg, canon_task):
+    law = kinematics._motion_law(canon_task)
+    stroke = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
+    columns = (stroke.t, stroke.delta, stroke.delta_dot, stroke.delta_ddot, stroke.theta,
+               stroke.theta_dot, stroke.theta_ddot, stroke.point_a, stroke.point_b)
+    for column in (*law, *columns):
+        with pytest.raises(ValueError):
+            column[1] = 7.0
+    assert stroke.t is law[0]
+    assert stroke.delta.tolist() == stroke_deltas(canon_task)
+
+
+def continuation_walk(design, cfg, task):
+    """The scalar walk the array walk replaced: seed, then nearest pin.
+
+    Returns the theta, theta_dot, theta_ddot, A and B columns as lists.
+    """
+    rows = motion_profile(task)
+    span = task.delta_i - task.delta_e
+    deltas = [task.delta_e + s * span for _t, s, _sd, _sdd in rows]
+    n = len(rows)
+    mid = n // 2
+    try:
+        seed = solve_ik(design, cfg, deltas[mid], cfg.branch)
+    except NotAssemblable:
+        raise SeedUnsolvable("seed") from None
+    ox, oy = cfg.pivot_o
+    out = [None] * n
+    for k in [*range(mid, n), *range(mid - 1, -1, -1)]:
+        if k == mid:
+            a_pt, b_pt, theta = seed.point_a, seed.point_b, seed.theta
+        else:
+            prev_theta, _, _, pa, _ = out[k - 1] if k > mid else out[k + 1]
+            b_pt = kinematics._rocker_tip(cfg, design, deltas[k])
+            pts = kinematics._circle_intersections(cfg.pivot_o, design.l_oa, b_pt, design.l_ab)
+            if not pts:
+                raise TransformUnsolvable(deltas[k])
+            a_pt = min(pts, key=lambda q: (q[0] - pa[0]) ** 2 + (q[1] - pa[1]) ** 2)
+            theta = math.atan2(a_pt[1] - oy, a_pt[0] - ox)
+            theta += math.tau * round((prev_theta - theta) / math.tau)
+        _t, _s, sd, sdd = rows[k]
+        ddot, dddot = sd * span, sdd * span
+        try:
+            c = kinematic_coefficients(Posture(theta, deltas[k], a_pt, b_pt, cfg.branch), design, cfg)
+            rates = (c.dtheta_ddelta * ddot, c.d2theta_ddelta2 * ddot * ddot + c.dtheta_ddelta * dddot)
+        except SingularPosture:
+            if 0 < k < n - 1:
+                raise TransformUnsolvable(deltas[k]) from None
+            rates = (0.0, 0.0)
+        out[k] = (theta, *rates, a_pt, b_pt)
+    return [list(col) for col in zip(*out)]
+
+
+def walk_outcome(walk, design, cfg, task):
+    try:
+        return walk(design, cfg, task)
+    except SeedUnsolvable:
+        return "seed"
+    except TransformUnsolvable as exc:
+        return exc.delta
+
+
+def test_array_walk_equals_the_continuation(canon_cfg, canon_task):
+    rng = np.random.default_rng(6)
+    designs = [DEFECTIVE, WRAPPED, canon_cfg.baseline]
+    designs += [DesignParams(*rng.uniform(0.02, 0.6, size=3)) for _ in range(150)]
+    designs += [DesignParams(*(np.array(canon_cfg.baseline.as_tuple()) * rng.uniform(0.9, 1.1, 3)))
+                for _ in range(50)]
+    kinds = set()
+    for design in designs:
+        want = walk_outcome(continuation_walk, design, canon_cfg, canon_task)
+        got = walk_outcome(kinematic_transform, design, canon_cfg, canon_task)
+        if isinstance(want, list):
+            s = got
+            assert [s.theta.tolist(), s.theta_dot.tolist(), s.theta_ddot.tolist(),
+                    [tuple(p) for p in s.point_a.tolist()],
+                    [tuple(p) for p in s.point_b.tolist()]] == want, design
+            kinds.add("walkable")
+            if (s.theta_dot > 0.0).any() and (s.theta_dot < 0.0).any():
+                kinds.add("defective")
+            if np.abs(s.theta).max() > math.pi:
+                kinds.add("wrapped")
+        else:
+            assert got == want, design
+            kinds.add("seed" if want == "seed" else "unsolvable")
+    assert kinds == {"walkable", "defective", "wrapped", "seed", "unsolvable"}

@@ -50,13 +50,18 @@ def test_static_gap_matches_marching_oracle(canon_cfg, canon_task):
 
 
 def test_theta_sweep_agrees_with_transform(canon_cfg, canon_task):
-    samples = kinematic_transform(canon_cfg.baseline, canon_cfg, canon_task)
-    swept = brute_theta_sweep(canon_cfg.baseline, canon_cfg, canon_task, n=canon_task.n_samples)
-    assert len(swept) == len(samples)
-    for s, (t, delta, theta) in zip(samples, swept):
-        assert t == pytest.approx(s.t, abs=1e-15)
-        assert delta == pytest.approx(s.delta, abs=1e-12)
-        assert theta == pytest.approx(s.theta, abs=1e-9)
+    defective = DesignParams(0.244710222, 0.133037882, 0.166103598)
+    wrapped = DesignParams(0.18574091600846127, 0.3327444862266863, 0.2095751370653121)
+    for design in (canon_cfg.baseline, defective, wrapped):
+        stroke = kinematic_transform(design, canon_cfg, canon_task)
+        swept = brute_theta_sweep(design, canon_cfg, canon_task, n=canon_task.n_samples)
+        assert len(swept) == len(stroke)
+        rows = zip(stroke.t.tolist(), stroke.delta.tolist(), stroke.theta.tolist(), swept)
+        for s_t, s_delta, s_theta, (t, delta, theta) in rows:
+            assert t == pytest.approx(s_t, abs=1e-15)
+            assert delta == pytest.approx(s_delta, abs=1e-12)
+            # the sweep reports angles in (-pi, pi]; the stroke continues them
+            assert math.remainder(theta - s_theta, math.tau) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_grid_sweep_layout_and_gating(canon_cfg, canon_task):
