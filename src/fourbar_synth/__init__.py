@@ -54,7 +54,6 @@ from .model import (
     NotAssemblable,
     OptimizerConfig,
     ParseError,
-    SeedUnsolvable,
     SingularPosture,
     SingularState,
     TransformUnsolvable,
@@ -89,7 +88,6 @@ __all__ = [
     "BaselineDefective",
     "NotAssemblable",
     "SingularPosture",
-    "SeedUnsolvable",
     "TransformUnsolvable",
     "SingularState",
     "EmptyTrajectory",

@@ -296,8 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="constraints and RMS torque for one design")
     add_common(p)
     p.add_argument("--design", type=_design_triplet, help="l_oa,l_ab,l_bc in metres")
-    p.add_argument("--pose", choices=("i", "e"), help="report only the static gap at this pose")
-    p.add_argument("--csv", help="append the record to this CSV file")
+    report = p.add_mutually_exclusive_group()
+    report.add_argument(
+        "--pose", choices=("i", "e"), help="report only the static gap at this pose"
+    )
+    report.add_argument("--csv", help="append the record to this CSV file")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("trace", help="write the stroke trajectory + torque CSV")

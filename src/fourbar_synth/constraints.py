@@ -39,7 +39,6 @@ from .model import (
     MechanismConfig,
     MotionTask,
     NotAssemblable,
-    SeedUnsolvable,
     SingularState,
     TransformUnsolvable,
 )
@@ -264,7 +263,7 @@ def evaluate_design(
     if gap_i.value <= 0.0 and gap_e.value <= 0.0:
         try:
             stroke = _transform_full(design, cfg, task)
-        except (SeedUnsolvable, TransformUnsolvable):
+        except TransformUnsolvable:
             stroke = None  # assembles at the endpoints but not throughout
         if stroke is not None:
             c_dyn = dynamic_constraint(stroke).value

@@ -2,20 +2,23 @@
 
 The linkage is driven in two directions: the motor drives the crank angle
 ``theta`` (forward kinematics), while the motion task prescribes the
-effector angle ``delta`` (inverse kinematics).  Both reduce to classic
-circle-circle intersections with an explicit branch tag.
+effector angle ``delta`` (inverse kinematics).  Both reduce to one
+circle-circle intersection with an explicit branch label, ``_intersect``,
+which ``solve_ik``, ``solve_fk`` and the stroke walk all call.
 
 ``kinematic_transform`` is the one stroke walk.  It solves every sample at
 once, as array expressions over the sample axis, and takes the crank pin A
-on one fixed intersection label: the configured branch, on which the
-mid-stroke seed is assembled.  One label is the same as continuing the seed
-sample by sample, always keeping the intersection nearest the previous A:
-the two intersections can only trade places where they coincide (h^2 = 0),
-and there A lies on the line O-B, which is a crank-coupler dead point.  A
-dead point inside the stroke ends the walk, so a stroke that completes
-never changes label.  The walk returns a ``Stroke``, a struct of arrays
-whose joint columns the dynamics reads as they are, and
-``validate_baseline`` checks the baseline on that same walk.
+on one fixed intersection label: the configured branch.  One label is the
+same as continuing the mid-stroke sample outward, always keeping the
+intersection nearest the previous A: the two intersections can only trade
+places where they coincide (h^2 = 0), and there A lies on the line O-B,
+which is a crank-coupler dead point.  A dead point inside the stroke ends
+the walk, so a stroke that completes never changes label.  There is one
+failure rule: the first sample in walk order that does not assemble or
+meets an interior dead point raises ``TransformUnsolvable``.  The walk
+returns a ``Stroke``, a struct of arrays whose joint columns the dynamics
+reads as they are, and ``validate_baseline`` checks the baseline on that
+same walk.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .model import (
     BaselineDefective,
     BaselineInfeasible,
     NotAssemblable,
-    SeedUnsolvable,
     SingularPosture,
     TransformUnsolvable,
 )
@@ -107,57 +109,35 @@ class Stroke:
         return len(self.t)
 
 
-def _rocker_tip(cfg: MechanismConfig, design: DesignParams, delta: float) -> tuple[float, float]:
-    """Point B for a given effector angle."""
+def _rocker_tip(cfg: MechanismConfig, design: DesignParams, delta):
+    """Point B for effector angles delta, elementwise."""
     ang = delta - cfg.effector_offset
     cx, cy = cfg.pivot_c
-    return (cx + design.l_bc * math.cos(ang), cy + design.l_bc * math.sin(ang))
+    return cx + design.l_bc * np.cos(ang), cy + design.l_bc * np.sin(ang)
 
 
-def _circle_intersections(
-    c0: tuple[float, float],
-    r0: float,
-    c1: tuple[float, float],
-    r1: float,
-) -> list[tuple[float, float]]:
-    """Intersection points of two circles; one point means tangency.
+def _intersect(c0x, c0y, r0: float, c1x, c1y, r1: float, label: Branch):
+    """One labelled intersection of two circles, elementwise: (x, y, ok).
 
-    Near-tangency within a 1e-12 relative band is snapped to exact tangency
-    so that marginally assemblable designs still solve.  With two points,
-    the first lies to the left of the ray c0 -> c1.
+    "plus" is the point left of the ray c0 -> c1, "minus" the one right of
+    it.  Near-tangency within a 1e-12 relative band is snapped to exact
+    tangency, where both labels give the one point, so that marginally
+    assemblable designs still solve.  ``ok`` is false where the circles do
+    not meet or share their centre; x and y there are no intersection.
     """
-    dx = c1[0] - c0[0]
-    dy = c1[1] - c0[1]
+    # numpy floats even for float input, so that d2 = 0 cannot raise
+    dx = np.subtract(c1x, c0x)
+    dy = np.subtract(c1y, c0y)
     d2 = dx * dx + dy * dy
-    if d2 <= 0.0:
-        return []
-    a = (d2 + r0 * r0 - r1 * r1) / (2.0 * d2)  # chord foot as fraction of d
-    h2 = r0 * r0 - a * a * d2
-    if h2 < 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (d2 + r0 * r0 - r1 * r1) / (2.0 * d2)  # chord foot as fraction of d
+        h2 = r0 * r0 - a * a * d2
         # h2 ~ -2*r0*r1/d * gap near tangency; accept gaps within tolerance
-        if h2 < -4.0 * _TANGENT_TOL * r0 * r1:
-            return []
-        h2 = 0.0
-    mx = c0[0] + a * dx
-    my = c0[1] + a * dy
-    if h2 == 0.0:
-        return [(mx, my)]
-    h_over_d = math.sqrt(h2 / d2)
-    ox = -dy * h_over_d
-    oy = dx * h_over_d
-    return [(mx + ox, my + oy), (mx - ox, my - oy)]
-
-
-def _build_posture(
-    cfg: MechanismConfig,
-    delta: float,
-    a_pt: tuple[float, float],
-    b_pt: tuple[float, float],
-    elbow: Branch,
-) -> Posture:
-    ox, oy = cfg.pivot_o
-    theta = math.atan2(a_pt[1] - oy, a_pt[0] - ox)
-    return Posture(theta=theta, delta=delta, point_a=a_pt, point_b=b_pt, elbow=elbow)
+        ok = (d2 > 0.0) & (h2 >= -4.0 * _TANGENT_TOL * r0 * r1)
+        h_over_d = np.sqrt(np.maximum(h2, 0.0) / d2)
+        if label == "minus":
+            h_over_d = -h_over_d
+        return c0x + a * dx - dy * h_over_d, c0y + a * dy + dx * h_over_d, ok
 
 
 def solve_ik(design: DesignParams, cfg: MechanismConfig, delta: float, elbow: Branch) -> Posture:
@@ -165,25 +145,19 @@ def solve_ik(design: DesignParams, cfg: MechanismConfig, delta: float, elbow: Br
 
     B follows rigidly from delta; A is the intersection of the crank circle
     about O and the coupler circle about B.  The "plus" branch is the
-    solution with cross(B - O, A - O) > 0.
+    solution left of the ray O -> B, i.e. with cross(B - O, A - O) > 0.
 
     Raises NotAssemblable when the two circles do not intersect.
     """
-    b_pt = _rocker_tip(cfg, design, delta)
-    pts = _circle_intersections(cfg.pivot_o, design.l_oa, b_pt, design.l_ab)
-    if not pts:
+    ox, oy = cfg.pivot_o
+    bx, by = _rocker_tip(cfg, design, delta)
+    ax, ay, ok = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, elbow)
+    if not ok:
         raise NotAssemblable(
             f"no crank-pin position at delta={delta!r} for lengths {design.as_tuple()!r}"
         )
-    if len(pts) == 1:
-        a_pt = pts[0]
-    else:
-        ox, oy = cfg.pivot_o
-        rx, ry = b_pt[0] - ox, b_pt[1] - oy
-        cross0 = rx * (pts[0][1] - oy) - ry * (pts[0][0] - ox)
-        want_plus = elbow == "plus"
-        a_pt = pts[0] if (cross0 > 0.0) == want_plus else pts[1]
-    return _build_posture(cfg, delta, a_pt, b_pt, elbow)
+    theta = math.atan2(ay - oy, ax - ox)
+    return Posture(theta, delta, (float(ax), float(ay)), (float(bx), float(by)), elbow)
 
 
 def solve_fk(design: DesignParams, cfg: MechanismConfig, theta: float, elbow: Branch) -> Posture:
@@ -191,27 +165,19 @@ def solve_fk(design: DesignParams, cfg: MechanismConfig, theta: float, elbow: Br
 
     A follows rigidly from theta; B is the intersection of the coupler
     circle about A and the rocker circle about C.  The "plus" branch is the
-    solution with cross(C - A, B - A) > 0.
+    solution left of the ray A -> C, i.e. with cross(C - A, B - A) > 0.
     """
     ox, oy = cfg.pivot_o
-    a_pt = (ox + design.l_oa * math.cos(theta), oy + design.l_oa * math.sin(theta))
-    pts = _circle_intersections(a_pt, design.l_ab, cfg.pivot_c, design.l_bc)
-    if not pts:
+    cx, cy = cfg.pivot_c
+    ax = ox + design.l_oa * math.cos(theta)
+    ay = oy + design.l_oa * math.sin(theta)
+    bx, by, ok = _intersect(ax, ay, design.l_ab, cx, cy, design.l_bc, elbow)
+    if not ok:
         raise NotAssemblable(
             f"no rocker-pin position at theta={theta!r} for lengths {design.as_tuple()!r}"
         )
-    if len(pts) == 1:
-        b_pt = pts[0]
-    else:
-        cx, cy = cfg.pivot_c
-        rx, ry = cx - a_pt[0], cy - a_pt[1]
-        cross0 = rx * (pts[0][1] - a_pt[1]) - ry * (pts[0][0] - a_pt[0])
-        want_plus = elbow == "plus"
-        b_pt = pts[0] if (cross0 > 0.0) == want_plus else pts[1]
-    cx, cy = cfg.pivot_c
-    rocker_angle = math.atan2(b_pt[1] - cy, b_pt[0] - cx)
-    delta = rocker_angle + cfg.effector_offset
-    return _build_posture(cfg, delta, a_pt, b_pt, elbow)
+    delta = math.atan2(by - cy, bx - cx) + cfg.effector_offset
+    return Posture(math.atan2(ay - oy, ax - ox), delta, (ax, ay), (float(bx), float(by)), elbow)
 
 
 def kinematic_coefficients(
@@ -281,24 +247,21 @@ def _crank_coefficients(
         return ratio, -curvature / den, singular
 
 
-def motion_profile(task: MotionTask) -> list[tuple[float, float, float, float]]:
+def motion_profile(task: MotionTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rest-to-rest quintic motion law, one stroke.
 
-    Returns (t, s, s_dot, s_ddot) rows with s in [0, 1] and derivatives with
-    respect to time; s(0)=0, s(t_move)=1, velocities and accelerations are
-    exactly zero at both ends.
+    Returns the columns (t, s, s_dot, s_ddot) over the task's samples, with
+    s in [0, 1] and derivatives with respect to time; s(0)=0, s(t_move)=1,
+    velocities and accelerations are exactly zero at both ends.
     """
     n = task.n_samples
     tm = task.t_move
-    rows = []
-    for k in range(n):
-        tau = k / (n - 1)
-        t = tau * tm
-        s = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
-        sd = 30.0 * tau * tau * (1.0 - tau) * (1.0 - tau) / tm
-        sdd = (60.0 * tau - 180.0 * tau * tau + 120.0 * tau * tau * tau) / (tm * tm)
-        rows.append((t, s, sd, sdd))
-    return rows
+    tau = np.arange(n) / (n - 1)
+    t = tau * tm
+    s = tau * tau * tau * (10.0 - 15.0 * tau + 6.0 * tau * tau)
+    sd = 30.0 * tau * tau * (1.0 - tau) * (1.0 - tau) / tm
+    sdd = (60.0 * tau - 180.0 * tau * tau + 120.0 * tau * tau * tau) / (tm * tm)
+    return t, s, sd, sdd
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -309,12 +272,9 @@ def _read_only(*arrays: np.ndarray) -> None:
 @lru_cache(maxsize=16)
 def _motion_law(task: MotionTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (t, delta, delta_dot, delta_ddot) columns of the task's stroke."""
+    t, s, sd, sdd = motion_profile(task)
     span = task.delta_i - task.delta_e
-    cols = [
-        (t, task.delta_e + s * span, sd * span, sdd * span)
-        for t, s, sd, sdd in motion_profile(task)
-    ]
-    law = tuple(np.array(c) for c in zip(*cols))
+    law = (t, task.delta_e + s * span, sd * span, sdd * span)
     _read_only(*law)
     return law
 
@@ -323,58 +283,27 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
     """Map the effector stroke onto the crank: full state at every sample.
 
     Samples are uniform in time over the forward stroke (delta_e to
-    delta_i).  The mid-stroke sample is the seed, assembled by ``solve_ik``
-    on the configured branch; every other sample takes the crank pin A on
-    that branch's intersection label, which equals continuing the seed (see
-    the module docstring).  The crank angle is continued outward from the
-    seed, whose angle lies in (-pi, pi].  Crank rates come from the chain
-    rule:
+    delta_i).  Every sample takes the crank pin A on the configured
+    branch's intersection label, which equals continuing the mid-stroke
+    sample (see the module docstring).  The crank angle is continued
+    outward from the mid-stroke sample, whose angle lies in (-pi, pi].
+    Crank rates come from the chain rule:
     theta_dot = (dtheta/ddelta) delta_dot,
     theta_ddot = (d2theta/ddelta2) delta_dot^2 + (dtheta/ddelta) delta_ddot.
     A crank-coupler dead point at a stroke end sets that end's crank rates
     to zero: the quintic brings the effector to rest there.
 
-    Raises SeedUnsolvable if the mid-stroke pose does not assemble and
-    TransformUnsolvable with the delta of the first failing sample in walk
-    order (the seed up to the last sample, then down to the first), where a
-    sample fails when it does not assemble or meets a crank-coupler dead
-    point inside the stroke.
+    A sample fails when it does not assemble or meets a crank-coupler dead
+    point inside the stroke.  Raises TransformUnsolvable with the delta of
+    the first failing sample in walk order: the mid-stroke sample up to the
+    last, then down to the first.
     """
     t, delta, delta_dot, delta_ddot = _motion_law(task)
     n = task.n_samples
     mid = n // 2
-    try:
-        seed = solve_ik(design, cfg, float(delta[mid]), cfg.branch)
-    except NotAssemblable as exc:
-        raise SeedUnsolvable(
-            f"mid-stroke pose delta={float(delta[mid])!r} not assemblable"
-        ) from exc
-
     ox, oy = cfg.pivot_o
-    cx, cy = cfg.pivot_c
-    r0, r1 = design.l_oa, design.l_ab
-    ang = delta - cfg.effector_offset
-    bx = cx + design.l_bc * np.cos(ang)
-    by = cy + design.l_bc * np.sin(ang)
-    # crank circle about O meets coupler circle about B, as _circle_intersections
-    dx = bx - ox
-    dy = by - oy
-    d2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (d2 + r0 * r0 - r1 * r1) / (2.0 * d2)
-        h2 = r0 * r0 - a * a * d2
-        assembles = (d2 > 0.0) & (h2 >= -4.0 * _TANGENT_TOL * r0 * r1)
-        h_over_d = np.sqrt(np.maximum(h2, 0.0) / d2)
-    foot_x = ox + a * dx
-    foot_y = oy + a * dy
-    half_x = -dy * h_over_d
-    half_y = dx * h_over_d
-    # the first intersection, foot + half chord, is the "plus" branch
-    if cfg.branch == "plus":
-        ax, ay = foot_x + half_x, foot_y + half_y
-    else:
-        ax, ay = foot_x - half_x, foot_y - half_y
-    ax[mid], ay[mid] = seed.point_a
+    bx, by = _rocker_tip(cfg, design, delta)
+    ax, ay, assembles = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, cfg.branch)
 
     ratio, accel, dead = _crank_coefficients(design, cfg, ax, ay, bx, by)
     failed = ~assembles
@@ -392,13 +321,12 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
 
     # math.atan2, not np.arctan2: the two differ in the last bit
     raw = np.fromiter(map(math.atan2, (ay - oy).tolist(), (ax - ox).tolist()), float, n)
-    # whole turns that keep each step from the seed below pi
+    # whole turns that keep each step outward from mid-stroke below pi
     turns = np.round((raw[:-1] - raw[1:]) / math.tau)
     offset = np.zeros(n)
     offset[mid + 1 :] = np.cumsum(turns[mid:])
     offset[:mid] = np.cumsum(-turns[mid - 1 :: -1])[::-1]
     theta = raw + math.tau * offset
-    theta[mid] = seed.theta
 
     # (n, 2) in column-major order, so that each coordinate is contiguous
     point_a = np.array((ax, ay)).T
@@ -420,8 +348,6 @@ def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> Stroke:
     """
     try:
         stroke = kinematic_transform(cfg.baseline, cfg, task)
-    except SeedUnsolvable as exc:
-        raise BaselineInfeasible(task.delta_mid, "baseline seed pose unsolvable") from exc
     except TransformUnsolvable as exc:
         raise BaselineInfeasible(exc.delta) from exc
 

@@ -8,8 +8,9 @@ Conventions used throughout the package:
   to the rocker at C, so the effector angle ``delta`` and the rocker angle
   differ by the fixed ``effector_offset``.
 * Branch tags name the two circle-intersection solutions of the closure
-  equations ("plus" means a positive z-component of the relevant cross
-  product; each solver documents which one).
+  equations: "plus" is the point left of the ray from the first circle's
+  centre to the second's, i.e. a positive z-component of that cross
+  product.  Each solver documents which circles it intersects.
 
 All container types are frozen dataclasses, so they compare by value and
 hash; the constraint layer memoises the baseline posture per mechanism and task.
@@ -38,7 +39,6 @@ __all__ = [
     "BaselineDefective",
     "NotAssemblable",
     "SingularPosture",
-    "SeedUnsolvable",
     "TransformUnsolvable",
     "SingularState",
     "EmptyTrajectory",
@@ -79,9 +79,8 @@ class ValidationError(MechanismError):
 class BaselineInfeasible(MechanismError):
     """Baseline design cannot be assembled at some pose of the stroke."""
 
-    def __init__(self, delta: float, message: str = ""):
-        detail = message or "baseline not assemblable"
-        super().__init__(f"{detail} at delta={delta!r}")
+    def __init__(self, delta: float):
+        super().__init__(f"baseline not assemblable at delta={delta!r}")
         self.delta = delta
 
 
@@ -97,12 +96,8 @@ class SingularPosture(MechanismError):
     """Kinematic coefficients undefined: crank and coupler are collinear."""
 
 
-class SeedUnsolvable(MechanismError):
-    """Continuation seed pose (mid-stroke) is not assemblable."""
-
-
 class TransformUnsolvable(MechanismError):
-    """Continuation lost assembly partway through the stroke."""
+    """A stroke sample does not assemble or meets an interior dead point."""
 
     def __init__(self, delta: float):
         super().__init__(f"no assembly at delta={delta!r} during continuation")
@@ -217,7 +212,7 @@ class MotionTask:
     The forward stroke runs from ``delta_e`` (touch) to ``delta_i``
     (maximal compression); the duty cycle is forward stroke, dwell, return
     stroke, dwell.  ``n_samples`` is the per-stroke sample count and must be
-    odd so the mid-stroke continuation seed lands exactly on a sample.
+    odd so that the stroke walk starts from a sample exactly at mid-stroke.
     """
 
     delta_i: float

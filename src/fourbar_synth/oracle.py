@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .constraints import evaluate_design
+from .constraints import _pose_delta, evaluate_design
 from .kinematics import Posture
 from .model import (
     BaselineInfeasible,
@@ -21,7 +21,6 @@ from .model import (
     EvaluationRecord,
     MechanismConfig,
     MotionTask,
-    SeedUnsolvable,
     TransformUnsolvable,
 )
 
@@ -197,14 +196,6 @@ def brute_ik(design: DesignParams, cfg: MechanismConfig, delta: float) -> list[P
     return [_oracle_posture(r, delta, design, cfg) for r in merged]
 
 
-def _pose_delta(task: MotionTask, pose: str) -> float:
-    if pose == "i":
-        return task.delta_i
-    if pose == "e":
-        return task.delta_e
-    raise ValueError(f"pose must be 'i' or 'e', got {pose!r}")
-
-
 def brute_static_gap(
     design: DesignParams,
     cfg: MechanismConfig,
@@ -301,7 +292,8 @@ def brute_theta_sweep(
 
     Seeds at mid-stroke on the configured branch and walks outward in time,
     at each step taking the root nearest the previous crank angle.  Raises
-    SeedUnsolvable / TransformUnsolvable exactly like the main transform.
+    TransformUnsolvable with the delta of the first sample in walk order
+    (mid-stroke included) that does not assemble, like the main transform.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
@@ -316,9 +308,7 @@ def brute_theta_sweep(
     mid = (n - 1) // 2
     seed_roots = brute_ik(design, cfg, delta_at(times[mid]))
     if not seed_roots:
-        raise SeedUnsolvable(
-            f"no assembly at mid-stroke for lengths {design.as_tuple()!r}"
-        )
+        raise TransformUnsolvable(delta_at(times[mid]))
     matching = [p for p in seed_roots if p.elbow == cfg.branch]
     seed = matching[0] if matching else seed_roots[0]
 

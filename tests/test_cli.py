@@ -102,6 +102,17 @@ def test_evaluate_pose_gap_json(capsys):
     assert len(payload["o_prime_init"]) == 2
 
 
+def test_evaluate_pose_and_csv_are_exclusive(capsys, tmp_path):
+    # --pose reports a static gap, not a record, so there is no row to append
+    out_csv = tmp_path / "records.csv"
+    code, out, err = run_cli(
+        capsys, "evaluate", "--config", str(CANON_CONFIG), "--pose", "i", "--csv", str(out_csv)
+    )
+    assert code == 64
+    assert out == "" and "not allowed with argument --pose" in err
+    assert not out_csv.exists()
+
+
 def test_evaluate_csv_append(capsys, tmp_path):
     out_csv = tmp_path / "records.csv"
     for _ in range(2):

@@ -23,7 +23,6 @@ from fourbar_synth.model import (
     DesignParams,
     MechanismConfig,
     NotAssemblable,
-    SeedUnsolvable,
     SingularPosture,
     TransformUnsolvable,
 )
@@ -122,6 +121,18 @@ def test_fk_tangency_single_solution():
     assert m.point_b == p.point_b
 
 
+@pytest.mark.parametrize("l_ab", [1.0, 0.5])
+def test_coincident_centres_do_not_assemble(l_ab):
+    # B(0) = C + (1, 0) lands on O, and A(0) = O + (1, 0) lands on C: the
+    # circles share a centre, so neither solver has a chord to intersect on
+    cfg = MechanismConfig(pivot_c=(-1.0, 0.0), baseline=DesignParams(1.0, l_ab, 1.0), branch="plus")
+    with pytest.raises(NotAssemblable):
+        solve_ik(cfg.baseline, cfg, 0.0, "plus")
+    cfg = dataclasses.replace(cfg, pivot_c=(1.0, 0.0))
+    with pytest.raises(NotAssemblable):
+        solve_fk(cfg.baseline, cfg, 0.0, "minus")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     delta=st.floats(min_value=math.radians(88.0), max_value=math.radians(172.0)),
@@ -161,24 +172,23 @@ def test_first_coefficient_matches_finite_difference(canon_cfg):
 
 
 def test_motion_profile_rest_to_rest(canon_task):
-    rows = motion_profile(canon_task)
-    assert len(rows) == canon_task.n_samples
-    t0, s0, sd0, sdd0 = rows[0]
-    tn, sn, sdn, sddn = rows[-1]
+    t, s, sd, sdd = motion_profile(canon_task)
+    assert len(t) == len(s) == len(sd) == len(sdd) == canon_task.n_samples
+    t0, s0, sd0, sdd0 = t[0], s[0], sd[0], sdd[0]
+    tn, sn, sdn, sddn = t[-1], s[-1], sd[-1], sdd[-1]
     assert (t0, s0, sd0, sdd0) == (0.0, 0.0, 0.0, 0.0)
     assert tn == pytest.approx(canon_task.t_move, abs=1e-15)
     assert (sn, sdn, sddn) == (1.0, 0.0, 0.0)
-    mid = rows[len(rows) // 2]
-    assert mid[1] == pytest.approx(0.5, abs=1e-15)
-    peak = max(r[2] for r in rows)
+    assert s[len(s) // 2] == pytest.approx(0.5, abs=1e-15)
+    peak = sd.max()
     assert peak == pytest.approx(15.0 / 8.0 / canon_task.t_move, abs=1e-12)
 
 
 def test_motion_profile_symmetry(canon_task):
-    rows = motion_profile(canon_task)
-    n = len(rows)
+    s = motion_profile(canon_task)[1]
+    n = len(s)
     for k in range(n):
-        assert rows[k][1] + rows[n - 1 - k][1] == pytest.approx(1.0, abs=1e-14)
+        assert s[k] + s[n - 1 - k] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_transform_samples_canon(canon_cfg, canon_task):
@@ -249,7 +259,7 @@ def test_transform_samples_carry_their_joints(canon_cfg, canon_task):
                stroke.point_a.tolist(), stroke.point_b.tolist())
     for delta, theta, point_a, point_b in rows:
         p = solve_ik(canon_cfg.baseline, canon_cfg, delta, "plus")
-        assert tuple(point_a) == pytest.approx(p.point_a, abs=1e-15)
+        assert tuple(point_a) == p.point_a
         assert tuple(point_b) == p.point_b
         assert theta == math.atan2(point_a[1], point_a[0])
 
@@ -290,7 +300,7 @@ WRAPPED = DesignParams(0.18574091600846127, 0.3327444862266863, 0.20957513706531
 
 def stroke_deltas(task):
     span = task.delta_i - task.delta_e
-    return [task.delta_e + s * span for _t, s, _sd, _sdd in motion_profile(task)]
+    return (task.delta_e + motion_profile(task)[1] * span).tolist()
 
 
 def reach(cfg, delta, l_bc):
@@ -300,9 +310,14 @@ def reach(cfg, delta, l_bc):
 
 
 def crank_pins(design, cfg, delta):
-    return kinematics._circle_intersections(
-        cfg.pivot_o, design.l_oa, kinematics._rocker_tip(cfg, design, delta), design.l_ab
-    )
+    """The distinct crank pins at an effector angle, the "plus" label first."""
+    bx, by = kinematics._rocker_tip(cfg, design, delta)
+    pins = []
+    for label in ("plus", "minus"):
+        x, y, ok = kinematics._intersect(*cfg.pivot_o, design.l_oa, bx, by, design.l_ab, label)
+        if ok and (x, y) not in pins:
+            pins.append((float(x), float(y)))
+    return pins
 
 
 def test_interior_tangency_is_a_dead_point(canon_cfg, canon_task):
@@ -346,6 +361,25 @@ def test_failure_in_both_halves_reports_the_upper_one(canon_cfg, canon_task):
     assert exc.value.delta == deltas[min(k for k in lost if k > mid)]
 
 
+def test_mid_stroke_failure_is_the_first_in_walk_order(canon_cfg, canon_task):
+    # |B - O| falls along the stroke and the chain reaches just short of its
+    # mid-stroke value: the mid sample and the whole lower half fail, and
+    # the walk meets the mid sample first
+    deltas = stroke_deltas(canon_task)
+    mid = len(deltas) // 2
+    design = DesignParams(0.06, reach(canon_cfg, deltas[mid], 0.15) - 0.06 - 1e-6, 0.15)
+    assert crank_pins(design, canon_cfg, deltas[mid]) == []
+    assert crank_pins(design, canon_cfg, deltas[0]) == []
+    assert len(crank_pins(design, canon_cfg, deltas[mid + 1])) == 2
+    with pytest.raises(TransformUnsolvable) as exc:
+        kinematic_transform(design, canon_cfg, canon_task)
+    assert exc.value.delta == deltas[mid]
+    with pytest.raises(BaselineInfeasible) as exc:
+        validate_baseline(dataclasses.replace(canon_cfg, baseline=design), canon_task)
+    assert exc.value.delta == deltas[mid]
+    assert str(exc.value) == f"baseline not assemblable at delta={deltas[mid]!r}"
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_walk_label_at_seed_is_the_branch(canon_cfg, canon_task, branch):
     cfg = dataclasses.replace(canon_cfg, branch=branch)
@@ -372,33 +406,34 @@ def test_stroke_columns_cannot_corrupt_the_motion_law(canon_cfg, canon_task):
 def continuation_walk(design, cfg, task):
     """The scalar walk the array walk replaced: seed, then nearest pin.
 
-    Returns the theta, theta_dot, theta_ddot, A and B columns as lists.
+    The seed takes the mid-stroke pin whose cross(B - O, A - O) has the
+    branch's sign, every other sample the pin nearest its neighbour's, so
+    no sample relies on the intersection label.  Returns the theta,
+    theta_dot, theta_ddot, A and B columns as lists.
     """
-    rows = motion_profile(task)
+    _t, _s, sd, sdd = (c.tolist() for c in motion_profile(task))
     span = task.delta_i - task.delta_e
-    deltas = [task.delta_e + s * span for _t, s, _sd, _sdd in rows]
-    n = len(rows)
+    deltas = stroke_deltas(task)
+    n = len(deltas)
     mid = n // 2
-    try:
-        seed = solve_ik(design, cfg, deltas[mid], cfg.branch)
-    except NotAssemblable:
-        raise SeedUnsolvable("seed") from None
     ox, oy = cfg.pivot_o
+    sign = 1.0 if cfg.branch == "plus" else -1.0
     out = [None] * n
     for k in [*range(mid, n), *range(mid - 1, -1, -1)]:
+        b_pt = kinematics._rocker_tip(cfg, design, deltas[k])
+        pts = crank_pins(design, cfg, deltas[k])
+        if not pts:
+            raise TransformUnsolvable(deltas[k])
         if k == mid:
-            a_pt, b_pt, theta = seed.point_a, seed.point_b, seed.theta
+            rx, ry = b_pt[0] - ox, b_pt[1] - oy
+            a_pt = max(pts, key=lambda q: sign * (rx * (q[1] - oy) - ry * (q[0] - ox)))
+            theta = math.atan2(a_pt[1] - oy, a_pt[0] - ox)
         else:
             prev_theta, _, _, pa, _ = out[k - 1] if k > mid else out[k + 1]
-            b_pt = kinematics._rocker_tip(cfg, design, deltas[k])
-            pts = kinematics._circle_intersections(cfg.pivot_o, design.l_oa, b_pt, design.l_ab)
-            if not pts:
-                raise TransformUnsolvable(deltas[k])
             a_pt = min(pts, key=lambda q: (q[0] - pa[0]) ** 2 + (q[1] - pa[1]) ** 2)
             theta = math.atan2(a_pt[1] - oy, a_pt[0] - ox)
             theta += math.tau * round((prev_theta - theta) / math.tau)
-        _t, _s, sd, sdd = rows[k]
-        ddot, dddot = sd * span, sdd * span
+        ddot, dddot = sd[k] * span, sdd[k] * span
         try:
             c = kinematic_coefficients(Posture(theta, deltas[k], a_pt, b_pt, cfg.branch), design, cfg)
             rates = (c.dtheta_ddelta * ddot, c.d2theta_ddelta2 * ddot * ddot + c.dtheta_ddelta * dddot)
@@ -413,8 +448,6 @@ def continuation_walk(design, cfg, task):
 def walk_outcome(walk, design, cfg, task):
     try:
         return walk(design, cfg, task)
-    except SeedUnsolvable:
-        return "seed"
     except TransformUnsolvable as exc:
         return exc.delta
 
@@ -425,6 +458,7 @@ def test_array_walk_equals_the_continuation(canon_cfg, canon_task):
     designs += [DesignParams(*rng.uniform(0.02, 0.6, size=3)) for _ in range(150)]
     designs += [DesignParams(*(np.array(canon_cfg.baseline.as_tuple()) * rng.uniform(0.9, 1.1, 3)))
                 for _ in range(50)]
+    mid_delta = stroke_deltas(canon_task)[canon_task.n_samples // 2]
     kinds = set()
     for design in designs:
         want = walk_outcome(continuation_walk, design, canon_cfg, canon_task)
@@ -441,5 +475,5 @@ def test_array_walk_equals_the_continuation(canon_cfg, canon_task):
                 kinds.add("wrapped")
         else:
             assert got == want, design
-            kinds.add("seed" if want == "seed" else "unsolvable")
-    assert kinds == {"walkable", "defective", "wrapped", "seed", "unsolvable"}
+            kinds.add("fails at mid" if want == mid_delta else "unsolvable")
+    assert kinds == {"walkable", "defective", "wrapped", "fails at mid", "unsolvable"}
