@@ -28,7 +28,7 @@ from .dynamics import (
     torque_at_state,
     torque_profile,
 )
-from .gp import GpModel, KernelParams, gp_fit, gp_predict, log_marginal_likelihood
+from .gp import GpModel, KernelParams, gp_fit, gp_predict
 from .kinematics import (
     KinematicCoefficients,
     Posture,
@@ -135,7 +135,6 @@ __all__ = [
     "KernelParams",
     "gp_fit",
     "gp_predict",
-    "log_marginal_likelihood",
     # optimizer
     "BoStep",
     "SurrogateSet",

@@ -27,7 +27,7 @@ from typing import Literal
 import numpy as np
 
 from .dynamics import torque_profile
-from .kinematics import Stroke, solve_ik
+from .kinematics import Stroke, _rocker_tip, solve_ik
 # perfbench traces this module attribute as its kinematics span.
 from .kinematics import kinematic_transform as _transform_full
 from .model import (
@@ -149,13 +149,10 @@ def static_gap(
     alpha0, beta0 = baseline_posture(cfg, task, pose)
     delta = _pose_delta(task, pose)
     ox, oy = cfg.pivot_o
-    cx, cy = cfg.pivot_c
-
-    ang = delta - cfg.effector_offset
-    bx = cx + design.l_bc * math.cos(ang)
-    by = cy + design.l_bc * math.sin(ang)
+    bx, by = map(float, _rocker_tip(cfg, design, delta))
 
     # chain: A' = B + l_ab * R(beta0) u(B->C); O' = A' + l_oa * R(alpha0) u(A'->B)
+    ang = delta - cfg.effector_offset
     ubcx, ubcy = -math.cos(ang), -math.sin(ang)
     cb, sb = math.cos(beta0), math.sin(beta0)
     ubax = cb * ubcx - sb * ubcy

@@ -10,22 +10,22 @@ The fit is dominated by call overhead, not arithmetic: training sets are
 small (tens of points) and L-BFGS evaluates the likelihood a few hundred
 times per start.  ``_LmlWorkspace`` therefore holds everything that stays
 fixed across one fit (the per-dimension squared differences flattened to
-(d, n^2), the identity, the diagonal view, the 2*pi constant, reused
-(n, n) buffers) and each evaluation fills the buffers with in-place ufuncs
-and factors through ``scipy.linalg.lapack.dpotrf``/``dpotrs`` directly, with
-the same escalating jitter as the final fit.  The gradient is GPML eq. 5.9,
-dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta), with K^-1 from
-``dpotrs`` against the identity.  The fitted model caches its Cholesky
-factor, the box offset and width, the lengthscales and the scaled training
-inputs, so prediction is one kernel block, a product and one ``dtrtrs``.
+(d, n^2), the identity, the diagonal view, reused (n, n) buffers).  It owns
+the fit's one training kernel matrix: it fills K in place from natural
+parameters and factors it through ``lapack.dpotrf``/``dpotrs`` with
+escalating jitter.  The likelihood gradient is GPML eq. 5.9, with K^-1
+from ``dpotrs`` against the identity.  The fitted model factors that same
+K, at the values the search scored at its optimum or at a fixed kernel's
+own values, and prediction is one cross-covariance block, a product and
+one ``dtrtrs``.
 
 Invariant: these shortcuts change only call overhead.  Every elementwise
 operation and every reduction runs in the same order and over the same
 memory layout as the plain expressions they replace (for instance each
 gradient sum is ``.sum()`` over a C-ordered (n, n) array), so for a given
-seed a fit, and with it a whole optimization trace, is bit-for-bit what
-the straightforward scipy.linalg code gives.  Deterministic: a seeded RNG
-draws the multistart points.
+seed the likelihood, the fitted factors and the predictions are bit-for-bit
+what the straightforward scipy.linalg code gives.  Deterministic: a seeded
+RNG draws the multistart points.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, lapack
 from scipy.optimize import minimize
 
-__all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict", "log_marginal_likelihood"]
+__all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict"]
 
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
@@ -60,22 +60,20 @@ class KernelParams:
 
 @dataclass
 class GpModel:
-    """Fitted GP: training data, kernel, and what prediction reuses.
+    """Fitted GP: training targets, kernel, and what prediction reuses.
 
-    Besides the Cholesky factor and K^-1 y, a non-degenerate model keeps
-    the box offset ``lo`` and ``width`` (hi - lo), the lengthscale array
-    ``ls`` and the training inputs in kernel units ``x_scaled`` (unit-cube
-    inputs divided by ``ls``).
+    Besides the Cholesky factor of the fit workspace's kernel matrix and
+    K^-1 y, a non-degenerate model keeps the box offset ``lo`` and ``width``
+    (hi - lo), the lengthscale array ``ls`` and the training inputs in
+    kernel units ``x_scaled`` (unit-cube inputs divided by ``ls``).
     """
 
-    train_x: np.ndarray  # (n, d) raw inputs
     train_y: np.ndarray  # (n,) raw targets
     bounds: tuple[tuple[float, float], ...]
     kernel: KernelParams
     degenerate: bool
     y_mean: float
     y_sd: float
-    x_unit: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     chol: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     alpha: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
     lo: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
@@ -106,34 +104,15 @@ def _matern52(r: np.ndarray, s2: float) -> np.ndarray:
     return s2 * (1.0 + c + 5.0 * r * r / 3.0) * np.exp(-c)
 
 
-def _kernel_matrix(x_unit: np.ndarray, params: KernelParams) -> np.ndarray:
-    ls = np.asarray(params.lengthscales)
-    x_scaled = x_unit / ls
-    r = np.sqrt(np.maximum(_scaled_sq_dists(x_scaled, x_scaled), 0.0))
-    k = _matern52(r, params.signal_variance)
-    k[np.diag_indices_from(k)] += params.noise_variance
-    return k
-
-
-def _factorize(k: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky with escalating jitter; returns (L, alpha = K^-1 y)."""
-    for jitter in _JITTERS:
-        kj = k if jitter == 0.0 else k + jitter * np.eye(k.shape[0])
-        low, info = lapack.dpotrf(kj, lower=1)
-        if info == 0:
-            alpha, _ = lapack.dpotrs(low, y, lower=1)
-            return low, alpha
-    raise LinAlgError(f"kernel matrix not positive definite even with jitter (dpotrf info {info})")
-
-
 class _LmlWorkspace:
-    """Negative log marginal likelihood and its log-space gradient for one fit.
+    """The training kernel matrix of one fit, its likelihood and gradient.
 
-    Built once from the unit-cube inputs and standardized targets; calling
-    it with log(signal variance, lengthscales..., noise variance) returns
-    (NLML, gradient) as ``scipy.optimize.minimize(jac=True)`` expects.  A
-    kernel matrix that no jitter rung can factor scores 1e25 with a zero
-    gradient, which steers L-BFGS away.
+    Built once from the unit-cube inputs and standardized targets.
+    ``factor`` fills K from natural parameters and factors it; calling the
+    workspace with log(signal variance, lengthscales..., noise variance)
+    returns (NLML, gradient) as ``scipy.optimize.minimize(jac=True)``
+    expects.  A kernel matrix that no jitter rung can factor scores 1e25
+    with a zero gradient, which steers L-BFGS away.
     """
 
     def __init__(self, x_unit: np.ndarray, y: np.ndarray) -> None:
@@ -157,13 +136,15 @@ class _LmlWorkspace:
         self.k_diag = self.k.reshape(n * n)[:: n + 1]
         self.w = np.empty((n, n))
 
-    def __call__(self, log_params: np.ndarray) -> tuple[float, np.ndarray]:
-        d, n = self.d, self.n
-        c, expc, onec, tmp, ks, w = self.c, self.expc, self.onec, self.tmp, self.k_signal, self.w
-        s2 = math.exp(log_params[0])
-        inv_l2 = np.exp(-2.0 * log_params[1 : 1 + d])
-        noise = math.exp(log_params[1 + d])
+    def natural(self, log_params: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """(signal variance, 1 / lengthscales^2, noise variance) of a search point."""
+        d = self.d
+        return math.exp(log_params[0]), np.exp(-2.0 * log_params[1 : 1 + d]), math.exp(log_params[1 + d])
 
+    def factor(self, s2: float, inv_l2: np.ndarray, noise: float) -> tuple[np.ndarray, np.ndarray]:
+        """Fill K, then Cholesky with escalating jitter: (L, alpha = K^-1 y)."""
+        n = self.n
+        c, expc, onec, tmp, ks = self.c, self.expc, self.onec, self.tmp, self.k_signal
         r2 = np.dot(inv_l2[None, :], self.flat).reshape(n, n)  # >= 0: needs no clamp
         np.sqrt(r2, out=c)
         np.multiply(c, _SQRT5, out=c)
@@ -178,9 +159,20 @@ class _LmlWorkspace:
         np.multiply(ks, expc, out=ks)
         np.copyto(self.k, ks)
         np.add(self.k_diag, noise, out=self.k_diag)
+        for jitter in _JITTERS:
+            kj = self.k if jitter == 0.0 else self.k + jitter * self.eye
+            low, info = lapack.dpotrf(kj, lower=1)
+            if info == 0:
+                alpha, _ = lapack.dpotrs(low, self.y, lower=1)
+                return low, alpha
+        raise LinAlgError(f"kernel matrix not positive definite even with jitter (dpotrf info {info})")
 
+    def __call__(self, log_params: np.ndarray) -> tuple[float, np.ndarray]:
+        d = self.d
+        expc, onec, tmp, ks, w = self.expc, self.onec, self.tmp, self.k_signal, self.w
+        s2, inv_l2, noise = self.natural(log_params)
         try:
-            low, alpha = _factorize(self.k, self.y)
+            low, alpha = self.factor(s2, inv_l2, noise)
         except LinAlgError:
             return 1e25, np.zeros_like(log_params)
 
@@ -214,9 +206,13 @@ def gp_fit(
     flagged constant model (zero signal variance, zero predictive variance)
     instead of failing.
 
-    Pass ``kernel`` to skip hyperparameter optimization and condition on
-    fixed values (used by tests and diagnostics).  The multistart search is
-    deterministic for a given seed.
+    Otherwise the hyperparameters maximize the log marginal likelihood, and
+    the model factors the very kernel matrix whose likelihood the search
+    scored best.  Pass ``kernel`` to skip the search and condition on fixed
+    values (used by tests and diagnostics); its kernel matrix comes from the
+    same workspace.  Raises ``LinAlgError`` when no jitter rung can factor
+    the kernel matrix.  The multistart search is deterministic for a given
+    seed.
     """
     if len(points) < 2:
         raise ValueError("gp_fit needs at least 2 observations")
@@ -230,7 +226,6 @@ def gp_fit(
 
     if float(np.ptp(y)) == 0.0:
         return GpModel(
-            train_x=x,
             train_y=y,
             bounds=tuple(bounds),
             kernel=KernelParams(0.0, (1.0,) * d, 0.0),
@@ -246,8 +241,8 @@ def gp_fit(
     width = np.array([b[1] for b in bounds]) - lo
     x_unit = (x - lo) / width
 
+    lml = _LmlWorkspace(x_unit, y_std)
     if kernel is None:
-        lml = _LmlWorkspace(x_unit, y_std)
         rng = np.random.default_rng(seed)
         starts = [np.array([0.0] + [math.log(0.5)] * d + [math.log(1e-4)])]
         for _ in range(7):
@@ -272,25 +267,22 @@ def gp_fit(
             )
             if best is None or res.fun < best.fun:
                 best = res
-        log_p = best.x
-        kernel = KernelParams(
-            signal_variance=float(math.exp(log_p[0])),
-            lengthscales=tuple(float(v) for v in np.exp(log_p[1 : 1 + d])),
-            noise_variance=float(math.exp(log_p[1 + d])),
-        )
+        s2, inv_l2, noise = lml.natural(best.x)
+        ls = np.exp(best.x[1 : 1 + d])
+        kernel = KernelParams(s2, tuple(ls.tolist()), noise)
+    else:
+        s2, noise = kernel.signal_variance, kernel.noise_variance
+        ls = np.asarray(kernel.lengthscales)
+        inv_l2 = 1.0 / (ls * ls)
 
-    k = _kernel_matrix(x_unit, kernel)
-    low, alpha = _factorize(k, y_std)
-    ls = np.asarray(kernel.lengthscales)
+    low, alpha = lml.factor(s2, inv_l2, noise)
     return GpModel(
-        train_x=x,
         train_y=y,
         bounds=tuple(bounds),
         kernel=kernel,
         degenerate=False,
         y_mean=y_mean,
         y_sd=y_sd,
-        x_unit=x_unit,
         chol=low,
         alpha=alpha,
         lo=lo,
@@ -332,16 +324,3 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray | float, np.ndarray | floa
     mean = model.y_mean + model.y_sd * mean_std
     var = (model.y_sd * model.y_sd) * var_std
     return (float(mean[0]), float(var[0])) if single else (mean, var)
-
-
-def log_marginal_likelihood(model: GpModel) -> float:
-    """LML of the fitted (non-degenerate) model on its standardized targets."""
-    if model.degenerate:
-        raise ValueError("log marginal likelihood undefined for a constant model")
-    y_std = (model.train_y - model.y_mean) / model.y_sd
-    n = y_std.shape[0]
-    return (
-        -0.5 * float(y_std @ model.alpha)
-        - float(np.log(np.diag(model.chol)).sum())
-        - 0.5 * n * math.log(2.0 * math.pi)
-    )

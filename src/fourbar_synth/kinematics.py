@@ -295,8 +295,8 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
 
     A sample fails when it does not assemble or meets a crank-coupler dead
     point inside the stroke.  Raises TransformUnsolvable with the delta of
-    the first failing sample in walk order: the mid-stroke sample up to the
-    last, then down to the first.
+    the first failing sample in walk order (the mid-stroke sample up to the
+    last, then down to the first) and whether it failed at a dead point.
     """
     t, delta, delta_dot, delta_ddot = _motion_law(task)
     n = task.n_samples
@@ -311,7 +311,7 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
     if failed.any():
         upper = np.flatnonzero(failed[mid:])
         k = mid + upper[0] if upper.size else np.flatnonzero(failed[:mid])[-1]
-        raise TransformUnsolvable(float(delta[k]))
+        raise TransformUnsolvable(float(delta[k]), dead_point=bool(assembles[k]))
     with np.errstate(invalid="ignore"):
         theta_dot = ratio * delta_dot
         theta_ddot = accel * delta_dot * delta_dot + ratio * delta_ddot
@@ -343,13 +343,13 @@ def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> Stroke:
     every sample, meet no crank-coupler dead point inside the stroke, and
     its crank angle must be strictly monotonic along the stroke.
 
-    Raises BaselineInfeasible (naming the first failing delta) or
-    BaselineDefective.
+    Raises BaselineInfeasible (naming the first failing delta and its
+    cause) or BaselineDefective.
     """
     try:
         stroke = kinematic_transform(cfg.baseline, cfg, task)
     except TransformUnsolvable as exc:
-        raise BaselineInfeasible(exc.delta) from exc
+        raise BaselineInfeasible(exc.delta, exc.dead_point) from exc
 
     steps = np.diff(stroke.theta)
     if not ((steps > 0.0).all() or (steps < 0.0).all()):

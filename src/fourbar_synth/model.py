@@ -77,11 +77,13 @@ class ValidationError(MechanismError):
 
 
 class BaselineInfeasible(MechanismError):
-    """Baseline design cannot be assembled at some pose of the stroke."""
+    """Baseline design does not assemble, or meets an interior dead point, in the stroke."""
 
-    def __init__(self, delta: float):
-        super().__init__(f"baseline not assemblable at delta={delta!r}")
+    def __init__(self, delta: float, dead_point: bool = False):
+        cause = "meets a crank-coupler dead point" if dead_point else "not assemblable"
+        super().__init__(f"baseline {cause} at delta={delta!r}")
         self.delta = delta
+        self.dead_point = dead_point
 
 
 class BaselineDefective(MechanismError):
@@ -97,11 +99,14 @@ class SingularPosture(MechanismError):
 
 
 class TransformUnsolvable(MechanismError):
-    """A stroke sample does not assemble or meets an interior dead point."""
+    """A stroke sample does not assemble or (``dead_point``) meets an interior dead point."""
 
-    def __init__(self, delta: float):
-        super().__init__(f"no assembly at delta={delta!r} during continuation")
+    def __init__(self, delta: float, dead_point: bool = False):
+        cause = "crank-coupler dead point" if dead_point else "no assembly"
+        where = "inside the stroke" if dead_point else "during continuation"
+        super().__init__(f"{cause} at delta={delta!r} {where}")
         self.delta = delta
+        self.dead_point = dead_point
 
 
 class SingularState(MechanismError):

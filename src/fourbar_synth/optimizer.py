@@ -84,14 +84,14 @@ class OptimizationTrace:
     """Full history of a run: one record per evaluation, in order.
 
     ``acquisition`` holds the acquisition value of each proposed point
-    (None during initialization).  ``no_feasible_found`` is a flag, not an
-    error: a budget can legitimately end with nothing feasible.
+    (None during initialization).  ``best_feasible`` is None when nothing
+    feasible was costed, which is not an error: a budget can legitimately
+    end with nothing feasible.
     """
 
     records: tuple[EvaluationRecord, ...]
     acquisition: tuple[float | None, ...]
     best_feasible: tuple[DesignParams, float] | None
-    no_feasible_found: bool
 
 
 def latin_hypercube(n: int, bounds: tuple[tuple[float, float], ...], seed: int) -> np.ndarray:
@@ -363,5 +363,4 @@ def run_optimization(
         records=records,
         acquisition=tuple(acq_values),
         best_feasible=best,
-        no_feasible_found=best is None,
     )

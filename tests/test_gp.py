@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from fourbar_synth import gp
-from fourbar_synth.gp import KernelParams, _LmlWorkspace, gp_fit, gp_predict, log_marginal_likelihood
+from fourbar_synth.gp import KernelParams, _LmlWorkspace, gp_fit, gp_predict
 
 BOUNDS = ((0.0, 1.0), (0.0, 1.0))
 
@@ -55,9 +56,8 @@ def test_posterior_matches_dense_solve():
 def test_lml_matches_dense_formula():
     xs, pts = make_points(6)
     kernel = KernelParams(signal_variance=0.8, lengthscales=(0.3, 0.6), noise_variance=1e-3)
-    model = gp_fit(pts, BOUNDS, kernel=kernel)
-    y = np.array([p[1] for p in pts])
-    y_std = (y - y.mean()) / y.std()
+    y_std = standardized(pts)
+    nlml, _ = _LmlWorkspace(xs, y_std)(np.log([0.8, 0.3, 0.6, 1e-3]))
     k = matern52_dense(xs, xs, kernel) + 1e-3 * np.eye(len(xs))
     _, logdet = np.linalg.slogdet(k)
     expected = (
@@ -65,7 +65,7 @@ def test_lml_matches_dense_formula():
         - 0.5 * logdet
         - 0.5 * len(xs) * math.log(2.0 * math.pi)
     )
-    assert log_marginal_likelihood(model) == pytest.approx(expected, abs=1e-8)
+    assert -nlml == pytest.approx(expected, abs=1e-8)
 
 
 def test_interpolates_with_vanishing_noise():
@@ -94,8 +94,6 @@ def test_constant_targets_degenerate_model():
     mu, var = gp_predict(model, (0.42, 0.77))
     assert mu == 3.5
     assert var == 0.0
-    with pytest.raises(ValueError):
-        log_marginal_likelihood(model)
 
 
 def test_conflicting_duplicates_absorbed_as_noise():
@@ -176,13 +174,51 @@ def standardized(pts):
     return (y - y.mean()) / y.std()
 
 
-def test_lml_workspace_value_matches_fitted_model():
+def capture_minimize(monkeypatch):
+    """Record every ``gp.minimize`` result of the fits that follow."""
+    results = []
+    real = gp.minimize
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(gp, "minimize", recording)
+    return results
+
+
+def search_optimum(results):
+    """The winning start as ``gp_fit`` picks it: the first of the lowest NLML."""
+    best = results[0]
+    for res in results[1:]:
+        if res.fun < best.fun:
+            best = res
+    return best
+
+
+def test_lml_workspace_value_matches_fitted_model(monkeypatch):
+    # a fixed kernel is factored by the workspace at its own values
     xs, pts = make_points(7)
+    y_std = standardized(pts)
     kernel = KernelParams(signal_variance=0.7, lengthscales=(0.35, 0.8), noise_variance=2e-3)
-    log_params = np.log([0.7, 0.35, 0.8, 2e-3])
-    nlml, _ = _LmlWorkspace(xs, standardized(pts))(log_params)
+    ls = np.array(kernel.lengthscales)
+    low, alpha = _LmlWorkspace(xs, y_std).factor(0.7, 1.0 / (ls * ls), 2e-3)
     model = gp_fit(pts, BOUNDS, kernel=kernel)
-    assert nlml == pytest.approx(-log_marginal_likelihood(model), rel=1e-12)
+    assert np.array_equal(model.chol, low)
+    assert np.array_equal(model.alpha, alpha)
+
+    # a searched model factors the matrix the workspace scores at the
+    # winning start's point (not its ``fun``, which after an abnormal
+    # line-search exit need not be the value at that point)
+    results = capture_minimize(monkeypatch)
+    model = gp_fit(pts, BOUNDS, seed=5)
+    nlml = (
+        0.5 * float(y_std @ model.alpha)
+        + float(np.log(model.chol.diagonal()).sum())
+        + 0.5 * len(pts) * math.log(2.0 * math.pi)
+    )
+    assert nlml == _LmlWorkspace(xs, y_std)(search_optimum(results).x)[0]
 
 
 def test_lml_workspace_gradient_matches_central_differences():
@@ -214,17 +250,26 @@ def test_lml_workspace_survives_singular_kernel():
     assert np.all(np.isfinite(grad))
 
 
+def test_zero_noise_fixed_kernel_fits_without_warnings():
+    # a fixed kernel never passes through log-space, where 0 would warn
+    xs, pts = make_points(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = gp_fit(pts, BOUNDS, kernel=KernelParams(1.0, (0.3, 0.3), 0.0))
+        mu, _ = gp_predict(model, xs)
+    assert np.abs(mu - linear(xs)).max() < 1e-8
+
+
+def test_fixed_kernel_no_jitter_can_factor_raises():
+    # a negative noise variance leaves K indefinite beyond the largest jitter
+    _, pts = make_points(5)
+    with pytest.raises(np.linalg.LinAlgError):
+        gp_fit(pts, BOUNDS, kernel=KernelParams(1.0, (0.3, 0.3), -1.0))
+
+
 def test_fit_reaches_minimize_through_module_global(monkeypatch):
     # the benchmark counts likelihood evaluations by wrapping gp.minimize
-    results = []
-    real = gp.minimize
-
-    def counting(*args, **kwargs):
-        res = real(*args, **kwargs)
-        results.append(res)
-        return res
-
-    monkeypatch.setattr(gp, "minimize", counting)
+    results = capture_minimize(monkeypatch)
     _, pts = make_points(8)
     gp_fit(pts, BOUNDS, seed=2)
     assert len(results) == 8
@@ -234,22 +279,31 @@ def test_fit_reaches_minimize_through_module_global(monkeypatch):
 # Straightforward scipy.linalg versions of the fit's likelihood, the fit's
 # factorization and the prediction.  The module computes the same
 # expressions through reused buffers and direct LAPACK calls; its results
-# must equal these bit for bit, which keeps optimization traces unchanged.
+# must equal these bit for bit.  The likelihood and the fitted model share
+# one kernel matrix, ``plain_gram``.
 
 
-def plain_neg_lml_and_grad(log_params, x_unit, y):
+def plain_natural(log_params, d):
+    return math.exp(log_params[0]), np.exp(-2.0 * log_params[1 : 1 + d]), math.exp(log_params[1 + d])
+
+
+def plain_gram(x_unit, s2, inv_l2, noise):
+    """Squared differences, sqrt(5) r, exp(-sqrt(5) r), the signal part of K, and K."""
     diff = x_unit.T[:, :, None] - x_unit.T[:, None, :]
     raw_sq = diff * diff
-    d, n = raw_sq.shape[0], raw_sq.shape[1]
-    s2 = math.exp(log_params[0])
-    inv_l2 = np.exp(-2.0 * log_params[1 : 1 + d])
-    noise = math.exp(log_params[1 + d])
     r2 = np.tensordot(inv_l2, raw_sq, axes=1)
     c = math.sqrt(5.0) * np.sqrt(np.maximum(r2, 0.0))
     expc = np.exp(-c)
     k_signal = s2 * (1.0 + c + 5.0 * r2 / 3.0) * expc
     k = k_signal.copy()
-    k[np.diag_indices(n)] += noise
+    k[np.diag_indices(len(x_unit))] += noise
+    return raw_sq, c, expc, k_signal, k
+
+
+def plain_neg_lml_and_grad(log_params, x_unit, y):
+    n, d = x_unit.shape
+    s2, inv_l2, noise = plain_natural(log_params, d)
+    raw_sq, c, expc, k_signal, k = plain_gram(x_unit, s2, inv_l2, noise)
     low = cholesky(k, lower=True)
     alpha = cho_solve((low, True), y)
     nlml = 0.5 * float(y @ alpha) + float(np.log(np.diag(low)).sum()) + 0.5 * n * math.log(2.0 * math.pi)
@@ -271,10 +325,10 @@ def plain_kernel(xa, xb, kernel):
     return kernel.signal_variance * (1.0 + c + 5.0 * r * r / 3.0) * np.exp(-c)
 
 
-def plain_predict(model, q):
+def plain_predict(model, x_unit, q):
     lo = np.array([b[0] for b in model.bounds])
     hi = np.array([b[1] for b in model.bounds])
-    k_star = plain_kernel((q - lo) / (hi - lo), model.x_unit, model.kernel)
+    k_star = plain_kernel((q - lo) / (hi - lo), x_unit, model.kernel)
     v = solve_triangular(model.chol, k_star.T, lower=True)
     var = np.maximum(model.kernel.signal_variance - np.einsum("ij,ij->j", v, v), 0.0)
     return model.y_mean + model.y_sd * (k_star @ model.alpha), model.y_sd * model.y_sd * var
@@ -297,7 +351,8 @@ def test_lml_workspace_is_bit_identical_to_plain_expressions(n, d):
 
 
 @pytest.mark.parametrize("n, d", [(4, 1), (12, 3), (30, 3)])
-def test_fit_and_predict_are_bit_identical_to_plain_expressions(n, d):
+def test_fit_and_predict_are_bit_identical_to_plain_expressions(n, d, monkeypatch):
+    results = capture_minimize(monkeypatch)
     rng = np.random.default_rng(100 + n)
     bounds = tuple((lo, lo + w) for lo, w in zip(rng.uniform(-1.0, 1.0, d), rng.uniform(0.1, 2.0, d)))
     lo = np.array([b[0] for b in bounds])
@@ -306,8 +361,9 @@ def test_fit_and_predict_are_bit_identical_to_plain_expressions(n, d):
     pts = [(tuple(x), float(v)) for x, v in zip(xs, rng.normal(size=n))]
     model = gp_fit(pts, bounds, seed=n)
 
-    k = plain_kernel(model.x_unit, model.x_unit, model.kernel)
-    k[np.diag_indices(n)] += model.kernel.noise_variance
+    # the model factors the search's kernel matrix at the winning start
+    x_unit = (xs - lo) / width
+    *_, k = plain_gram(x_unit, *plain_natural(search_optimum(results).x, d))
     low = cholesky(k, lower=True)
     assert np.array_equal(model.chol, low)
     assert np.array_equal(model.alpha, cho_solve((low, True), standardized(pts)))
@@ -315,6 +371,6 @@ def test_fit_and_predict_are_bit_identical_to_plain_expressions(n, d):
     for m in (1, 7, 300):
         q = lo + rng.uniform(-0.1, 1.1, size=(m, d)) * width
         mean, var = gp_predict(model, q)
-        ref_mean, ref_var = plain_predict(model, q)
+        ref_mean, ref_var = plain_predict(model, x_unit, q)
         assert np.array_equal(mean, ref_mean)
         assert np.array_equal(var, ref_var)

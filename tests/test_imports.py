@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used, and the package
+"""Every imported name in the package and its tests is used, every private
+module-level name of the package is used by the package, and the package
 exports every public name of its modules."""
 import ast
 import importlib
@@ -46,3 +47,42 @@ def test_package_exports_every_module_export():
     assert len(fourbar_synth.__all__) == len(set(fourbar_synth.__all__))
     assert set(fourbar_synth.__all__) == expected
     assert all(hasattr(fourbar_synth, name) for name in expected)
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Private (single-underscore) names bound at module level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_private_name_is_used_by_the_package():
+    # a private helper that only tests read is dead code in the package
+    trees = {
+        str(path.relative_to(REPO_ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(REPO_ROOT.glob("src/**/*.py"))
+    }
+    used = set().union(*(references(tree) for tree in trees.values()))
+    unused = {
+        (path, name) for path, tree in trees.items() for name in private_definitions(tree) if name not in used
+    }
+    assert unused == set()

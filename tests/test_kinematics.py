@@ -291,6 +291,7 @@ def test_validate_baseline_interior_dead_point(canon_task):
     with pytest.raises(BaselineInfeasible) as exc:
         validate_baseline(cfg, canon_task)
     assert exc.value.delta == pytest.approx(canon_task.delta_mid, abs=1e-12)
+    assert str(exc.value) == f"baseline meets a crank-coupler dead point at delta={exc.value.delta!r}"
     assert evaluate_design(cfg.baseline, cfg, canon_task).constraints.c_dyn is None
 
 
@@ -333,6 +334,7 @@ def test_interior_tangency_is_a_dead_point(canon_cfg, canon_task):
     with pytest.raises(TransformUnsolvable) as exc:
         kinematic_transform(design, canon_cfg, canon_task)
     assert exc.value.delta == deltas[k]
+    assert str(exc.value) == f"crank-coupler dead point at delta={deltas[k]!r} inside the stroke"
 
 
 def test_dead_point_at_stroke_end_rests_the_crank(canon_cfg, canon_task):
