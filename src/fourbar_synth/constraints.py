@@ -20,6 +20,7 @@ Both scores feed the optimizer as data; infeasibility never raises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -57,6 +58,9 @@ Pose = Literal["i", "e"]
 
 _DEGENERATE_START = 1e-9  # m; below this the slide start sits on O already
 _RATE_EPS = 1e-12  # rad/s; crank rates below this do not count as reversal
+# a slide ray tangent to the inner hole has a discriminant that is zero up to
+# the rounding of its terms; below this multiple of their size it is tangent
+_TANGENT_REL = 8.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +142,9 @@ def static_gap(
     virtual crank pivot O' straight toward O.  The slide is confined to the
     closed annulus centred on B with radii |l_ab - l_oa| and l_ab + l_oa
     (all positions the two-bar chain can reach) and stops at the first exit
-    or ``overshoot_cap`` metres past O, whichever comes first.  The value is
-    the distance still missing toward O (negative = overshoot).
+    or ``overshoot_cap`` metres past O, whichever comes first; a ray tangent
+    to the inner circle, to within rounding, passes it.  The value is the
+    distance still missing toward O (negative = overshoot).
 
     A start within 1e-9 m of O (the design assembles exactly in the
     baseline-like posture) degenerates the slide direction; it is then taken
@@ -196,10 +201,10 @@ def static_gap(
     disc_out = p * p - (w2 - r_out * r_out)
     s_exit = -p + math.sqrt(max(disc_out, 0.0))
 
-    # first entry into the inner hole (tangency does not block)
+    # first entry into the inner hole (tangency, up to rounding, does not block)
     if r_in > 0.0:
         disc_in = p * p - (w2 - r_in * r_in)
-        if disc_in > 0.0:
+        if disc_in > _TANGENT_REL * (p * p + w2 + r_in * r_in):
             root = math.sqrt(disc_in)
             a1 = -p - root
             a2 = -p + root

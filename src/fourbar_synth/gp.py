@@ -4,11 +4,15 @@ Exact GP regression with a Matern-5/2 ARD kernel.  Inputs are min-max
 normalized to the unit cube using the search bounds (not the data), targets
 are standardized; hyperparameters (signal variance, per-dimension
 lengthscales, noise variance) maximize the log marginal likelihood by
-multi-start L-BFGS ascent in log-space with analytic gradients.
+multi-start L-BFGS ascent in log-space with analytic gradients.  A cold fit
+runs 8 starts (a fixed default and 7 seeded random points).  A warm fit,
+given the kernel of the same surrogate's previous fit, runs 3: that kernel,
+the default and one random point.  The winner is the start whose returned
+point scores the lowest NLML, ties going to the earlier start.
 
 The fit is dominated by call overhead, not arithmetic: training sets are
-small (tens of points) and L-BFGS evaluates the likelihood a few hundred
-times per start.  ``_LmlWorkspace`` therefore holds everything that stays
+small (tens of points) and L-BFGS evaluates the likelihood dozens of times
+per start.  ``_LmlWorkspace`` therefore holds everything that stays
 fixed across one fit (the per-dimension squared differences flattened to
 (d, n^2), the identity, the diagonal view, reused (n, n) buffers).  It owns
 the fit's one training kernel matrix: it fills K in place from natural
@@ -25,7 +29,7 @@ memory layout as the plain expressions they replace (for instance each
 gradient sum is ``.sum()`` over a C-ordered (n, n) array), so for a given
 seed the likelihood, the fitted factors and the predictions are bit-for-bit
 what the straightforward scipy.linalg code gives.  Deterministic: a seeded
-RNG draws the multistart points.
+RNG draws the random starts.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ __all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict"]
 
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
+_COLD_RANDOM_STARTS = 7  # besides the default start
+_WARM_RANDOM_STARTS = 1  # besides the warm and the default start
 
 # log-space box for the hyperparameter search (standardized targets,
 # unit-cube inputs), order: signal variance, lengthscales..., noise variance
@@ -198,6 +204,7 @@ def gp_fit(
     bounds: tuple[tuple[float, float], ...],
     seed: int = 0,
     kernel: KernelParams | None = None,
+    start: KernelParams | None = None,
 ) -> GpModel:
     """Fit a GP to (input, target) pairs inside the given box.
 
@@ -208,11 +215,18 @@ def gp_fit(
 
     Otherwise the hyperparameters maximize the log marginal likelihood, and
     the model factors the very kernel matrix whose likelihood the search
-    scored best.  Pass ``kernel`` to skip the search and condition on fixed
-    values (used by tests and diagnostics); its kernel matrix comes from the
-    same workspace.  Raises ``LinAlgError`` when no jitter rung can factor
-    the kernel matrix.  The multistart search is deterministic for a given
-    seed.
+    scored best.  Without ``start`` the search is cold: 8 L-BFGS-B starts,
+    the fixed default and 7 seeded random points.  ``start``, a kernel with
+    positive variances such as the same surrogate's fit on one point fewer,
+    makes it warm: log(start), the default and one seeded random point.
+    The winner is the start whose returned point the workspace scores
+    lowest, the earliest on a tie (L-BFGS-B's ``fun`` after an abnormal
+    line-search exit need not be the value at that point).
+
+    Pass ``kernel`` to skip the search and condition on fixed values (used
+    by tests and diagnostics); its kernel matrix comes from the same
+    workspace.  Raises ``LinAlgError`` when no jitter rung can factor the
+    kernel matrix.  The search is deterministic for a given seed and start.
     """
     if len(points) < 2:
         raise ValueError("gp_fit needs at least 2 observations")
@@ -245,7 +259,12 @@ def gp_fit(
     if kernel is None:
         rng = np.random.default_rng(seed)
         starts = [np.array([0.0] + [math.log(0.5)] * d + [math.log(1e-4)])]
-        for _ in range(7):
+        n_random = _COLD_RANDOM_STARTS
+        if start is not None:
+            warm = [start.signal_variance, *start.lengthscales, start.noise_variance]
+            starts.insert(0, np.log(warm))
+            n_random = _WARM_RANDOM_STARTS
+        for _ in range(n_random):
             s = np.concatenate(
                 [
                     rng.uniform(math.log(0.1), math.log(10.0), 1),
@@ -255,7 +274,7 @@ def gp_fit(
             )
             starts.append(s)
         box = [_LOG_BOUNDS_SIGNAL] + [_LOG_BOUNDS_LENGTH] * d + [_LOG_BOUNDS_NOISE]
-        best = None
+        best_x, best_nlml = None, math.inf
         for s in starts:
             res = minimize(
                 lml,
@@ -265,10 +284,11 @@ def gp_fit(
                 bounds=box,
                 options={"maxiter": 200, "gtol": 1e-6},
             )
-            if best is None or res.fun < best.fun:
-                best = res
-        s2, inv_l2, noise = lml.natural(best.x)
-        ls = np.exp(best.x[1 : 1 + d])
+            nlml = lml(res.x)[0]
+            if best_x is None or nlml < best_nlml:
+                best_x, best_nlml = res.x, nlml
+        s2, inv_l2, noise = lml.natural(best_x)
+        ls = np.exp(best_x[1 : 1 + d])
         kernel = KernelParams(s2, tuple(ls.tolist()), noise)
     else:
         s2, noise = kernel.signal_variance, kernel.noise_variance

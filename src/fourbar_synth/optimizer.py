@@ -7,6 +7,10 @@ constraint is satisfied.  Designs whose trajectory never ran simply lack
 the corresponding observation; the constraint GPs are trained on whatever
 is available.
 
+Each surrogate's hyperparameter search is warm-started from its own fit
+one iteration earlier (3 L-BFGS-B starts); a surrogate's first fit, and a
+fit after a constant-data (degenerate) one, is cold (8 starts).
+
 Everything is deterministic for a given seed: the LHS, the GP multistarts,
 the acquisition probes and the pattern-descent refinements all derive their
 RNG streams from ``OptimizerConfig.seed`` and the iteration index.
@@ -22,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .constraints import evaluate_design
-from .gp import GpModel, gp_fit, gp_predict
+from .gp import GpModel, KernelParams, gp_fit, gp_predict
 from .kinematics import validate_baseline
 from .model import (
     FEASIBLE_DYN_TOL,
@@ -245,16 +249,30 @@ def propose_next(
     return tuple(float(v) for v in best_x), best_v
 
 
-def fit_surrogates(steps: list[BoStep], opt_cfg: OptimizerConfig) -> SurrogateSet:
+def _warm_start(model: GpModel | None) -> KernelParams | None:
+    """The kernel a refit starts from: none after a missing or constant model."""
+    return None if model is None or model.degenerate else model.kernel
+
+
+def fit_surrogates(
+    steps: list[BoStep], opt_cfg: OptimizerConfig, previous: SurrogateSet | None = None
+) -> SurrogateSet:
     """Fit the objective and per-constraint GPs to the evaluations so far.
 
     The objective model needs at least two observed objectives; below that
     the set carries no f_best and the acquisition degrades to pure
     feasibility search.  Each constraint model trains only on steps where
     that constraint was observed, and is skipped below two observations.
+
+    Without ``previous`` every fit is a cold 8-start search.  With it, each
+    model whose counterpart in ``previous`` (the objective model, or the
+    constraint model of the same name) is non-degenerate is a warm 3-start
+    search from that counterpart's kernel.
     """
     bounds = opt_cfg.bounds
     iteration = len(steps)
+    prev = previous if previous is not None else SurrogateSet(None, (), (), None)
+    prev_constraints = dict(zip(prev.constraint_names, prev.constraints))
 
     def model_seed(idx: int) -> int:
         return (opt_cfg.seed * 999_983 + iteration * 101 + idx) % (2**63)
@@ -263,7 +281,7 @@ def fit_surrogates(steps: list[BoStep], opt_cfg: OptimizerConfig) -> SurrogateSe
     objective_model = None
     f_best = None
     if len(obj_pts) >= 2:
-        objective_model = gp_fit(obj_pts, bounds, seed=model_seed(0))
+        objective_model = gp_fit(obj_pts, bounds, seed=model_seed(0), start=_warm_start(prev.objective))
         # improvement is measured against the best *feasible* observation;
         # infeasible points may carry better objectives but do not count
         feasible_objs = [
@@ -280,7 +298,8 @@ def fit_surrogates(steps: list[BoStep], opt_cfg: OptimizerConfig) -> SurrogateSe
     for k, name in enumerate(steps[0].constraints.keys()):
         pts = [(s.x, s.constraints[name]) for s in steps if s.constraints[name] is not None]
         if len(pts) >= 2:
-            constraint_models.append(gp_fit(pts, bounds, seed=model_seed(k + 1)))
+            start = _warm_start(prev_constraints.get(name))
+            constraint_models.append(gp_fit(pts, bounds, seed=model_seed(k + 1), start=start))
             kept_names.append(name)
     return SurrogateSet(objective_model, tuple(constraint_models), tuple(kept_names), f_best)
 
@@ -292,8 +311,9 @@ def bo_minimize(
     """Generic constrained-BO loop over a black-box evaluator.
 
     Runs exactly n_max evaluations: n_init from a Latin hypercube, the rest
-    proposed by the constrained-EI acquisition.  Returns the steps and the
-    acquisition value behind each one (None during initialization).
+    proposed by the constrained-EI acquisition.  Each iteration's surrogates
+    are warm-started from the previous iteration's.  Returns the steps and
+    the acquisition value behind each one (None during initialization).
     """
     bounds = opt_cfg.bounds
     steps: list[BoStep] = []
@@ -303,8 +323,9 @@ def bo_minimize(
         steps.append(evaluate(tuple(float(v) for v in row)))
         acq_values.append(None)
 
+    models = None
     while len(steps) < opt_cfg.n_max:
-        models = fit_surrogates(steps, opt_cfg)
+        models = fit_surrogates(steps, opt_cfg, previous=models)
         x_next, acq = propose_next([s.x for s in steps], models, opt_cfg)
         steps.append(evaluate(x_next))
         acq_values.append(acq)

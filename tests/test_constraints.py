@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourbar_synth import constraints
@@ -19,6 +19,7 @@ from fourbar_synth.model import (
     MechanismConfig,
     MotionTask,
 )
+from fourbar_synth.oracle import brute_static_gap
 
 from conftest import counting, fake_stroke, make_canon_cfg, make_canon_task
 
@@ -164,6 +165,7 @@ def test_static_gap_never_exceeds_cap(l_oa, l_ab, l_bc, pose):
     phi=st.floats(min_value=-math.pi, max_value=math.pi),
     pose=st.sampled_from(["i", "e"]),
 )
+@example(l_oa=0.1, l_ab=0.25, l_bc=0.25, phi=1.0, pose="i")  # slide ray tangent to the inner hole
 def test_static_gap_rotation_invariant(l_oa, l_ab, l_bc, phi, pose):
     cfg = make_canon_cfg()
     task = make_canon_task()
@@ -175,6 +177,15 @@ def test_static_gap_rotation_invariant(l_oa, l_ab, l_bc, phi, pose):
     a = static_gap(design, cfg, task, pose)
     b = static_gap(design, cfg_rot, task_rot, pose)
     assert b.value == pytest.approx(a.value, abs=1e-10)
+
+
+def test_static_gap_tangent_to_inner_hole_matches_marching_oracle(canon_cfg, canon_task):
+    # the slide ray grazes the inner circle: its discriminant is zero up to
+    # rounding, and a tangency must not stop the slide
+    design = DesignParams(0.1, 0.25, 0.25)
+    fast = static_gap(design, canon_cfg, canon_task, "i").value
+    slow = brute_static_gap(design, canon_cfg, canon_task, "i")
+    assert fast == pytest.approx(slow, abs=1e-6)  # marching step is 1e-6
 
 
 def test_dynamic_constraint_hand_trace():

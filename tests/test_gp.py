@@ -188,13 +188,18 @@ def capture_minimize(monkeypatch):
     return results
 
 
-def search_optimum(results):
-    """The winning start as ``gp_fit`` picks it: the first of the lowest NLML."""
-    best = results[0]
-    for res in results[1:]:
-        if res.fun < best.fun:
-            best = res
-    return best
+def search_optimum(results, lml):
+    """The winning start as ``gp_fit`` picks it: the first whose point scores the lowest NLML."""
+    return min(results, key=lambda res: lml(res.x)[0])
+
+
+def model_nlml(model, y_std):
+    """The NLML of a fitted model, from its own factors."""
+    return (
+        0.5 * float(y_std @ model.alpha)
+        + float(np.log(model.chol.diagonal()).sum())
+        + 0.5 * len(y_std) * math.log(2.0 * math.pi)
+    )
 
 
 def test_lml_workspace_value_matches_fitted_model(monkeypatch):
@@ -213,12 +218,28 @@ def test_lml_workspace_value_matches_fitted_model(monkeypatch):
     # line-search exit need not be the value at that point)
     results = capture_minimize(monkeypatch)
     model = gp_fit(pts, BOUNDS, seed=5)
-    nlml = (
-        0.5 * float(y_std @ model.alpha)
-        + float(np.log(model.chol.diagonal()).sum())
-        + 0.5 * len(pts) * math.log(2.0 * math.pi)
-    )
-    assert nlml == _LmlWorkspace(xs, y_std)(search_optimum(results).x)[0]
+    lml = _LmlWorkspace(xs, y_std)
+    assert model_nlml(model, y_std) == lml(search_optimum(results, lml).x)[0]
+
+
+def test_fit_picks_the_start_whose_point_scores_lowest(monkeypatch):
+    # some starts end on an abnormal line-search exit, where L-BFGS-B's
+    # ``fun`` is not the NLML at its ``x``; at seed 5 the lowest ``fun``
+    # belongs to a start whose point scores worse than another start's
+    xs, pts = make_points(7)
+    y_std = standardized(pts)
+    lml = _LmlWorkspace(xs, y_std)
+    results = capture_minimize(monkeypatch)
+
+    def starts_run(**fit_args):
+        results.clear()
+        model = gp_fit(pts, BOUNDS, **fit_args)
+        assert model_nlml(model, y_std) == min(lml(res.x)[0] for res in results)
+        return len(results)
+
+    warm = KernelParams(0.9, (0.6, 1.4), 1e-5)
+    assert [starts_run(seed=seed) for seed in range(8)] == [8] * 8
+    assert [starts_run(seed=seed, start=warm) for seed in range(8)] == [3] * 8
 
 
 def test_lml_workspace_gradient_matches_central_differences():
@@ -363,7 +384,8 @@ def test_fit_and_predict_are_bit_identical_to_plain_expressions(n, d, monkeypatc
 
     # the model factors the search's kernel matrix at the winning start
     x_unit = (xs - lo) / width
-    *_, k = plain_gram(x_unit, *plain_natural(search_optimum(results).x, d))
+    lml = _LmlWorkspace(x_unit, standardized(pts))
+    *_, k = plain_gram(x_unit, *plain_natural(search_optimum(results, lml).x, d))
     low = cholesky(k, lower=True)
     assert np.array_equal(model.chol, low)
     assert np.array_equal(model.alpha, cho_solve((low, True), standardized(pts)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from fourbar_synth import optimizer
+from fourbar_synth import gp, optimizer
 from fourbar_synth.gp import KernelParams, gp_fit, gp_predict
 from fourbar_synth.model import (
     ConstraintBundle,
@@ -196,6 +196,75 @@ def test_bo_minimize_reaches_gp_through_module_attributes(monkeypatch):
 
     bo_minimize(evaluate, small_cfg(n_max=6))
     assert calls["fit"] > 0 and calls["predict"] > 0
+
+
+def test_bo_minimize_warm_starts_each_surrogate_from_its_previous_fit(monkeypatch):
+    starts = []  # x0 of every L-BFGS-B search, in call order
+    fits = {}  # id(model) -> the x0s of the search that fitted it
+    sets = []  # every SurrogateSet, in iteration order
+    real_minimize = gp.minimize
+
+    def recording_minimize(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return real_minimize(fun, x0, *args, **kwargs)
+
+    def recording_fit(*args, **kwargs):
+        first = len(starts)
+        model = gp_fit(*args, **kwargs)
+        fits[id(model)] = starts[first:]
+        return model
+
+    def recording_surrogates(*args, **kwargs):
+        sets.append(fit_surrogates(*args, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(gp, "minimize", recording_minimize)
+    monkeypatch.setattr(optimizer, "gp_fit", recording_fit)
+    monkeypatch.setattr(optimizer, "fit_surrogates", recording_surrogates)
+
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(x)
+        late = len(evaluated) > 6
+        constraints = {
+            "c_late": x[0] - 0.5 if late else 0.0,  # constant, so degenerate, at first
+            "c_sparse": x[1] - 0.9 if late else None,  # no model before two observations
+        }
+        return BoStep(x=x, objective=bowl(x), constraints=constraints)
+
+    bo_minimize(evaluate, small_cfg(n_max=10))
+
+    seen = []
+    previous = optimizer.SurrogateSet(None, (), (), None)
+    for models in sets:
+        before = dict(zip(previous.constraint_names, previous.constraints))
+        pairs = [("objective", models.objective, previous.objective)]
+        pairs += [(name, m, before.get(name)) for name, m in zip(models.constraint_names, models.constraints)]
+        for name, model, pred in pairs:
+            x0s = fits[id(model)]
+            if model.degenerate:
+                kind = "degenerate"
+                assert x0s == []
+            elif pred is None or pred.degenerate:
+                kind = "cold" if pred is None else "cold after degenerate"
+                assert len(x0s) == 8
+            else:
+                kind = "warm"
+                assert len(x0s) == 3
+                k = pred.kernel
+                assert np.array_equal(x0s[0], np.log([k.signal_variance, *k.lengthscales, k.noise_variance]))
+            seen.append((name, kind))
+        previous = models
+
+    assert len(sets) == 6
+    assert seen.count(("objective", "cold")) == 1
+    assert seen.count(("objective", "warm")) == 5
+    assert seen.count(("c_late", "degenerate")) == 3
+    assert seen.count(("c_late", "cold after degenerate")) == 1
+    assert seen.count(("c_late", "warm")) == 2
+    assert seen.count(("c_sparse", "cold")) == 1
+    assert seen.count(("c_sparse", "warm")) == 1
 
 
 def test_fit_surrogates_best_uses_only_constraint_satisfying_steps():
