@@ -16,6 +16,7 @@ from .constraints import (
     dynamic_constraint,
     evaluate_design,
     static_gap,
+    static_gaps,
 )
 from .dynamics import (
     LinkInertia,
@@ -128,6 +129,7 @@ __all__ = [
     "DynamicConstraintResult",
     "baseline_posture",
     "static_gap",
+    "static_gaps",
     "dynamic_constraint",
     "evaluate_design",
     # surrogate

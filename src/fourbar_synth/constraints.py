@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .dynamics import torque_profile
-from .kinematics import Stroke, _rocker_tip, solve_ik
+from .kinematics import Stroke, solve_ik
 # perfbench traces this module attribute as its kinematics span.
 from .kinematics import kinematic_transform as _transform_full
 from .model import (
@@ -50,6 +50,7 @@ __all__ = [
     "DynamicConstraintResult",
     "baseline_posture",
     "static_gap",
+    "static_gaps",
     "dynamic_constraint",
     "evaluate_design",
 ]
@@ -132,6 +133,31 @@ def baseline_posture(cfg: MechanismConfig, task: MotionTask, pose: Pose) -> tupl
     return alpha0, beta0
 
 
+@lru_cache(maxsize=4096)
+def _slide_frame(
+    cfg: MechanismConfig, task: MotionTask, pose: Pose
+) -> tuple[float, float, float, float, float, float]:
+    """The design-independent directions of the static-gap chain at a pose.
+
+    Returns the unit ray C->B, the unit ray B->A' and the unit ray A'->O'
+    as (x, y) pairs flattened.  C->B takes numpy's cosine and sine, as the
+    walk's rocker tip does, so that every design's B is the walk's B.
+    """
+    alpha0, beta0 = baseline_posture(cfg, task, pose)
+    ang = _pose_delta(task, pose) - cfg.effector_offset
+    ucbx, ucby = float(np.cos(ang)), float(np.sin(ang))
+
+    # chain: A' = B + l_ab * R(beta0) u(B->C); O' = A' + l_oa * R(alpha0) u(A'->B)
+    ubcx, ubcy = -math.cos(ang), -math.sin(ang)
+    cb, sb = math.cos(beta0), math.sin(beta0)
+    ubax = cb * ubcx - sb * ubcy
+    ubay = sb * ubcx + cb * ubcy
+    ca, sa = math.cos(alpha0), math.sin(alpha0)
+    uaox = ca * (-ubax) - sa * (-ubay)
+    uaoy = sa * (-ubax) + ca * (-ubay)
+    return ucbx, ucby, ubax, ubay, uaox, uaoy
+
+
 def static_gap(
     design: DesignParams, cfg: MechanismConfig, task: MotionTask, pose: Pose
 ) -> StaticGapResult:
@@ -150,23 +176,16 @@ def static_gap(
     baseline-like posture) degenerates the slide direction; it is then taken
     radially outward from B through O, giving the most negative capped
     value the local geometry allows.
-    """
-    alpha0, beta0 = baseline_posture(cfg, task, pose)
-    delta = _pose_delta(task, pose)
-    ox, oy = cfg.pivot_o
-    bx, by = map(float, _rocker_tip(cfg, design, delta))
 
-    # chain: A' = B + l_ab * R(beta0) u(B->C); O' = A' + l_oa * R(alpha0) u(A'->B)
-    ang = delta - cfg.effector_offset
-    ubcx, ubcy = -math.cos(ang), -math.sin(ang)
-    cb, sb = math.cos(beta0), math.sin(beta0)
-    ubax = cb * ubcx - sb * ubcy
-    ubay = sb * ubcx + cb * ubcy
+    ``static_gaps`` computes the same values for many designs at once.
+    """
+    ucbx, ucby, ubax, ubay, uaox, uaoy = _slide_frame(cfg, task, pose)
+    ox, oy = cfg.pivot_o
+    cx, cy = cfg.pivot_c
+    bx = cx + design.l_bc * ucbx
+    by = cy + design.l_bc * ucby
     apx = bx + design.l_ab * ubax
     apy = by + design.l_ab * ubay
-    ca, sa = math.cos(alpha0), math.sin(alpha0)
-    uaox = ca * (-ubax) - sa * (-ubay)
-    uaoy = sa * (-ubax) + ca * (-ubay)
     opx = apx + design.l_oa * uaox
     opy = apy + design.l_oa * uaoy
 
@@ -219,6 +238,67 @@ def static_gap(
         o_prime_final=(opx + s_final * ux, opy + s_final * uy),
         degenerate_start=False,
     )
+
+
+def static_gaps(
+    designs: np.ndarray, cfg: MechanismConfig, task: MotionTask, pose: Pose
+) -> np.ndarray:
+    """``static_gap(...).value`` for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
+
+    The slide of ``static_gap`` in the same floating-point operations, in
+    the same order, so every value is ``==`` the scalar one.  A call has a
+    fixed cost of about 50 us in array-op overhead, some ten scalar calls,
+    so it pays only across many designs.
+    """
+    designs = np.asarray(designs, dtype=float)
+    l_oa, l_ab, l_bc = designs[:, 0], designs[:, 1], designs[:, 2]
+    ucbx, ucby, ubax, ubay, uaox, uaoy = _slide_frame(cfg, task, pose)
+    ox, oy = cfg.pivot_o
+    cx, cy = cfg.pivot_c
+    bx = cx + l_bc * ucbx
+    by = cy + l_bc * ucby
+    opx = bx + l_ab * ubax + l_oa * uaox
+    opy = by + l_ab * ubay + l_oa * uaoy
+
+    r_in = np.abs(l_ab - l_oa)
+    r_out = l_ab + l_oa
+    cap = cfg.overshoot_cap
+
+    s_o = _hypot(ox - opx, oy - opy)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows that start at O
+        ux, uy = (ox - opx) / s_o, (oy - opy) / s_o
+    wx, wy = opx - bx, opy - by
+    w2 = wx * wx + wy * wy
+    p = wx * ux + wy * uy
+
+    disc_out = p * p - (w2 - r_out * r_out)
+    s_exit = -p + np.sqrt(np.maximum(disc_out, 0.0))
+
+    disc_in = p * p - (w2 - r_in * r_in)
+    hole = (r_in > 0.0) & (disc_in > _TANGENT_REL * (p * p + w2 + r_in * r_in))
+    root = np.sqrt(np.where(hole, disc_in, 0.0))
+    a1 = -p - root
+    a2 = -p + root
+    enters = hole & (a2 > 0.0) & (a1 > -1e-15)
+    s_exit = np.where(enters, np.minimum(s_exit, np.maximum(a1, 0.0)), s_exit)
+
+    values = s_o - np.minimum(s_exit, s_o + cap)
+    degenerate = s_o < _DEGENERATE_START
+    if degenerate.any():
+        slack = np.minimum(cap, np.maximum(0.0, r_out - _hypot(ox - bx, oy - by)))
+        values = np.where(degenerate, -slack, values)
+    return values
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot``, so equal to the scalar path bit for bit.
+
+    ``np.hypot`` rounds differently from ``math.hypot`` in about 0.6% of
+    pairs.  A numpy port of CPython's algorithm is exact too, but costs
+    about 100 us per call in array-op overhead, against 1 us here for one
+    pair and 30 us for the 192 points of a pattern-descent sweep.
+    """
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
 def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:

@@ -1,11 +1,16 @@
 """Constrained Bayesian optimization of the bar lengths.
 
 The loop is the classic fit/propose/evaluate cycle: Latin hypercube
-initialization, one GP per constraint plus one for the log objective, and
-an expected-improvement acquisition weighted by the probability that every
-constraint is satisfied.  Designs whose trajectory never ran simply lack
-the corresponding observation; the constraint GPs are trained on whatever
-is available.
+initialization, one GP per modelled constraint plus one for the log
+objective, and an expected-improvement acquisition weighted by the
+probability that every modelled constraint is satisfied.  Designs whose
+trajectory never ran simply lack the corresponding observation; the
+constraint GPs are trained on whatever is available.
+
+A constraint that is cheap and known in closed form is not modelled: the
+loop takes it as a mask (``known``) that zeroes the acquisition wherever it
+fails.  The mechanism optimizer does this with the two static gaps, so its
+only modelled constraint is the motion defect.
 
 Each surrogate's hyperparameter search is warm-started from its own fit
 one iteration earlier (3 L-BFGS-B starts); a surrogate's first fit, and a
@@ -25,7 +30,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .constraints import evaluate_design
+from .constraints import evaluate_design, static_gaps
 from .gp import GpModel, KernelParams, gp_fit, gp_predict
 from .kinematics import validate_baseline
 from .model import (
@@ -168,6 +173,7 @@ def propose_next(
     evaluated: list[tuple[float, ...]],
     models: SurrogateSet,
     opt_cfg: OptimizerConfig,
+    known: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[tuple[float, ...], float]:
     """Maximize the acquisition inside the box; returns (point, value).
 
@@ -176,6 +182,15 @@ def propose_next(
     width).  Deterministic for a given seed and trace length.  Never
     returns an already-evaluated point: exact collisions are nudged by a
     1e-6 box-width perturbation.
+
+    ``known`` maps an (m, d) array of points to a 0/1 (or boolean) mask of
+    the points that satisfy the known constraints.  The acquisition is the
+    constrained EI times that mask: zero where it fails, and the surrogates
+    are evaluated only where it passes.  Ties go to passing points, so,
+    up to the collision nudge, a point that fails the mask is proposed only
+    when no probe passes: then there is no slope to descend, the descent is
+    skipped and the first probe, a uniform draw, is proposed with value
+    0.0.  ``known=None`` masks nothing.
     """
     bounds = opt_cfg.bounds
     lo = np.array([b[0] for b in bounds])
@@ -183,21 +198,33 @@ def propose_next(
     widths = hi - lo
     d = len(bounds)
 
-    def acq(points: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(
-            constrained_ei(points, models.objective, models.constraints, models.f_best)
-        )
+    def acq(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The acquisition at each point, and the mask of points that pass ``known``."""
+        if known is None:
+            passing = np.ones(len(points), dtype=bool)
+        else:
+            passing = np.asarray(known(points), dtype=bool)
+        vals = np.zeros(len(points))
+        if passing.any():
+            vals[passing] = constrained_ei(
+                points[passing], models.objective, models.constraints, models.f_best
+            )
+        return vals, passing
 
     rng = np.random.default_rng(_proposal_rng_seed(opt_cfg, len(evaluated)))
     probes = lo + rng.random((opt_cfg.n_acq_samples, d)) * widths
-    vals = acq(probes)
-    order = np.argsort(-vals, kind="stable")[: opt_cfg.n_acq_starts]
+    vals, passing = acq(probes)
+    # best first; among equal values (EI can underflow to zero everywhere)
+    # passing probes come first, so a masked point never wins a tie
+    order = np.lexsort((~passing, -vals))[: opt_cfg.n_acq_starts]
 
     # all starts descend in lockstep so each sweep costs one batched
     # acquisition call; per-start trajectories are still independent
     xs = probes[order].copy()
-    vs = vals[order].astype(float).copy()
-    fracs = np.full(len(order), 0.1)
+    vs = vals[order]
+    # with every probe masked out all values tie at zero, the stable order
+    # puts the first probe first, and a zero step ends the descent at once
+    fracs = np.full(len(order), 0.1 if passing.any() else 0.0)
     guard = 0
     while True:
         active = np.nonzero(fracs >= 1e-4)[0]
@@ -209,7 +236,7 @@ def propose_next(
         for j in range(d):
             cand[:, 2 * j, j] = np.minimum(hi[j], xs[active, j] + fracs[active] * widths[j])
             cand[:, 2 * j + 1, j] = np.maximum(lo[j], xs[active, j] - fracs[active] * widths[j])
-        cv = acq(cand.reshape(-1, d)).reshape(na, 2 * d)
+        cv = acq(cand.reshape(-1, d))[0].reshape(na, 2 * d)
         best_j = np.argmax(cv, axis=1)
         best_cv = cv[np.arange(na), best_j]
         # a gain only counts if it is visible at the scale of the current
@@ -307,6 +334,7 @@ def fit_surrogates(
 def bo_minimize(
     evaluate: Callable[[tuple[float, ...]], BoStep],
     opt_cfg: OptimizerConfig,
+    known: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[BoStep], list[float | None]]:
     """Generic constrained-BO loop over a black-box evaluator.
 
@@ -314,6 +342,10 @@ def bo_minimize(
     proposed by the constrained-EI acquisition.  Each iteration's surrogates
     are warm-started from the previous iteration's.  Returns the steps and
     the acquisition value behind each one (None during initialization).
+
+    ``known`` is the mask of known constraints that ``propose_next`` applies
+    to the acquisition; the initial design ignores it.  With ``known=None``
+    every point may be proposed.
     """
     bounds = opt_cfg.bounds
     steps: list[BoStep] = []
@@ -326,7 +358,7 @@ def bo_minimize(
     models = None
     while len(steps) < opt_cfg.n_max:
         models = fit_surrogates(steps, opt_cfg, previous=models)
-        x_next, acq = propose_next([s.x for s in steps], models, opt_cfg)
+        x_next, acq = propose_next([s.x for s in steps], models, opt_cfg, known)
         steps.append(evaluate(x_next))
         acq_values.append(acq)
     return steps, acq_values
@@ -335,11 +367,13 @@ def bo_minimize(
 def step_from_record(record: EvaluationRecord) -> BoStep:
     """The loop's view of one design evaluation.
 
-    The objective GP sees log(t_rms); the constraint GPs see the two static
-    gaps and the crank-reversal range, each missing where it was not
-    observed.  A range within FEASIBLE_DYN_TOL is reported as 0.0, so the
-    loop's feasibility (every constraint <= 0) agrees with the record's.
-    The record rides along as the payload.
+    The objective GP sees log(t_rms); the one constraint GP sees the
+    crank-reversal range ``c_dyn``, missing where it was not observed.  The
+    static gaps are not modelled: ``run_optimization`` applies them exactly,
+    as the acquisition's known mask, and a design they reject has neither
+    ``c_dyn`` nor an objective.  A range within FEASIBLE_DYN_TOL is reported
+    as 0.0, so the loop's feasibility (every constraint <= 0) agrees with
+    the record's.  The record, with both gaps, rides along as the payload.
     """
     objective = None
     if record.objective is not None:
@@ -350,11 +384,7 @@ def step_from_record(record: EvaluationRecord) -> BoStep:
     return BoStep(
         x=record.design.as_tuple(),
         objective=objective,
-        constraints={
-            "c_static_i": record.constraints.c_static_i,
-            "c_static_e": record.constraints.c_static_e,
-            "c_dyn": c_dyn,
-        },
+        constraints={"c_dyn": c_dyn},
         payload=record,
     )
 
@@ -365,14 +395,22 @@ def run_optimization(
     """Optimize the three bar lengths for minimum RMS torque.
 
     Validates the baseline once, then runs the constrained-BO loop over
-    ``evaluate_design``, each record mapped by ``step_from_record``.
+    ``evaluate_design``, each record mapped by ``step_from_record``.  The
+    static gate is exact: the acquisition is zero wherever either static
+    gap is positive (``static_gaps`` at both poses), so only the objective
+    and the motion defect have surrogates.
     """
     validate_baseline(cfg, task)
 
     def evaluate(x: tuple[float, ...]) -> BoStep:
         return step_from_record(evaluate_design(DesignParams(*x), cfg, task))
 
-    steps, acq_values = bo_minimize(evaluate, opt_cfg)
+    def assembles(points: np.ndarray) -> np.ndarray:
+        return (static_gaps(points, cfg, task, "i") <= 0.0) & (
+            static_gaps(points, cfg, task, "e") <= 0.0
+        )
+
+    steps, acq_values = bo_minimize(evaluate, opt_cfg, known=assembles)
 
     records = tuple(s.payload for s in steps)
     best: tuple[DesignParams, float] | None = None

@@ -232,6 +232,7 @@ def test_optimize_outputs(capsys, tmp_path):
 
     gp_payload = json.loads(gp_json.read_text())
     assert set(gp_payload) == {"objective", "constraints", "f_best_log"}
+    assert set(gp_payload["constraints"]) <= {"c_dyn"}  # the static gaps are not modelled
     for model in gp_payload["constraints"].values():
         assert set(model) == {
             "signal_variance", "lengthscales", "noise_variance",

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from fourbar_synth.constraints import (
     dynamic_constraint,
     evaluate_design,
     static_gap,
+    static_gaps,
 )
 from fourbar_synth.kinematics import kinematic_transform, solve_ik
 from fourbar_synth.model import (
@@ -186,6 +188,50 @@ def test_static_gap_tangent_to_inner_hole_matches_marching_oracle(canon_cfg, can
     fast = static_gap(design, canon_cfg, canon_task, "i").value
     slow = brute_static_gap(design, canon_cfg, canon_task, "i")
     assert fast == pytest.approx(slow, abs=1e-6)  # marching step is 1e-6
+
+
+CANON_BOX = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
+
+
+def designs_in(box):
+    return st.tuples(*(st.floats(min_value=lo, max_value=hi) for lo, hi in box))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    designs=st.lists(
+        st.one_of(designs_in(CANON_BOX), designs_in(((0.02, 0.6),) * 3)), min_size=1, max_size=12
+    )
+)
+@example(designs=[(0.10, 0.25, 0.15)])  # the baseline: a degenerate start at both poses
+@example(designs=[(0.1, 0.25, 0.25)])  # slide ray tangent to the inner hole at pose i
+@example(designs=[(0.2, 0.2, 0.15), (0.3, 0.3, 0.1)])  # l_oa == l_ab: no inner hole
+def test_static_gaps_equal_the_scalar_gap(designs):
+    cfg = make_canon_cfg()
+    task = make_canon_task()
+    for pose in ("i", "e"):
+        values = static_gaps(np.array(designs), cfg, task, pose)
+        assert values.shape == (len(designs),)
+        for design, value in zip(designs, values):
+            assert value == static_gap(DesignParams(*design), cfg, task, pose).value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(allow_nan=False, allow_infinity=False),
+    y=st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(x=0.0, y=0.0)
+@example(x=-0.0, y=3.0)
+@example(x=3.0, y=4.0)
+@example(x=1e308, y=1e308)
+@example(x=5e-324, y=0.0)
+@example(x=1e-310, y=-3e-311)
+@example(x=1e-300, y=1.0)
+@example(x=-0.5456848129332406, y=-0.5677590143730542)  # np.hypot is 1 ulp lower here
+def test_vector_hypot_equals_math_hypot(x, y):
+    got = constraints._hypot(np.array([x, y, 0.0]), np.array([y, x, x]))
+    assert got.tolist() == [math.hypot(x, y), math.hypot(y, x), math.hypot(0.0, x)]
 
 
 def test_dynamic_constraint_hand_trace():

@@ -267,6 +267,85 @@ def test_bo_minimize_warm_starts_each_surrogate_from_its_previous_fit(monkeypatc
     assert seen.count(("c_sparse", "warm")) == 1
 
 
+def ball_testbed(x):
+    # criterion 07's testbed: minimize |x|^2 outside the ball |x| < 0.5
+    arr = np.asarray(x)
+    ball = 0.5 - float(np.linalg.norm(arr))
+    return BoStep(x=x, objective=float(arr @ arr), constraints={"ball": ball})
+
+
+def test_known_mask_passing_everything_changes_nothing():
+    opt = OptimizerConfig(
+        bounds=((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
+        n_init=12, n_max=30, n_acq_starts=16, n_acq_samples=2048, seed=0,
+    )
+    steps, acq = bo_minimize(ball_testbed, opt)
+    masked_steps, masked_acq = bo_minimize(ball_testbed, opt, known=lambda X: np.ones(len(X)))
+    assert [s.x for s in masked_steps] == [s.x for s in steps]
+    assert masked_acq == acq
+
+
+def proposal_setup():
+    opt = small_cfg(n_acq_samples=256, n_acq_starts=8)
+    steps = [
+        BoStep(x=(0.2, 0.2), objective=bowl((0.2, 0.2)), constraints={}),
+        BoStep(x=(0.8, 0.4), objective=bowl((0.8, 0.4)), constraints={}),
+        BoStep(x=(0.5, 0.9), objective=bowl((0.5, 0.9)), constraints={}),
+        BoStep(x=(0.3, 0.6), objective=bowl((0.3, 0.6)), constraints={}),
+        BoStep(x=(0.9, 0.9), objective=bowl((0.9, 0.9)), constraints={}),
+    ]
+    return opt, [s.x for s in steps], fit_surrogates(steps, opt)
+
+
+def test_propose_next_stays_where_the_known_mask_passes():
+    opt, evaluated, models = proposal_setup()
+    free, _ = propose_next(evaluated, models, opt)
+    assert free[0] < 0.6  # the bowl's minimum sits at x0 = 0.3
+
+    def right_strip(X):
+        return X[:, 0] > 0.6
+
+    x, acq = propose_next(evaluated, models, opt, known=right_strip)
+    assert x[0] > 0.6
+    assert acq > 0.0
+    assert acq == pytest.approx(
+        constrained_ei(x, models.objective, models.constraints, models.f_best), rel=1e-12
+    )
+
+
+def test_propose_next_keeps_to_the_mask_where_ei_underflows():
+    # far below every prediction, EI is exactly zero at every point; the
+    # tie must still go to a point that passes the mask
+    opt, evaluated, models = proposal_setup()
+    hopeless = optimizer.SurrogateSet(models.objective, (), (), -1e3)
+    x, acq = propose_next(evaluated, hopeless, opt)
+    assert acq == 0.0 and x[0] < 0.6  # unmasked, the first probe wins the tie
+    x, acq = propose_next(evaluated, hopeless, opt, known=lambda X: X[:, 0] > 0.6)
+    assert acq == 0.0 and x[0] > 0.6
+
+
+def test_propose_next_with_no_probe_passing_proposes_the_first_probe(monkeypatch):
+    # every probe masked out leaves a zero acquisition with no slope to
+    # descend: no sweep runs, no surrogate is evaluated, and the first probe
+    # (a uniform draw) is proposed with value 0.0
+    opt, evaluated, models = proposal_setup()
+    calls = {}
+    monkeypatch.setattr(
+        optimizer, "constrained_ei", counting(calls, "constrained_ei", optimizer.constrained_ei)
+    )
+    masked = []
+
+    def nothing(X):
+        masked.append(X.copy())
+        return np.zeros(len(X))
+
+    x, acq = propose_next(evaluated, models, opt, known=nothing)
+    assert len(masked) == 1 and masked[0].shape == (opt.n_acq_samples, 2)
+    assert x == tuple(masked[0][0])
+    assert acq == 0.0
+    assert calls == {}
+
+
 def test_fit_surrogates_best_uses_only_constraint_satisfying_steps():
     opt = small_cfg()
     steps = [
@@ -316,6 +395,10 @@ def test_run_optimization_flags_infeasible_box(canon_cfg, canon_task):
     trace = run_optimization(canon_cfg, canon_task, opt)
     assert trace.best_feasible is None
     assert all(r.objective is None for r in trace.records)
+    # no design in this box assembles, so each proposal is its first probe
+    gaps = [(r.constraints.c_static_i, r.constraints.c_static_e) for r in trace.records]
+    assert all(max(gap) > 0.0 for gap in gaps)
+    assert trace.acquisition[opt.n_init :] == (0.0, 0.0)
 
 
 def test_optimizer_config_validation():
@@ -360,3 +443,32 @@ def test_step_from_record_counts_the_tolerance_band_as_zero():
     assert step.constraints["c_dyn"] == 0.0
     models = fit_surrogates([step, step_from_record(clean)], small_cfg(bounds=bounds))
     assert models.f_best == math.log(1.5)
+
+
+def test_static_rejected_record_is_seen_only_through_c_dyn():
+    # the static gaps are the acquisition's known mask, not modelled
+    # constraints: a design they reject reaches the loop with c_dyn missing
+    # and no objective, so it never becomes f_best
+    bounds = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
+    rejected = EvaluationRecord(
+        DesignParams(0.05, 0.30, 0.20), ConstraintBundle.from_values(0.03, -0.01, None)
+    )
+    defective = EvaluationRecord(
+        DesignParams(0.06, 0.20, 0.10), ConstraintBundle.from_values(-0.01, -0.01, 0.2)
+    )
+    clean = EvaluationRecord(
+        DesignParams(0.12, 0.20, 0.10), ConstraintBundle.from_values(-0.01, -0.01, 0.0), 2.0
+    )
+    costly = EvaluationRecord(
+        DesignParams(0.10, 0.22, 0.12), ConstraintBundle.from_values(-0.01, -0.02, 0.0), 3.0
+    )
+    step = step_from_record(rejected)
+    assert step.constraints == {"c_dyn": None}
+    assert step.objective is None
+    assert step.payload is rejected
+    steps = [step] + [step_from_record(r) for r in (defective, clean, costly)]
+    models = fit_surrogates(steps, small_cfg(bounds=bounds))
+    assert models.constraint_names == ("c_dyn",)
+    assert models.constraints[0].train_y.shape == (3,)
+    assert models.objective.train_y.shape == (2,)
+    assert models.f_best == math.log(2.0)
