@@ -15,6 +15,7 @@ from .constraints import (
     baseline_posture,
     dynamic_constraint,
     evaluate_design,
+    evaluate_designs,
     static_gap,
     static_gaps,
 )
@@ -22,11 +23,8 @@ from .dynamics import (
     LinkInertia,
     MassModel,
     TorqueProfile,
-    equivalent_inertia,
-    gravity_torque,
     mass_model,
-    mechanical_energy,
-    torque_at_state,
+    posture_terms,
     torque_profile,
 )
 from .gp import GpModel, KernelParams, gp_fit, gp_predict
@@ -75,7 +73,7 @@ from .optimizer import (
     run_optimization,
     step_from_record,
 )
-from .oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep
+from .oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep, mechanical_energy
 
 __version__ = "0.1.0"
 
@@ -118,10 +116,7 @@ __all__ = [
     "MassModel",
     "TorqueProfile",
     "mass_model",
-    "equivalent_inertia",
-    "gravity_torque",
-    "mechanical_energy",
-    "torque_at_state",
+    "posture_terms",
     "torque_profile",
     # constraints
     "Pose",
@@ -132,6 +127,7 @@ __all__ = [
     "static_gaps",
     "dynamic_constraint",
     "evaluate_design",
+    "evaluate_designs",
     # surrogate
     "GpModel",
     "KernelParams",
@@ -153,4 +149,5 @@ __all__ = [
     "brute_static_gap",
     "brute_theta_sweep",
     "grid_sweep",
+    "mechanical_energy",
 ]

@@ -15,6 +15,9 @@ crossing of 0 or pi), the constraint value is the crank-angle range covered
 against the net direction of travel.
 
 Both scores feed the optimizer as data; infeasibility never raises.
+``evaluate_design`` runs the whole pipeline for one design, and
+``evaluate_designs`` for many at once, gating them together and walking the
+rest as one array per block.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Literal
 
 import numpy as np
 
-from .dynamics import torque_profile
-from .kinematics import Stroke, solve_ik
+from .dynamics import _cycle_torque, _stack_masses, mass_model, torque_profile
+from .kinematics import Stroke, _crank_angle, _Lengths, _motion_law, _walk, solve_ik
 # perfbench traces this module attribute as its kinematics span.
 from .kinematics import kinematic_transform as _transform_full
 from .model import (
@@ -42,6 +45,7 @@ from .model import (
     NotAssemblable,
     SingularState,
     TransformUnsolvable,
+    _is_feasible,
 )
 
 __all__ = [
@@ -53,12 +57,18 @@ __all__ = [
     "static_gaps",
     "dynamic_constraint",
     "evaluate_design",
+    "evaluate_designs",
 ]
 
 Pose = Literal["i", "e"]
 
 _DEGENERATE_START = 1e-9  # m; below this the slide start sits on O already
 _RATE_EPS = 1e-12  # rad/s; crank rates below this do not count as reversal
+# samples walked and costed per block: (samples x designs) float arrays of
+# 64 KB keep an array op's operands in a core's L2 cache.  On a 2-vCPU VM a
+# 13^3 canon grid took 42 to 47 ms in blocks of 20 to 81 designs, against
+# 58 to 62 ms in one block of all 416 that pass the static gate
+_BLOCK_SAMPLES = 1 << 13
 # a slide ray tangent to the inner hole has a discriminant that is zero up to
 # the rounding of its terms; below this multiple of their size it is tangent
 _TANGENT_REL = 8.0 * sys.float_info.epsilon
@@ -313,16 +323,25 @@ def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:
     """
     if len(stroke) == 0:
         raise EmptyTrajectory("dynamic_constraint needs at least one sample")
-    rates = stroke.theta_dot
-    net = stroke.theta[-1] - stroke.theta[0]
+    return _crank_reversal(stroke.theta, stroke.theta_dot)
+
+
+def _keeps_sign(rates: np.ndarray) -> bool:
+    """Whether the crank rates of a stroke keep one sign."""
+    return (rates >= 0.0).all() or (rates <= 0.0).all()
+
+
+def _crank_reversal(theta: np.ndarray, rates: np.ndarray) -> DynamicConstraintResult:
+    """The rule of ``dynamic_constraint`` on a stroke's angle and rate columns."""
+    net = theta[-1] - theta[0]
     reference_sign = 1 if net >= 0.0 else -1
-    if (rates >= 0.0).all() or (rates <= 0.0).all():
+    if _keeps_sign(rates):
         return DynamicConstraintResult(0.0, reference_sign)
     against = rates < 0.0 if reference_sign > 0 else rates > 0.0
     bad = against & (np.abs(rates) > _RATE_EPS)
     if not bad.any():
         return DynamicConstraintResult(0.0, reference_sign)
-    values = stroke.theta[bad]
+    values = theta[bad]
     return DynamicConstraintResult(float(values.max() - values.min()), reference_sign)
 
 
@@ -357,3 +376,61 @@ def evaluate_design(
         except SingularState:
             objective = None  # transmission singularity at a sample; leave uncosted
     return EvaluationRecord(design=design, constraints=bundle, objective=objective)
+
+
+def evaluate_designs(
+    designs: np.ndarray, cfg: MechanismConfig, task: MotionTask
+) -> list[EvaluationRecord]:
+    """``evaluate_design`` for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
+
+    One record per row, in row order, each ``==`` the one ``evaluate_design``
+    returns: the same gates in the same floating-point operations, batched.
+    ``static_gaps`` gates all rows at once; the rows that pass are walked,
+    scored and costed as (samples x designs) arrays, and the crank angle,
+    which only a reversing crank needs, is taken for those designs alone.
+    A call costs about 100 us before any walk, so one design is cheaper
+    through ``evaluate_design``.
+
+    Raises ValidationError for a row that is not a valid design, and
+    ValueError for an array of another shape or, as ``torque_profile``
+    does, when walked joints do not close the coupler.
+    """
+    designs = np.asarray(designs, dtype=float)
+    if designs.ndim != 2 or designs.shape[1] != 3:
+        raise ValueError(f"designs must be an (m, 3) array, got shape {designs.shape}")
+    params = [DesignParams(*row) for row in designs.tolist()]
+    if not params:
+        return []
+    gaps = list(zip(
+        static_gaps(designs, cfg, task, "i").tolist(),
+        static_gaps(designs, cfg, task, "e").tolist(),
+    ))
+    c_dyn: list[float | None] = [None] * len(params)
+    objective: list[float | None] = [None] * len(params)
+    walked = [r for r, (gap_i, gap_e) in enumerate(gaps) if gap_i <= 0.0 and gap_e <= 0.0]
+    law = tuple(column[:, None] for column in _motion_law(task))  # designs along axis 1
+    step = max(1, _BLOCK_SAMPLES // task.n_samples)
+    for rows in (walked[k : k + step] for k in range(0, len(walked), step)):
+        lengths = _Lengths(*designs[rows].T)
+        ax, ay, bx, by, theta_dot, theta_ddot, _, failed = _walk(lengths, cfg, law)
+        for j in np.flatnonzero(~failed.any(axis=0)).tolist():
+            if _keeps_sign(theta_dot[:, j]):
+                c_dyn[rows[j]] = 0.0
+            else:
+                theta = _crank_angle(ax[:, j], ay[:, j], cfg)
+                c_dyn[rows[j]] = _crank_reversal(theta, theta_dot[:, j]).value
+
+        costed = [j for j, r in enumerate(rows) if _is_feasible(*gaps[r], c_dyn[r])]
+        if not costed:
+            continue
+        masses = _stack_masses([mass_model(params[rows[j]], cfg) for j in costed])
+        _, t_rms, singular = _cycle_torque(
+            _Lengths(*(length[costed] for length in lengths)), cfg, task, masses, law[0],
+            (ax[:, costed], ay[:, costed], bx[:, costed], by[:, costed]),
+            theta_dot[:, costed], theta_ddot[:, costed],
+        )
+        for j, value, uncosted in zip(costed, t_rms.tolist(), singular.any(axis=0).tolist()):
+            if not uncosted:
+                objective[rows[j]] = value
+    bundles = [ConstraintBundle.from_values(*g, c) for g, c in zip(gaps, c_dyn)]
+    return [EvaluationRecord(*record) for record in zip(params, bundles, objective)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import Posture, Stroke
+from .kinematics import Posture, Stroke, _Lengths
 from .model import (
     DesignParams,
     EmptyTrajectory,
@@ -41,14 +41,12 @@ __all__ = [
     "MassModel",
     "TorqueProfile",
     "mass_model",
-    "equivalent_inertia",
-    "gravity_torque",
-    "mechanical_energy",
-    "torque_at_state",
+    "posture_terms",
     "torque_profile",
 ]
 
 _SINGULAR_TOL = 1e-12
+_COLLINEAR = "transmission singularity: coupler and rocker collinear"
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,19 +123,18 @@ def mass_model(design: DesignParams, cfg: MechanismConfig) -> MassModel:
 
 
 def _dyn_terms(
-    design: DesignParams,
+    design: DesignParams | _Lengths,
     cfg: MechanismConfig,
     masses: MassModel,
     ax: np.ndarray,
     ay: np.ndarray,
     bx: np.ndarray,
     by: np.ndarray,
-    t: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(I_eq, I_eq', G, Q_ext) at configurations given by joints A and B.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(I_eq, I_eq', G, Q_ext, singular) at configurations given by joints A and B.
 
-    Elementwise over scalars or stroke columns; ``t``, the time column of
-    the stroke, only names the first singular sample in the error.
+    Elementwise over scalars, stroke columns, or (n, k) arrays with the
+    lengths and masses of k designs as (k,) arrays.
 
     Velocity coefficients are taken at unit crank rate: v_A = perp(A - O),
     and the coupler/rocker rates solve the rigid-body velocity closure
@@ -147,8 +144,9 @@ def _dyn_terms(
     the crank and rocker terms of I_eq are constant, so
     I_eq' = 2 [m_ab v_G . a_G + I_ab omega_ab omega_ab' + I_C omega_r omega_r'].
 
-    Raises SingularState when coupler and rocker are collinear, where the
-    closure has no solution (the crank cannot drive through).
+    ``singular`` marks where coupler and rocker are collinear: the closure
+    has no solution there (the crank cannot drive through), and the terms
+    there are finite but meaningless.
     """
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
@@ -165,10 +163,7 @@ def _dyn_terms(
     den = bcx * bay - bcy * bax  # cross(B - C, B - A), ~ sin(beta)
     singular = np.abs(den) < _SINGULAR_TOL * design.l_bc * design.l_ab
     if singular.any():
-        raise SingularState(
-            "transmission singularity: coupler and rocker collinear",
-            t=None if t is None else float(t[np.argmax(singular)]),
-        )
+        den = np.where(singular, np.inf, den)  # no division by zero
     omega_r = (vax * bax + vay * bay) / den
     omega_ab = (vax * bcx + vay * bcy) / den
     wx = -rax - omega_ab * omega_ab * bax + omega_r * omega_r * bcx
@@ -218,80 +213,94 @@ def _dyn_terms(
         ty = lt * (sphi * co + cphi * so)
         q_ext = fx * (omega_r * -ty) + fy * (omega_r * tx)
 
-    return i_eq, 2.0 * i_half_d, g_sum, q_ext
+    return i_eq, 2.0 * i_half_d, g_sum, q_ext, singular
 
 
-def _posture_terms(
-    design: DesignParams, cfg: MechanismConfig, masses: MassModel, posture: Posture
+def _stack_masses(models: list[MassModel]) -> MassModel:
+    """The mass models of k designs as one, each field a (k,) array."""
+
+    def link(name: str) -> LinkInertia:
+        rows = [(p.mass, *p.com, p.i_com) for p in (getattr(m, name) for m in models)]
+        mass, com_x, com_y, i_com = np.array(rows).T
+        return LinkInertia(mass, (com_x, com_y), i_com)
+
+    return MassModel(link("crank"), link("coupler"), link("rocker"))
+
+
+def posture_terms(
+    design: DesignParams, cfg: MechanismConfig, posture: Posture
 ) -> tuple[float, float, float, float]:
-    """(I_eq, I_eq', G, Q_ext) at one posture."""
-    ax, ay = posture.point_a
-    bx, by = posture.point_b
-    terms = _dyn_terms(design, cfg, masses, *np.array([ax, ay, bx, by]))
-    return tuple(float(v) for v in terms)
+    """(I_eq, I_eq', G, Q_ext) at a posture: the terms of the motor torque.
 
-
-def equivalent_inertia(design: DesignParams, cfg: MechanismConfig, posture: Posture) -> float:
-    """Reflected inertia about the crank axis at a posture (kg m^2)."""
-    return _posture_terms(design, cfg, mass_model(design, cfg), posture)[0]
-
-
-def gravity_torque(design: DesignParams, cfg: MechanismConfig, posture: Posture) -> float:
-    """dV/dtheta at a posture (N m): crank torque needed to hold gravity."""
-    return _posture_terms(design, cfg, mass_model(design, cfg), posture)[2]
-
-
-def mechanical_energy(
-    design: DesignParams, cfg: MechanismConfig, posture: Posture, theta_dot: float
-) -> float:
-    """Kinetic plus gravitational potential energy at a state (J)."""
-    masses = mass_model(design, cfg)
-    i_eq = _posture_terms(design, cfg, masses, posture)[0]
-    gx, gy = cfg.gravity
-    ox, oy = cfg.pivot_o
-    cx, cy = cfg.pivot_c
-    ax, ay = posture.point_a
-    bx, by = posture.point_b
-
-    v_pot = 0.0
-    m = masses.crank.mass
-    v_pot -= m * (gx * 0.5 * (ox + ax) + gy * 0.5 * (oy + ay))
-    m = masses.coupler.mass
-    v_pot -= m * (gx * 0.5 * (ax + bx) + gy * 0.5 * (ay + by))
-    cphi = (bx - cx) / design.l_bc
-    sphi = (by - cy) / design.l_bc
-    lx, ly = masses.rocker.com
-    rgx = cx + lx * cphi - ly * sphi
-    rgy = cy + lx * sphi + ly * cphi
-    v_pot -= masses.rocker.mass * (gx * rgx + gy * rgy)
-
-    return 0.5 * i_eq * theta_dot * theta_dot + v_pot
-
-
-def torque_at_state(
-    design: DesignParams,
-    cfg: MechanismConfig,
-    posture: Posture,
-    theta_dot: float,
-    theta_ddot: float,
-) -> float:
-    """Motor torque for one instantaneous state (N m).
-
-    At rest this reduces to the static holding torque G - Q_ext.
+    At crank rate theta_dot and acceleration theta_ddot the torque is
+    I_eq theta_ddot + 1/2 I_eq' theta_dot^2 + G - Q_ext.  I_eq is the
+    reflected inertia about the crank axis (kg m^2) and I_eq' its
+    derivative over theta; G = dV/dtheta is the torque that holds gravity
+    and Q_ext the generalized torque of the tip force (N m).
 
     Raises SingularState when the posture sits on a transmission
     singularity, where the reflected inertia is unbounded.
     """
-    i_eq, i_prime, g_tau, q_ext = _posture_terms(design, cfg, mass_model(design, cfg), posture)
-    return i_eq * theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
+    ax, ay = posture.point_a
+    bx, by = posture.point_b
+    *terms, singular = _dyn_terms(design, cfg, mass_model(design, cfg), *np.array([ax, ay, bx, by]))
+    if singular:
+        raise SingularState(_COLLINEAR)
+    return tuple(float(v) for v in terms)
 
 
-def _trapezoid_sq(times: np.ndarray, values: np.ndarray) -> float:
-    """Integral of value^2 dt by the trapezoid rule, summed in sample order."""
+def _trapezoid_sq(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Integral of value^2 dt by the trapezoid rule, summed in sample order.
+
+    Over the first axis: one integral per column of (n, k) values.
+    """
     sq = values * values
     steps = 0.5 * (sq[:-1] + sq[1:]) * (times[1:] - times[:-1])
     # add.accumulate adds sequentially, like a loop; a pairwise sum would not
-    return float(np.add.accumulate(steps)[-1])
+    return np.add.accumulate(steps)[-1]
+
+
+def _cycle_torque(
+    design: DesignParams | _Lengths,
+    cfg: MechanismConfig,
+    task: MotionTask,
+    masses: MassModel,
+    t: np.ndarray,
+    joints: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    theta_dot: np.ndarray,
+    theta_ddot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(forward torque, cycle RMS, singular samples) of ``torque_profile``.
+
+    Over the columns of one stroke, or over (n, k) arrays with the lengths
+    and masses of k designs as (k,) arrays and ``t`` an (n, 1) column; the
+    RMS then has one entry per design.  ``joints`` is (ax, ay, bx, by).
+
+    Raises ValueError when a sample's joints do not close the coupler.
+    """
+    ax, ay, bx, by = joints
+    # cheap consistency guard: every sample must close the coupler
+    gap = np.hypot(ax - bx, ay - by) - design.l_ab
+    if (np.abs(gap) > 1e-6 * design.l_ab).any():
+        raise ValueError("trajectory is inconsistent with the design geometry")
+    i_eq, i_prime, g_tau, q_ext, singular = _dyn_terms(design, cfg, masses, ax, ay, bx, by)
+    tau = i_eq * theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
+    holding = g_tau - q_ext  # static torque; the dwells hold its end values
+    hold_e, hold_i = holding[0], holding[-1]
+
+    tm = task.t_move
+    td = task.t_dwell
+    integral = _trapezoid_sq(t, tau)
+    if td > 0.0:
+        integral = integral + hold_i * hold_i * td
+
+    # return stroke: sample j revisits forward sample n-1-j with the crank
+    # rate negated; squared-rate dynamics make the torque the forward one
+    # mirrored in time
+    integral = integral + _trapezoid_sq((tm + td) + t, tau[::-1])
+    if td > 0.0:
+        integral = integral + hold_e * hold_e * td
+    return tau, np.sqrt(integral / task.t_cycle), singular
 
 
 def torque_profile(
@@ -321,33 +330,11 @@ def torque_profile(
     if n != task.n_samples:
         raise ValueError("trajectory sample count does not match the task")
 
-    ax, ay = stroke.point_a.T
-    bx, by = stroke.point_b.T
-    # cheap consistency guard: every sample must close the coupler
-    gap = np.hypot(ax - bx, ay - by) - design.l_ab
-    if (np.abs(gap) > 1e-6 * design.l_ab).any():
-        raise ValueError("trajectory is inconsistent with the design geometry")
-    masses = mass_model(design, cfg)
-    i_eq, i_prime, g_tau, q_ext = _dyn_terms(design, cfg, masses, ax, ay, bx, by, stroke.t)
-    theta_dot = stroke.theta_dot
-    fwd_t = stroke.t
-    fwd_tau = i_eq * stroke.theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
-    holding = g_tau - q_ext  # static torque; the dwells hold its end values
-    hold_e, hold_i = float(holding[0]), float(holding[-1])
-
-    tm = task.t_move
-    td = task.t_dwell
-    t_cycle = task.t_cycle
-
-    integral = _trapezoid_sq(fwd_t, fwd_tau)
-    if td > 0.0:
-        integral += hold_i * hold_i * td
-
-    # return stroke: sample j revisits forward sample n-1-j with the crank
-    # rate negated; squared-rate dynamics make the torque the forward one
-    # mirrored in time
-    integral += _trapezoid_sq((tm + td) + fwd_t, fwd_tau[::-1])
-    if td > 0.0:
-        integral += hold_e * hold_e * td
-
-    return TorqueProfile(torque=fwd_tau, t_cycle=t_cycle, t_rms=math.sqrt(integral / t_cycle))
+    joints = (*stroke.point_a.T, *stroke.point_b.T)
+    tau, t_rms, singular = _cycle_torque(
+        design, cfg, task, mass_model(design, cfg), stroke.t, joints,
+        stroke.theta_dot, stroke.theta_ddot,
+    )
+    if singular.any():
+        raise SingularState(_COLLINEAR, t=float(stroke.t[np.argmax(singular)]))
+    return TorqueProfile(torque=tau, t_cycle=task.t_cycle, t_rms=float(t_rms))

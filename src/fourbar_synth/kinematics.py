@@ -18,7 +18,8 @@ failure rule: the first sample in walk order that does not assemble or
 meets an interior dead point raises ``TransformUnsolvable``.  The walk
 returns a ``Stroke``, a struct of arrays whose joint columns the dynamics
 reads as they are, and ``validate_baseline`` checks the baseline on that
-same walk.
+same walk.  Its kernels are elementwise, so the same walk also runs many
+designs at once, as (samples x designs) arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +111,7 @@ class Stroke:
         return len(self.t)
 
 
-def _rocker_tip(cfg: MechanismConfig, design: DesignParams, delta):
+def _rocker_tip(cfg: MechanismConfig, design: DesignParams | _Lengths, delta):
     """Point B for effector angles delta, elementwise."""
     ang = delta - cfg.effector_offset
     cx, cy = cfg.pivot_c
@@ -210,7 +212,7 @@ def kinematic_coefficients(
 
 
 def _crank_coefficients(
-    design: DesignParams,
+    design: DesignParams | _Lengths,
     cfg: MechanismConfig,
     ax: np.ndarray,
     ay: np.ndarray,
@@ -279,6 +281,63 @@ def _motion_law(task: MotionTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return law
 
 
+class _Lengths(NamedTuple):
+    """Bar lengths of k designs as (k,) arrays, read as a DesignParams is.
+
+    The kernels are elementwise, so against (n, 1) sample columns each
+    result is an (n, k) array, one column per design, every entry ``==``
+    that of the design's own call.
+    """
+
+    l_oa: np.ndarray
+    l_ab: np.ndarray
+    l_bc: np.ndarray
+
+
+def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, law: tuple[np.ndarray, ...]):
+    """The stroke walk of ``kinematic_transform`` up to its failure rule, elementwise.
+
+    ``law`` is the task's ``_motion_law``.  Returns (ax, ay, bx, by,
+    theta_dot, theta_ddot, assembles, failed): columns over the samples for
+    one design, or (n, k) arrays for ``_Lengths`` and the law as (n, 1)
+    columns.  ``failed`` marks the samples that do not assemble or meet a
+    crank-coupler dead point inside the stroke; a design with a failed
+    sample has no meaningful rates.
+    """
+    _, delta, delta_dot, delta_ddot = law
+    ox, oy = cfg.pivot_o
+    bx, by = _rocker_tip(cfg, design, delta)
+    ax, ay, assembles = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, cfg.branch)
+
+    ratio, accel, dead = _crank_coefficients(design, cfg, ax, ay, bx, by)
+    failed = ~assembles
+    failed[1:-1] |= dead[1:-1]
+    with np.errstate(invalid="ignore"):
+        theta_dot = ratio * delta_dot
+        theta_ddot = accel * delta_dot * delta_dot + ratio * delta_ddot
+    if dead.any():
+        # a walk that does not fail meets dead points only at the stroke
+        # ends, where the quintic brings the effector, and so the crank, to rest
+        theta_dot[dead] = 0.0
+        theta_ddot[dead] = 0.0
+    return ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed
+
+
+def _crank_angle(ax: np.ndarray, ay: np.ndarray, cfg: MechanismConfig) -> np.ndarray:
+    """Crank angle along one walk, continued outward from the mid-stroke sample."""
+    n = len(ax)
+    mid = n // 2
+    ox, oy = cfg.pivot_o
+    # math.atan2, not np.arctan2: the two differ in the last bit
+    raw = np.fromiter(map(math.atan2, (ay - oy).tolist(), (ax - ox).tolist()), float, n)
+    # whole turns that keep each step outward from mid-stroke below pi
+    turns = np.round((raw[:-1] - raw[1:]) / math.tau)
+    offset = np.zeros(n)
+    offset[mid + 1 :] = np.cumsum(turns[mid:])
+    offset[:mid] = np.cumsum(-turns[mid - 1 :: -1])[::-1]
+    return raw + math.tau * offset
+
+
 def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: MotionTask) -> Stroke:
     """Map the effector stroke onto the crank: full state at every sample.
 
@@ -298,35 +357,15 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
     the first failing sample in walk order (the mid-stroke sample up to the
     last, then down to the first) and whether it failed at a dead point.
     """
-    t, delta, delta_dot, delta_ddot = _motion_law(task)
-    n = task.n_samples
-    mid = n // 2
-    ox, oy = cfg.pivot_o
-    bx, by = _rocker_tip(cfg, design, delta)
-    ax, ay, assembles = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, cfg.branch)
-
-    ratio, accel, dead = _crank_coefficients(design, cfg, ax, ay, bx, by)
-    failed = ~assembles
-    failed[1:-1] |= dead[1:-1]
+    law = _motion_law(task)
+    t, delta, delta_dot, delta_ddot = law
+    ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed = _walk(design, cfg, law)
     if failed.any():
+        mid = task.n_samples // 2
         upper = np.flatnonzero(failed[mid:])
         k = mid + upper[0] if upper.size else np.flatnonzero(failed[:mid])[-1]
         raise TransformUnsolvable(float(delta[k]), dead_point=bool(assembles[k]))
-    with np.errstate(invalid="ignore"):
-        theta_dot = ratio * delta_dot
-        theta_ddot = accel * delta_dot * delta_dot + ratio * delta_ddot
-    for k in (0, n - 1):
-        if dead[k]:
-            theta_dot[k] = theta_ddot[k] = 0.0
-
-    # math.atan2, not np.arctan2: the two differ in the last bit
-    raw = np.fromiter(map(math.atan2, (ay - oy).tolist(), (ax - ox).tolist()), float, n)
-    # whole turns that keep each step outward from mid-stroke below pi
-    turns = np.round((raw[:-1] - raw[1:]) / math.tau)
-    offset = np.zeros(n)
-    offset[mid + 1 :] = np.cumsum(turns[mid:])
-    offset[:mid] = np.cumsum(-turns[mid - 1 :: -1])[::-1]
-    theta = raw + math.tau * offset
+    theta = _crank_angle(ax, ay, cfg)
 
     # (n, 2) in column-major order, so that each coordinate is contiguous
     point_a = np.array((ax, ay)).T

@@ -14,7 +14,7 @@ import pytest
 
 from fourbar_synth.cli import main as cli_main
 from fourbar_synth.constraints import dynamic_constraint, static_gap
-from fourbar_synth.dynamics import mechanical_energy, torque_profile
+from fourbar_synth.dynamics import torque_profile
 from fourbar_synth.gp import KernelParams, gp_fit, gp_predict
 from fourbar_synth.kinematics import (
     kinematic_coefficients,
@@ -24,7 +24,7 @@ from fourbar_synth.kinematics import (
 )
 from fourbar_synth.model import DesignParams, NotAssemblable, OptimizerConfig
 from fourbar_synth.optimizer import BoStep, bo_minimize, run_optimization
-from fourbar_synth.oracle import brute_static_gap, brute_theta_sweep, grid_sweep
+from fourbar_synth.oracle import brute_static_gap, brute_theta_sweep, grid_sweep, mechanical_energy
 
 from conftest import CANON_CONFIG, REPO_ROOT, fake_stroke
 

@@ -11,15 +11,18 @@ from fourbar_synth.constraints import (
     baseline_posture,
     dynamic_constraint,
     evaluate_design,
+    evaluate_designs,
     static_gap,
     static_gaps,
 )
+from fourbar_synth import kinematics
 from fourbar_synth.kinematics import kinematic_transform, solve_ik
 from fourbar_synth.model import (
     DesignParams,
     EmptyTrajectory,
     MechanismConfig,
     MotionTask,
+    ValidationError,
 )
 from fourbar_synth.oracle import brute_static_gap
 
@@ -301,3 +304,93 @@ def test_evaluate_design_reaches_layers_through_module_attributes(monkeypatch, c
         monkeypatch.setattr(constraints, name, counting(calls, name, getattr(constraints, name)))
     assert evaluate_design(canon_cfg.baseline, canon_cfg, canon_task).objective is not None
     assert calls == {"static_gap": 2, "_transform_full": 1, "dynamic_constraint": 1, "torque_profile": 1}
+
+
+CANON = make_canon_cfg()
+MINUS = dataclasses.replace(CANON, branch="minus")
+PUSHED = dataclasses.replace(CANON, tip_force=(3.0, -2.0))
+TASK = make_canon_task()
+DWELL = dataclasses.replace(TASK, t_dwell=0.1)
+# crank and coupler stretch into one line at mid-stroke (tests/test_kinematics.py)
+STRETCHED = MechanismConfig(
+    pivot_c=(0.25, 0.0),
+    baseline=DesignParams(0.125, 0.375, 0.25),
+    branch="plus",
+    effector_offset=TASK.delta_mid,
+)
+# crank and coupler stretched at delta_e: a dead point at the first sample
+END_DEAD = (0.1, 0.23541019662486845, 0.15)
+BASELINE = (0.10, 0.25, 0.15)
+REVERSAL = (0.244710222, 0.133037882, 0.166103598)
+# coupler and rocker collinear at delta_i: the walk completes, the torque is singular
+SINGULAR = (0.20531415706603068, 0.25, 0.15)
+# test_kinematics.py's mid-stroke unsolvable, interior and stroke-end dead-point
+# designs; on the canon config the static gate at pose e stops all three
+KINEMATICS_FAILURES = [
+    (0.06, 0.19980662113533157, 0.15),
+    (0.1, 0.22717658083037312, 0.15),
+    END_DEAD,
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    designs=st.lists(
+        st.one_of(designs_in(CANON_BOX), designs_in(((0.02, 0.6),) * 3)), min_size=1, max_size=12
+    ),
+    cfg=st.sampled_from([CANON, MINUS, PUSHED]),
+    task=st.sampled_from([TASK, DWELL]),
+)
+@example(designs=[BASELINE], cfg=CANON, task=TASK)  # feasible and costed
+@example(designs=[(0.02, 0.25, 0.15)], cfg=CANON, task=TASK)  # static reject
+@example(designs=[REVERSAL], cfg=CANON, task=TASK)  # motion defect: theta is read
+@example(designs=[(0.1, 0.25, 0.25)], cfg=CANON, task=TASK)  # slide ray tangent to the inner hole
+@example(designs=[SINGULAR], cfg=CANON, task=TASK)  # feasible, left uncosted by SingularState
+@example(designs=[(0.125, 0.374, 0.25)], cfg=STRETCHED, task=TASK)  # unsolvable: no assembly at mid-stroke
+@example(designs=[(0.125, 0.375, 0.25)], cfg=STRETCHED, task=TASK)  # unsolvable: interior dead point
+# stroke-end dead point: as the baseline it passes the gate, and the walk rests the crank
+@example(designs=[END_DEAD], cfg=dataclasses.replace(CANON, baseline=DesignParams(*END_DEAD)), task=TASK)
+@example(designs=[BASELINE, SINGULAR, (0.02, 0.25, 0.15), REVERSAL, *KINEMATICS_FAILURES], cfg=CANON, task=TASK)
+def test_evaluate_designs_equals_evaluate_design(designs, cfg, task):
+    want = [evaluate_design(DesignParams(*design), cfg, task) for design in designs]
+    assert evaluate_designs(np.array(designs), cfg, task) == want
+
+
+def test_evaluate_designs_outcomes_of_the_examples(canon_cfg, canon_task):
+    # the examples above reach the outcomes they are named for
+    (singular,) = evaluate_designs(np.array([SINGULAR]), canon_cfg, canon_task)
+    assert singular.constraints.feasible and singular.objective is None
+    stretched = evaluate_designs(np.array([(0.125, 0.374, 0.25), (0.125, 0.375, 0.25)]), STRETCHED, canon_task)
+    for record in stretched:
+        assert max(record.constraints.c_static_i, record.constraints.c_static_e) <= 0.0
+        assert record.constraints.c_dyn is None
+    end_cfg = dataclasses.replace(canon_cfg, baseline=DesignParams(*END_DEAD))
+    (end,) = evaluate_designs(np.array([END_DEAD]), end_cfg, canon_task)
+    assert end.constraints.feasible and end.objective is not None
+    assert kinematic_transform(end.design, end_cfg, canon_task).theta_dot[0] == 0.0
+
+
+def test_evaluate_designs_takes_an_m_by_3_array(canon_cfg, canon_task):
+    assert evaluate_designs(np.zeros((0, 3)), canon_cfg, canon_task) == []
+    for shape in ((3,), (2, 6), (1, 3, 1)):
+        with pytest.raises(ValueError, match="an \\(m, 3\\) array"):
+            evaluate_designs(np.full(shape, 0.1), canon_cfg, canon_task)
+    with pytest.raises(ValidationError):
+        evaluate_designs(np.array([BASELINE, (0.1, -0.25, 0.15)]), canon_cfg, canon_task)
+
+
+def test_evaluate_designs_lets_the_joint_closure_guard_raise(monkeypatch, canon_cfg, canon_task):
+    # walked joints that do not close the coupler raise in the torque guard,
+    # for one design as for a batch
+    walk = kinematics._walk
+
+    def shifted(*args):
+        ax, *rest = walk(*args)
+        return ax + 1e-3, *rest
+
+    monkeypatch.setattr(kinematics, "_walk", shifted)
+    monkeypatch.setattr(constraints, "_walk", shifted)
+    with pytest.raises(ValueError, match="inconsistent with the design geometry"):
+        evaluate_design(canon_cfg.baseline, canon_cfg, canon_task)
+    with pytest.raises(ValueError, match="inconsistent with the design geometry"):
+        evaluate_designs(np.array([BASELINE, BASELINE]), canon_cfg, canon_task)

@@ -4,14 +4,7 @@ import math
 import pytest
 from scipy.integrate import simpson
 
-from fourbar_synth.dynamics import (
-    equivalent_inertia,
-    gravity_torque,
-    mass_model,
-    mechanical_energy,
-    torque_at_state,
-    torque_profile,
-)
+from fourbar_synth.dynamics import mass_model, posture_terms, torque_profile
 from fourbar_synth.kinematics import (
     Posture,
     kinematic_transform,
@@ -25,8 +18,15 @@ from fourbar_synth.model import (
     MechanismConfig,
     SingularState,
 )
+from fourbar_synth.oracle import mechanical_energy
 
 from conftest import fake_stroke, make_canon_task
+
+
+def motor_torque(design, cfg, posture, theta_dot, theta_ddot):
+    """I_eq theta_ddot + 1/2 I_eq' theta_dot^2 + G - Q_ext from the posture terms."""
+    i_eq, i_prime, g_tau, q_ext = posture_terms(design, cfg, posture)
+    return i_eq * theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
 
 
 def trapz_sq(samples):
@@ -103,8 +103,8 @@ def test_massless_links_give_zero_torque(canon_cfg):
     mm = mass_model(cfg.baseline, cfg)
     assert mm.crank.mass == 0.0 and mm.coupler.mass == 0.0 and mm.rocker.mass == 0.0
     p = solve_ik(cfg.baseline, cfg, math.radians(110.0), "plus")
-    assert torque_at_state(cfg.baseline, cfg, p, 3.0, -7.0) == 0.0
-    assert equivalent_inertia(cfg.baseline, cfg, p) == 0.0
+    assert motor_torque(cfg.baseline, cfg, p, 3.0, -7.0) == 0.0
+    assert posture_terms(cfg.baseline, cfg, p)[0] == 0.0
 
 
 def test_holding_torque_bare_crank(canon_cfg):
@@ -113,9 +113,9 @@ def test_holding_torque_bare_crank(canon_cfg):
         canon_cfg, link_density=(2.0, 0.0, 0.0), payload_mass=0.0
     )
     p = solve_fk(cfg.baseline, cfg, 0.0, "plus")
-    tau = torque_at_state(cfg.baseline, cfg, p, 0.0, 0.0)
+    tau = motor_torque(cfg.baseline, cfg, p, 0.0, 0.0)
     assert tau == pytest.approx(0.2 * 9.81 * 0.05, abs=1e-12)
-    assert gravity_torque(cfg.baseline, cfg, p) == pytest.approx(tau, abs=1e-15)
+    assert posture_terms(cfg.baseline, cfg, p)[2] == pytest.approx(tau, abs=1e-15)
 
 
 def test_reflected_inertia_bare_crank(canon_cfg):
@@ -126,26 +126,26 @@ def test_reflected_inertia_bare_crank(canon_cfg):
         gravity=(0.0, 0.0),
     )
     p = solve_fk(cfg.baseline, cfg, 0.0, "plus")
-    tau = torque_at_state(cfg.baseline, cfg, p, 0.0, 1.0)
+    tau = motor_torque(cfg.baseline, cfg, p, 0.0, 1.0)
     assert tau == pytest.approx(0.2 * 0.10**2 / 3.0, abs=1e-12)
 
 
 def test_torque_affine_in_acceleration(canon_cfg):
     design = canon_cfg.baseline
     p = solve_ik(design, canon_cfg, math.radians(110.0), "plus")
-    t0 = torque_at_state(design, canon_cfg, p, 1.7, 0.0)
-    t1 = torque_at_state(design, canon_cfg, p, 1.7, 1.0)
-    t2 = torque_at_state(design, canon_cfg, p, 1.7, 2.0)
+    t0 = motor_torque(design, canon_cfg, p, 1.7, 0.0)
+    t1 = motor_torque(design, canon_cfg, p, 1.7, 1.0)
+    t2 = motor_torque(design, canon_cfg, p, 1.7, 2.0)
     assert t2 - t0 == pytest.approx(2.0 * (t1 - t0), abs=1e-10)
-    assert t1 - t0 == pytest.approx(equivalent_inertia(design, canon_cfg, p), abs=1e-10)
+    assert t1 - t0 == pytest.approx(posture_terms(design, canon_cfg, p)[0], abs=1e-10)
 
 
 def test_centrifugal_term_quadratic_in_rate(canon_cfg):
     cfg = dataclasses.replace(canon_cfg, gravity=(0.0, 0.0))
     design = cfg.baseline
     p = solve_ik(design, cfg, math.radians(110.0), "plus")
-    t1 = torque_at_state(design, cfg, p, 1.3, 0.0)
-    t2 = torque_at_state(design, cfg, p, 2.6, 0.0)
+    t1 = motor_torque(design, cfg, p, 1.3, 0.0)
+    t2 = motor_torque(design, cfg, p, 2.6, 0.0)
     assert t2 == pytest.approx(4.0 * t1, abs=1e-10)
 
 
@@ -156,11 +156,11 @@ def test_centrifugal_term_is_half_inertia_gradient(canon_cfg):
     for elbow in ("plus", "minus"):
         for theta in (1.2, 1.6, 2.0, 2.4):
             p = solve_fk(design, canon_cfg, theta, elbow)
-            half_grad = torque_at_state(design, canon_cfg, p, 1.0, 0.0) - torque_at_state(
+            half_grad = motor_torque(design, canon_cfg, p, 1.0, 0.0) - motor_torque(
                 design, canon_cfg, p, 0.0, 0.0
             )
-            i_hi = equivalent_inertia(design, canon_cfg, solve_fk(design, canon_cfg, theta + h, elbow))
-            i_lo = equivalent_inertia(design, canon_cfg, solve_fk(design, canon_cfg, theta - h, elbow))
+            i_hi = posture_terms(design, canon_cfg, solve_fk(design, canon_cfg, theta + h, elbow))[0]
+            i_lo = posture_terms(design, canon_cfg, solve_fk(design, canon_cfg, theta - h, elbow))[0]
             assert half_grad == pytest.approx(0.5 * (i_hi - i_lo) / (2 * h), abs=1e-10)
 
 
@@ -168,20 +168,20 @@ def test_gravity_flip(canon_cfg):
     flipped = dataclasses.replace(canon_cfg, gravity=(0.0, 9.81))
     design = canon_cfg.baseline
     p = solve_ik(design, canon_cfg, math.radians(110.0), "plus")
-    assert gravity_torque(design, flipped, p) == -gravity_torque(design, canon_cfg, p)
-    assert equivalent_inertia(design, flipped, p) == equivalent_inertia(design, canon_cfg, p)
+    assert posture_terms(design, flipped, p)[2] == -posture_terms(design, canon_cfg, p)[2]
+    assert posture_terms(design, flipped, p)[0] == posture_terms(design, canon_cfg, p)[0]
 
 
 def test_reflected_inertia_positive_over_stroke(canon_cfg, canon_task):
     for p in postures(validate_baseline(canon_cfg, canon_task)):
-        assert equivalent_inertia(canon_cfg.baseline, canon_cfg, p) > 0.0
+        assert posture_terms(canon_cfg.baseline, canon_cfg, p)[0] > 0.0
 
 
 def test_singular_fold_raises():
     cfg = MechanismConfig(pivot_c=(4.0, 0.0), baseline=DesignParams(1.0, 1.5, 1.5), branch="plus")
     p = solve_fk(cfg.baseline, cfg, 0.0, "plus")
     with pytest.raises(SingularState):
-        equivalent_inertia(cfg.baseline, cfg, p)
+        posture_terms(cfg.baseline, cfg, p)
 
 
 def test_energy_splits_into_kinetic_and_potential(canon_cfg):
@@ -189,7 +189,7 @@ def test_energy_splits_into_kinetic_and_potential(canon_cfg):
     p = solve_ik(design, canon_cfg, math.radians(125.0), "plus")
     e0 = mechanical_energy(design, canon_cfg, p, 0.0)
     e1 = mechanical_energy(design, canon_cfg, p, 2.0)
-    i_eq = equivalent_inertia(design, canon_cfg, p)
+    i_eq = posture_terms(design, canon_cfg, p)[0]
     assert e1 - e0 == pytest.approx(0.5 * i_eq * 4.0, abs=1e-12)
     weightless = dataclasses.replace(canon_cfg, gravity=(0.0, 0.0))
     assert mechanical_energy(design, weightless, p, 0.0) == 0.0
@@ -217,7 +217,7 @@ def test_return_stroke_mirrors_forward(canon_cfg, canon_task):
     stroke = kinematic_transform(design, canon_cfg, canon_task)
     profile = torque_profile(design, canon_cfg, canon_task, stroke)
     for k, p in enumerate(postures(stroke)):
-        back = torque_at_state(design, canon_cfg, p, -stroke.theta_dot[k], stroke.theta_ddot[k])
+        back = motor_torque(design, canon_cfg, p, -stroke.theta_dot[k], stroke.theta_ddot[k])
         assert back == profile.torque[k]
     half = trapz_sq(list(zip(stroke.t.tolist(), profile.torque.tolist())))
     assert profile.t_rms == pytest.approx(math.sqrt(2.0 * half / profile.t_cycle), rel=1e-12)
@@ -237,7 +237,7 @@ def test_dwell_holds_static_torque(canon_cfg):
     assert t_in == pytest.approx(task.t_move, abs=1e-15)
     assert cycle[n + 1] == pytest.approx((task.t_move + 0.1, tau_in))
     p_end = solve_ik(design, canon_cfg, task.delta_i, "plus")
-    assert tau_in == pytest.approx(gravity_torque(design, canon_cfg, p_end), abs=1e-12)
+    assert tau_in == pytest.approx(posture_terms(design, canon_cfg, p_end)[2], abs=1e-12)
     assert profile.t_rms == pytest.approx(
         math.sqrt(trapz_sq(cycle) / profile.t_cycle), rel=1e-12
     )

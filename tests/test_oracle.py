@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from fourbar_synth import oracle
-from fourbar_synth.constraints import static_gap
+from fourbar_synth.constraints import evaluate_designs, static_gap
 from fourbar_synth.kinematics import kinematic_transform, solve_ik
 from fourbar_synth.model import DesignParams, MechanismConfig
 from fourbar_synth.oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep
 
-from conftest import counting, make_canon_task
+from conftest import make_canon_task
 
 
 def test_brute_ik_finds_the_closed_form_roots(canon_cfg):
@@ -107,10 +107,19 @@ def test_theta_sweep_tracks_reversals(canon_cfg):
     assert any(d > 0 for d in diffs) and any(d < 0 for d in diffs)
 
 
-def test_grid_sweep_reaches_evaluate_design_through_module_attribute(monkeypatch, canon_cfg, canon_task):
-    # the benchmark times each grid cell by wrapping this name in oracle
-    calls = {}
-    monkeypatch.setattr(oracle, "evaluate_design", counting(calls, "evaluate_design", oracle.evaluate_design))
+def test_grid_sweep_evaluates_every_cell_in_one_batch(monkeypatch, canon_cfg, canon_task):
+    # one evaluate_designs call, looked up in oracle, over the cells in
+    # row-major order (l_oa outermost, l_bc innermost)
+    batches = []
+
+    def recording(designs, cfg, task):
+        batches.append(np.array(designs).tolist())
+        return evaluate_designs(designs, cfg, task)
+
+    monkeypatch.setattr(oracle, "evaluate_designs", recording)
     bounds = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
-    assert len(grid_sweep(canon_cfg, canon_task, bounds, resolution=2)) == 8
-    assert calls == {"evaluate_design": 8}
+    records = grid_sweep(canon_cfg, canon_task, bounds, resolution=3)
+    axes = [np.linspace(lo, hi, 3).tolist() for lo, hi in bounds]
+    cells = [[a, b, c] for a in axes[0] for b in axes[1] for c in axes[2]]
+    assert batches == [cells]
+    assert [list(r.design.as_tuple()) for r in records] == cells
