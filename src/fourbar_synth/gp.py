@@ -6,9 +6,9 @@ are standardized; hyperparameters (signal variance, per-dimension
 lengthscales, noise variance) maximize the log marginal likelihood by
 multi-start L-BFGS ascent in log-space with analytic gradients.  A cold fit
 runs 8 starts (a fixed default and 7 seeded random points).  A warm fit,
-given the kernel of the same surrogate's previous fit, runs 3: that kernel,
-the default and one random point.  The winner is the start whose returned
-point scores the lowest NLML, ties going to the earlier start.
+given the kernel of the same surrogate's previous fit, runs 2: that kernel,
+then the default.  The winner is the start whose returned point scores the
+lowest NLML, ties going to the earlier start.
 
 The fit is dominated by call overhead, not arithmetic: training sets are
 small (tens of points) and L-BFGS evaluates the likelihood dozens of times
@@ -29,7 +29,8 @@ memory layout as the plain expressions they replace (for instance each
 gradient sum is ``.sum()`` over a C-ordered (n, n) array), so for a given
 seed the likelihood, the fitted factors and the predictions are bit-for-bit
 what the straightforward scipy.linalg code gives.  Deterministic: a seeded
-RNG draws the random starts.
+RNG draws a cold fit's random starts, and a warm fit draws none, so it does
+not depend on the seed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict"]
 _SQRT5 = math.sqrt(5.0)
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 _COLD_RANDOM_STARTS = 7  # besides the default start
-_WARM_RANDOM_STARTS = 1  # besides the warm and the default start
 
 # log-space box for the hyperparameter search (standardized targets,
 # unit-cube inputs), order: signal variance, lengthscales..., noise variance
@@ -199,6 +199,20 @@ class _LmlWorkspace:
         return nlml, grad
 
 
+def _check_kernel(name: str, k: KernelParams, d: int, positive_noise: bool) -> None:
+    """Raise ``ValueError`` naming the first field of ``k`` a d-input fit cannot use."""
+    if len(k.lengthscales) != d:
+        raise ValueError(f"{name}.lengthscales has {len(k.lengthscales)} entries for {d} input dimensions")
+    fields = [("signal_variance", k.signal_variance)]
+    fields += [(f"lengthscales[{j}]", v) for j, v in enumerate(k.lengthscales)]
+    fields.append(("noise_variance", k.noise_variance))
+    for key, value in fields:
+        if not math.isfinite(value):
+            raise ValueError(f"{name}.{key} must be finite, got {value!r}")
+        if value <= 0.0 and (positive_noise or key != "noise_variance"):
+            raise ValueError(f"{name}.{key} must be > 0, got {value!r}")
+
+
 def gp_fit(
     points: list[tuple[tuple[float, ...], float]],
     bounds: tuple[tuple[float, float], ...],
@@ -216,17 +230,21 @@ def gp_fit(
     Otherwise the hyperparameters maximize the log marginal likelihood, and
     the model factors the very kernel matrix whose likelihood the search
     scored best.  Without ``start`` the search is cold: 8 L-BFGS-B starts,
-    the fixed default and 7 seeded random points.  ``start``, a kernel with
-    positive variances such as the same surrogate's fit on one point fewer,
-    makes it warm: log(start), the default and one seeded random point.
+    the fixed default and 7 seeded random points.  ``start``, such as the
+    same surrogate's fit on one point fewer, makes it warm: log(start), then
+    the default; a warm fit draws no random start and ignores ``seed``.
     The winner is the start whose returned point the workspace scores
     lowest, the earliest on a tie (L-BFGS-B's ``fun`` after an abnormal
     line-search exit need not be the value at that point).
 
     Pass ``kernel`` to skip the search and condition on fixed values (used
     by tests and diagnostics); its kernel matrix comes from the same
-    workspace.  Raises ``LinAlgError`` when no jitter rung can factor the
-    kernel matrix.  The search is deterministic for a given seed and start.
+    workspace.  ``start`` and ``kernel`` need d lengthscales, and finite,
+    positive variances and lengthscales, else ``ValueError`` names the
+    field; only a fixed kernel's noise variance may be zero or negative
+    (it is added to K's diagonal as given).  Raises ``LinAlgError`` when no
+    jitter rung can factor the kernel matrix.  The search is deterministic
+    for a given seed and start.
     """
     if len(points) < 2:
         raise ValueError("gp_fit needs at least 2 observations")
@@ -237,6 +255,10 @@ def gp_fit(
     n, d = x.shape
     if len(bounds) != d:
         raise ValueError("bounds dimension does not match inputs")
+    if start is not None:
+        _check_kernel("start", start, d, positive_noise=True)
+    if kernel is not None:
+        _check_kernel("kernel", kernel, d, positive_noise=False)
 
     if float(np.ptp(y)) == 0.0:
         return GpModel(
@@ -257,22 +279,21 @@ def gp_fit(
 
     lml = _LmlWorkspace(x_unit, y_std)
     if kernel is None:
-        rng = np.random.default_rng(seed)
-        starts = [np.array([0.0] + [math.log(0.5)] * d + [math.log(1e-4)])]
-        n_random = _COLD_RANDOM_STARTS
+        default = np.array([0.0] + [math.log(0.5)] * d + [math.log(1e-4)])
         if start is not None:
-            warm = [start.signal_variance, *start.lengthscales, start.noise_variance]
-            starts.insert(0, np.log(warm))
-            n_random = _WARM_RANDOM_STARTS
-        for _ in range(n_random):
-            s = np.concatenate(
-                [
-                    rng.uniform(math.log(0.1), math.log(10.0), 1),
-                    rng.uniform(math.log(0.05), math.log(2.0), d),
-                    rng.uniform(math.log(1e-8), math.log(1e-2), 1),
-                ]
-            )
-            starts.append(s)
+            starts = [np.log([start.signal_variance, *start.lengthscales, start.noise_variance]), default]
+        else:
+            rng = np.random.default_rng(seed)
+            starts = [default]
+            for _ in range(_COLD_RANDOM_STARTS):
+                s = np.concatenate(
+                    [
+                        rng.uniform(math.log(0.1), math.log(10.0), 1),
+                        rng.uniform(math.log(0.05), math.log(2.0), d),
+                        rng.uniform(math.log(1e-8), math.log(1e-2), 1),
+                    ]
+                )
+                starts.append(s)
         box = [_LOG_BOUNDS_SIGNAL] + [_LOG_BOUNDS_LENGTH] * d + [_LOG_BOUNDS_NOISE]
         best_x, best_nlml = None, math.inf
         for s in starts:

@@ -13,8 +13,9 @@ fails.  The mechanism optimizer does this with the two static gaps, so its
 only modelled constraint is the motion defect.
 
 Each surrogate's hyperparameter search is warm-started from its own fit
-one iteration earlier (3 L-BFGS-B starts); a surrogate's first fit, and a
-fit after a constant-data (degenerate) one, is cold (8 starts).
+one iteration earlier (2 L-BFGS-B starts: that kernel, then the default); a
+surrogate's first fit, and a fit after a constant-data (degenerate) one, is
+cold (8 starts).
 
 Everything is deterministic for a given seed: the LHS, the GP multistarts,
 the acquisition probes and the pattern-descent refinements all derive their
@@ -293,8 +294,8 @@ def fit_surrogates(
 
     Without ``previous`` every fit is a cold 8-start search.  With it, each
     model whose counterpart in ``previous`` (the objective model, or the
-    constraint model of the same name) is non-degenerate is a warm 3-start
-    search from that counterpart's kernel.
+    constraint model of the same name) is non-degenerate is a warm 2-start
+    search from that counterpart's kernel and the default.
     """
     bounds = opt_cfg.bounds
     iteration = len(steps)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -239,7 +241,55 @@ def test_fit_picks_the_start_whose_point_scores_lowest(monkeypatch):
 
     warm = KernelParams(0.9, (0.6, 1.4), 1e-5)
     assert [starts_run(seed=seed) for seed in range(8)] == [8] * 8
-    assert [starts_run(seed=seed, start=warm) for seed in range(8)] == [3] * 8
+    assert [starts_run(seed=seed, start=warm) for seed in range(8)] == [2] * 8
+
+
+def same_model(a, b):
+    """Every field of two fitted models equal, arrays elementwise."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        if isinstance(getattr(a, f.name), np.ndarray)
+        else getattr(a, f.name) == getattr(b, f.name)
+        for f in dataclasses.fields(a)
+    )
+
+
+def test_warm_fit_draws_no_random_start(monkeypatch):
+    _, pts = make_points(7)
+    warm = KernelParams(0.9, (0.6, 1.4), 1e-5)
+    models = [gp_fit(pts, BOUNDS, seed=seed, start=warm) for seed in range(8)]
+    assert all(same_model(model, models[0]) for model in models[1:])
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a warm fit drew from an RNG")
+
+    monkeypatch.setattr(gp.np.random, "default_rng", no_rng)
+    assert same_model(gp_fit(pts, BOUNDS, seed=3, start=warm), models[0])
+
+
+UNUSABLE_KERNELS = [
+    (KernelParams(-1.0, (0.5, 0.5), 1e-4), "signal_variance"),
+    (KernelParams(0.0, (0.5, 0.5), 1e-4), "signal_variance"),
+    (KernelParams(math.inf, (0.5, 0.5), 1e-4), "signal_variance"),
+    (KernelParams(1.0, (0.5, math.nan), 1e-4), "lengthscales[1]"),
+    (KernelParams(1.0, (0.0, 0.5), 1e-4), "lengthscales[0]"),
+    (KernelParams(1.0, (0.5,), 1e-4), "lengthscales"),
+    (KernelParams(1.0, (0.5, 0.5, 0.5), 1e-4), "lengthscales"),
+    (KernelParams(1.0, (0.5, 0.5), math.nan), "noise_variance"),
+]
+
+
+# log(start) is the first search point, so a start's noise must be > 0 too;
+# a fixed kernel's noise is added to K as given (zero noise interpolates)
+@pytest.mark.parametrize(
+    "field, params, named",
+    [(field, params, named) for field in ("start", "kernel") for params, named in UNUSABLE_KERNELS]
+    + [("start", KernelParams(1.0, (0.5, 0.5), noise), "noise_variance") for noise in (0.0, -1e-4)],
+)
+def test_fit_rejects_an_unusable_kernel_naming_its_field(field, params, named):
+    _, pts = make_points(7)
+    with pytest.raises(ValueError, match=rf"^{field}\.{re.escape(named)} "):
+        gp_fit(pts, BOUNDS, **{field: params})
 
 
 def test_lml_workspace_gradient_matches_central_differences():
