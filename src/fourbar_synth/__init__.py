@@ -6,148 +6,58 @@ dynamics over a quintic stroke, quantified static and dynamic feasibility
 constraints, Gaussian-process surrogates, and a constrained
 expected-improvement optimization loop.  Brute-force oracles mirror every
 fast path for verification.
+
+Each public name is imported from its module on first use (PEP 562), so a
+process that only evaluates designs never loads the GP stack and scipy.
 """
 
-from .constraints import (
-    DynamicConstraintResult,
-    Pose,
-    StaticGapResult,
-    baseline_posture,
-    dynamic_constraint,
-    evaluate_design,
-    evaluate_designs,
-    static_gap,
-    static_gaps,
-)
-from .dynamics import (
-    LinkInertia,
-    MassModel,
-    TorqueProfile,
-    mass_model,
-    posture_terms,
-    torque_profile,
-)
-from .gp import GpModel, KernelParams, gp_fit, gp_predict
-from .kinematics import (
-    KinematicCoefficients,
-    Posture,
-    Stroke,
-    kinematic_coefficients,
-    kinematic_transform,
-    motion_profile,
-    solve_fk,
-    solve_ik,
-    validate_baseline,
-)
-from .model import (
-    BaselineDefective,
-    BaselineInfeasible,
-    Branch,
-    ConstraintBundle,
-    DesignParams,
-    EmptyTrajectory,
-    EvaluationRecord,
-    MechanismConfig,
-    MechanismError,
-    MotionTask,
-    NotAssemblable,
-    OptimizerConfig,
-    ParseError,
-    SingularPosture,
-    SingularState,
-    TransformUnsolvable,
-    ValidationError,
-    config_to_dict,
-    load_config,
-    load_config_dict,
-)
-from .optimizer import (
-    BoStep,
-    OptimizationTrace,
-    SurrogateSet,
-    bo_minimize,
-    constrained_ei,
-    fit_surrogates,
-    latin_hypercube,
-    propose_next,
-    run_optimization,
-    step_from_record,
-)
-from .oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep, mechanical_energy
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "MechanismError",
-    "ParseError",
-    "ValidationError",
-    "BaselineInfeasible",
-    "BaselineDefective",
-    "NotAssemblable",
-    "SingularPosture",
-    "TransformUnsolvable",
-    "SingularState",
-    "EmptyTrajectory",
-    # core types
-    "Branch",
-    "DesignParams",
-    "MechanismConfig",
-    "MotionTask",
-    "OptimizerConfig",
-    "ConstraintBundle",
-    "EvaluationRecord",
-    "load_config",
-    "load_config_dict",
-    "config_to_dict",
-    # kinematics
-    "Posture",
-    "KinematicCoefficients",
-    "Stroke",
-    "solve_ik",
-    "solve_fk",
-    "kinematic_coefficients",
-    "motion_profile",
-    "kinematic_transform",
-    "validate_baseline",
-    # dynamics
-    "LinkInertia",
-    "MassModel",
-    "TorqueProfile",
-    "mass_model",
-    "posture_terms",
-    "torque_profile",
-    # constraints
-    "Pose",
-    "StaticGapResult",
-    "DynamicConstraintResult",
-    "baseline_posture",
-    "static_gap",
-    "static_gaps",
-    "dynamic_constraint",
-    "evaluate_design",
-    "evaluate_designs",
-    # surrogate
-    "GpModel",
-    "KernelParams",
-    "gp_fit",
-    "gp_predict",
-    # optimizer
-    "BoStep",
-    "SurrogateSet",
-    "OptimizationTrace",
-    "latin_hypercube",
-    "constrained_ei",
-    "fit_surrogates",
-    "propose_next",
-    "bo_minimize",
-    "step_from_record",
-    "run_optimization",
-    # oracles
-    "brute_ik",
-    "brute_static_gap",
-    "brute_theta_sweep",
-    "grid_sweep",
-    "mechanical_energy",
-]
+# the modules of the package and the public names each one defines
+_EXPORTS = {
+    "model": (
+        "MechanismError", "ParseError", "ValidationError", "BaselineInfeasible",
+        "BaselineDefective", "NotAssemblable", "SingularPosture", "TransformUnsolvable",
+        "SingularState", "EmptyTrajectory", "Branch", "DesignParams", "MechanismConfig",
+        "MotionTask", "OptimizerConfig", "ConstraintBundle", "EvaluationRecord",
+        "load_config", "load_config_dict", "config_to_dict",
+    ),
+    "kinematics": (
+        "Posture", "KinematicCoefficients", "Stroke", "solve_ik", "solve_fk",
+        "kinematic_coefficients", "motion_profile", "kinematic_transform", "validate_baseline",
+    ),
+    "dynamics": (
+        "LinkInertia", "MassModel", "TorqueProfile", "mass_model", "posture_terms",
+        "torque_profile",
+    ),
+    "constraints": (
+        "Pose", "StaticGapResult", "DynamicConstraintResult", "baseline_posture", "static_gap",
+        "static_gaps", "dynamic_constraint", "evaluate_design", "evaluate_designs",
+    ),
+    "gp": ("GpModel", "KernelParams", "gp_fit", "gp_predict"),
+    "optimizer": (
+        "BoStep", "SurrogateSet", "OptimizationTrace", "latin_hypercube", "constrained_ei",
+        "fit_surrogates", "propose_next", "bo_minimize", "step_from_record", "run_optimization",
+    ),
+    "oracle": (
+        "brute_ik", "brute_static_gap", "brute_theta_sweep", "grid_sweep", "mechanical_energy",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    # any other name, a submodule's included, is left to the import system
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

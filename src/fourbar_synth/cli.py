@@ -31,7 +31,6 @@ from .model import (
     ValidationError,
     load_config,
 )
-from .optimizer import OptimizationTrace, fit_surrogates, run_optimization, step_from_record
 from .oracle import grid_sweep
 
 _EVAL_HEADER = "l_oa,l_ab,l_bc,c_static_i,c_static_e,c_dyn,t_rms,feasible"
@@ -187,7 +186,7 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _trace_csv(trace: OptimizationTrace) -> str:
+def _trace_csv(trace) -> str:
     lines = [_OPT_HEADER]
     best = math.inf
     for i, record in enumerate(trace.records):
@@ -213,7 +212,9 @@ def _trace_csv(trace: OptimizationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gp_dump(trace: OptimizationTrace, opt_cfg) -> dict:
+def _gp_dump(trace, opt_cfg) -> dict:
+    from .optimizer import fit_surrogates, step_from_record
+
     models = fit_surrogates([step_from_record(r) for r in trace.records], opt_cfg)
 
     def model_dict(model):
@@ -238,6 +239,9 @@ def _gp_dump(trace: OptimizationTrace, opt_cfg) -> dict:
 
 
 def _cmd_optimize(args) -> int:
+    # only this command fits GPs, so only it loads the optimizer and scipy
+    from .optimizer import run_optimization
+
     cfg, task, opt_cfg = load_config(args.config, degrees=args.degrees)
     overrides = {}
     if args.seed is not None:

@@ -250,19 +250,19 @@ def static_gap(
     )
 
 
-def static_gaps(
-    designs: np.ndarray, cfg: MechanismConfig, task: MotionTask, pose: Pose
-) -> np.ndarray:
-    """``static_gap(...).value`` for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
+def static_gaps(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np.ndarray:
+    """``static_gap(...).value`` at both poses for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
 
-    The slide of ``static_gap`` in the same floating-point operations, in
-    the same order, so every value is ``==`` the scalar one.  A call has a
-    fixed cost of about 50 us in array-op overhead, some ten scalar calls,
-    so it pays only across many designs.
+    Returns a (2, m) array: row 0 is pose "i", row 1 is pose "e".  The slide
+    of ``static_gap`` in the same floating-point operations, in the same
+    order, with each pose's frame as a column, so every value is ``==`` the
+    scalar one.  A call has a fixed cost of about 50 us in array-op
+    overhead, some ten scalar calls, so it pays only across many designs.
     """
     designs = np.asarray(designs, dtype=float)
     l_oa, l_ab, l_bc = designs[:, 0], designs[:, 1], designs[:, 2]
-    ucbx, ucby, ubax, ubay, uaox, uaoy = _slide_frame(cfg, task, pose)
+    frames = np.array([_slide_frame(cfg, task, "i"), _slide_frame(cfg, task, "e")])
+    ucbx, ucby, ubax, ubay, uaox, uaoy = frames.T[:, :, None]  # (2, 1) each
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
     bx = cx + l_bc * ucbx
@@ -306,9 +306,11 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``np.hypot`` rounds differently from ``math.hypot`` in about 0.6% of
     pairs.  A numpy port of CPython's algorithm is exact too, but costs
     about 100 us per call in array-op overhead, against 1 us here for one
-    pair and 30 us for the 192 points of a pattern-descent sweep.
+    pair and about 60 us for the 2 x 192 points of a pattern-descent sweep
+    (both poses).
     """
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+    values = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
 def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:
@@ -401,10 +403,7 @@ def evaluate_designs(
     params = [DesignParams(*row) for row in designs.tolist()]
     if not params:
         return []
-    gaps = list(zip(
-        static_gaps(designs, cfg, task, "i").tolist(),
-        static_gaps(designs, cfg, task, "e").tolist(),
-    ))
+    gaps = list(zip(*static_gaps(designs, cfg, task).tolist()))
     c_dyn: list[float | None] = [None] * len(params)
     objective: list[float | None] = [None] * len(params)
     walked = [r for r, (gap_i, gap_e) in enumerate(gaps) if gap_i <= 0.0 and gap_e <= 0.0]

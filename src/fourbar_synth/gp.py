@@ -339,6 +339,12 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray | float, np.ndarray | floa
     Accepts a single d-vector (returns floats) or an (m, d) array (returns
     arrays); any other shape raises ``ValueError``.  Variance is that of the
     latent function; tiny negative values from rounding are clamped to zero.
+
+    A point's mean can differ in its last bits with the other rows of the
+    batch: ``k_star @ alpha`` is a BLAS matrix-vector product whose
+    rounding depends on where the row falls in the batch.  The variance is
+    the same in any batch of two or more points; alone, a point's variance
+    can differ too.
     """
     q = np.asarray(x, dtype=float)
     d = len(model.bounds)
@@ -355,7 +361,7 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray | float, np.ndarray | floa
 
     s2 = model.kernel.signal_variance
     q_scaled = (q - model.lo) / model.width / model.ls
-    r = np.sqrt(np.maximum(_scaled_sq_dists(q_scaled, model.x_scaled), 0.0))
+    r = np.sqrt(_scaled_sq_dists(q_scaled, model.x_scaled))
     k_star = _matern52(r, s2)  # (m, n)
     mean_std = k_star @ model.alpha
     v, _ = lapack.dtrtrs(model.chol, k_star.T, lower=1, overwrite_b=1)  # solves in k_star

@@ -192,6 +192,12 @@ def propose_next(
     when no probe passes: then there is no slope to descend, the descent is
     skipped and the first probe, a uniform draw, is proposed with value
     0.0.  ``known=None`` masks nothing.
+
+    The acquisition values depend in their last bits on how points are
+    batched (see ``gp_predict``), and the descent's choices on those bits.
+    So evaluating the surrogates on other batches of the same candidates,
+    for instance only on those that could move their start, can change the
+    proposals and with them the rest of the run.
     """
     bounds = opt_cfg.bounds
     lo = np.array([b[0] for b in bounds])
@@ -223,6 +229,9 @@ def propose_next(
     # acquisition call; per-start trajectories are still independent
     xs = probes[order].copy()
     vs = vals[order]
+    # the 2d axis moves of a sweep, +width then -width along each axis in
+    # turn; x + 0.0 and x + (-a) are exact, so off-axis coordinates stay put
+    moves = np.stack([np.diag(widths), -np.diag(widths)], axis=1).reshape(2 * d, d)
     # with every probe masked out all values tie at zero, the stable order
     # puts the first probe first, and a zero step ends the descent at once
     fracs = np.full(len(order), 0.1 if passing.any() else 0.0)
@@ -233,10 +242,7 @@ def propose_next(
             break
         guard += 1
         na = active.size
-        cand = np.tile(xs[active][:, None, :], (1, 2 * d, 1))
-        for j in range(d):
-            cand[:, 2 * j, j] = np.minimum(hi[j], xs[active, j] + fracs[active] * widths[j])
-            cand[:, 2 * j + 1, j] = np.maximum(lo[j], xs[active, j] - fracs[active] * widths[j])
+        cand = np.clip(xs[active][:, None, :] + fracs[active][:, None, None] * moves, lo, hi)
         cv = acq(cand.reshape(-1, d))[0].reshape(na, 2 * d)
         best_j = np.argmax(cv, axis=1)
         best_cv = cv[np.arange(na), best_j]
@@ -398,8 +404,8 @@ def run_optimization(
     Validates the baseline once, then runs the constrained-BO loop over
     ``evaluate_design``, each record mapped by ``step_from_record``.  The
     static gate is exact: the acquisition is zero wherever either static
-    gap is positive (``static_gaps`` at both poses), so only the objective
-    and the motion defect have surrogates.
+    gap is positive (one ``static_gaps`` call for both poses), so only the
+    objective and the motion defect have surrogates.
     """
     validate_baseline(cfg, task)
 
@@ -407,9 +413,7 @@ def run_optimization(
         return step_from_record(evaluate_design(DesignParams(*x), cfg, task))
 
     def assembles(points: np.ndarray) -> np.ndarray:
-        return (static_gaps(points, cfg, task, "i") <= 0.0) & (
-            static_gaps(points, cfg, task, "e") <= 0.0
-        )
+        return (static_gaps(points, cfg, task) <= 0.0).all(axis=0)
 
     steps, acq_values = bo_minimize(evaluate, opt_cfg, known=assembles)
 

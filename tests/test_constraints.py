@@ -212,10 +212,10 @@ def designs_in(box):
 def test_static_gaps_equal_the_scalar_gap(designs):
     cfg = make_canon_cfg()
     task = make_canon_task()
-    for pose in ("i", "e"):
-        values = static_gaps(np.array(designs), cfg, task, pose)
-        assert values.shape == (len(designs),)
-        for design, value in zip(designs, values):
+    values = static_gaps(np.array(designs), cfg, task)
+    assert values.shape == (2, len(designs))
+    for pose, row in zip(("i", "e"), values):
+        for design, value in zip(designs, row):
             assert value == static_gap(DesignParams(*design), cfg, task, pose).value
 
 

@@ -1,9 +1,14 @@
 """Every imported name in the package and its tests is used, every private
-module-level name of the package is used by the package, and the package
-exports every public name of its modules."""
+module-level name of the package is used by the package, the package
+exports every public name of its modules, and only the GP stack and the
+optimizer load scipy."""
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import fourbar_synth
 
@@ -11,7 +16,7 @@ from conftest import REPO_ROOT
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
-    """Names bound by an import but never referenced; ``__all__`` entries count as used."""
+    """Names bound by an import but never referenced; ``__all__``'s strings count as used."""
     imported = {}
     used = set()
     for node in ast.walk(tree):
@@ -26,7 +31,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -86,3 +91,84 @@ def test_every_private_name_is_used_by_the_package():
         (path, name) for path, tree in trees.items() for name in private_definitions(tree) if name not in used
     }
     assert unused == set()
+
+
+def test_star_import_binds_every_export_to_its_module_object():
+    namespace = {}
+    exec("from fourbar_synth import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(fourbar_synth.__all__)
+    assert namespace["__version__"] == fourbar_synth.__version__
+    for info in pkgutil.iter_modules(fourbar_synth.__path__):
+        module = importlib.import_module(f"fourbar_synth.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert namespace[name] is getattr(module, name) is getattr(fourbar_synth, name)
+
+
+def test_dir_lists_every_export():
+    assert set(fourbar_synth.__all__) <= set(dir(fourbar_synth))
+
+
+def imported_modules(tree: ast.AST, package: str, module_level: bool = False) -> set[str]:
+    """Absolute names of the modules a tree imports, outside function bodies if ``module_level``."""
+    found = set()
+    nodes = list(ast.iter_child_nodes(tree))
+    while nodes:
+        node = nodes.pop()
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # ``from . import gp``
+            found.update(f"{package}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(f"{package}.{node.module}" if node.level else node.module)
+    return found
+
+
+def test_only_the_gp_stack_imports_scipy_and_the_cli_loads_it_lazily():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(REPO_ROOT.glob("src/fourbar_synth/*.py"))
+    }
+    scipy_users = {
+        stem
+        for stem, tree in trees.items()
+        if any(m.split(".")[0] == "scipy" for m in imported_modules(tree, "fourbar_synth"))
+    }
+    assert scipy_users == {"gp", "optimizer"}
+    at_cli_import = imported_modules(trees["cli"], "fourbar_synth", module_level=True)
+    assert {"fourbar_synth.gp", "fourbar_synth.optimizer"}.isdisjoint(at_cli_import)
+
+
+CLI_WITHOUT_SCIPY = """
+import json, sys
+from fourbar_synth.cli import main
+
+config, out = sys.argv[1], sys.argv[2]
+codes = [
+    main(["validate", "--config", config]),
+    main(["evaluate", "--config", config]),
+    main(["trace", "--config", config, "--out", out + "/trace.csv"]),
+    main(["grid", "--config", config, "--resolution", "3", "--out", out + "/grid.csv"]),
+]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from fourbar_synth import gp_fit
+after = "scipy" in sys.modules
+print(json.dumps({"codes": codes, "before": before, "after": after}))
+"""
+
+
+def test_cli_evaluation_commands_never_import_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    config = REPO_ROOT / "configs" / "canon.json"
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_WITHOUT_SCIPY, str(config), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "before": [], "after": True}
+    assert (tmp_path / "trace.csv").is_file() and (tmp_path / "grid.csv").is_file()
