@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "constraints": (
         "Pose", "StaticGapResult", "DynamicConstraintResult", "baseline_posture", "static_gap",
-        "static_gaps", "dynamic_constraint", "evaluate_design", "evaluate_designs",
+        "static_gaps", "assembles", "dynamic_constraint", "evaluate_design", "evaluate_designs",
     ),
     "gp": ("GpModel", "KernelParams", "gp_fit", "gp_predict"),
     "optimizer": (

@@ -4,15 +4,15 @@ Exact GP regression with a Matern-5/2 ARD kernel.  Inputs are min-max
 normalized to the unit cube using the search bounds (not the data), targets
 are standardized; hyperparameters (signal variance, per-dimension
 lengthscales, noise variance) maximize the log marginal likelihood by
-multi-start L-BFGS ascent in log-space with analytic gradients.  A cold fit
-runs 8 starts (a fixed default and 7 seeded random points).  A warm fit,
-given the kernel of the same surrogate's previous fit, runs 2: that kernel,
-then the default.  The winner is the start whose returned point scores the
+multi-start L-BFGS-B in log-space with analytic gradients.  A cold fit runs
+8 starts (a fixed default and 7 seeded random points).  A warm fit, given
+the kernel of the same surrogate's previous fit, runs 2: that kernel, then
+the default.  The winner is the start whose returned point scores the
 lowest NLML, ties going to the earlier start.
 
 The fit is dominated by call overhead, not arithmetic: training sets are
-small (tens of points) and L-BFGS evaluates the likelihood dozens of times
-per start.  ``_LmlWorkspace`` therefore holds everything that stays
+small (tens of points) and L-BFGS-B evaluates the likelihood dozens of
+times per start.  ``_LmlWorkspace`` therefore holds everything that stays
 fixed across one fit (the per-dimension squared differences flattened to
 (d, n^2), the identity, the diagonal view, reused (n, n) buffers).  It owns
 the fit's one training kernel matrix: it fills K in place from natural
@@ -21,16 +21,21 @@ escalating jitter.  The likelihood gradient is GPML eq. 5.9, with K^-1
 from ``dpotrs`` against the identity.  The fitted model factors that same
 K, at the values the search scored at its optimum or at a fixed kernel's
 own values, and prediction is one cross-covariance block, a product and
-one ``dtrtrs``.
+one ``dtrtrs``.  ``minimize`` drives scipy's compiled L-BFGS-B iteration,
+``_lbfgsb.setulb`` (Byrd, Lu, Nocedal & Zhu 1995), directly: scipy's
+``minimize`` wrapper around it cost about as much per evaluation as the
+likelihood itself.
 
 Invariant: these shortcuts change only call overhead.  Every elementwise
 operation and every reduction runs in the same order and over the same
 memory layout as the plain expressions they replace (for instance each
-gradient sum is ``.sum()`` over a C-ordered (n, n) array), so for a given
+gradient sum is a pairwise sum over the n^2 elements of a C-ordered
+(n, n) block, as ``.sum()`` of that block is), so for a given
 seed the likelihood, the fitted factors and the predictions are bit-for-bit
-what the straightforward scipy.linalg code gives.  Deterministic: a seeded
-RNG draws a cold fit's random starts, and a warm fit draws none, so it does
-not depend on the seed.
+what the straightforward scipy.linalg code gives, and each search stops at
+the point, after the evaluations, that ``scipy.optimize.minimize`` reaches.
+Deterministic: a seeded RNG draws a cold fit's random starts, and a warm
+fit draws none, so it does not depend on the seed.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 __all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict"]
 
@@ -53,6 +58,18 @@ _COLD_RANDOM_STARTS = 7  # besides the default start
 _LOG_BOUNDS_SIGNAL = (math.log(1e-4), math.log(1e4))
 _LOG_BOUNDS_LENGTH = (math.log(1e-2), math.log(1e2))
 _LOG_BOUNDS_NOISE = (math.log(1e-10), math.log(1e1))
+
+# L-BFGS-B settings of every search: scipy's defaults for L-BFGS-B but
+# maxiter 200 and gtol 1e-6; factr is scipy's ftol in units of eps
+_LBFGSB_M = 10  # stored correction pairs
+_LBFGSB_FACTR = 2.220446049250313e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-6
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 200
+_LBFGSB_MAXFUN = 15000
+# setulb's task codes: task[0] is what it asks for next, task[1] the reason
+_TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
 @dataclass(frozen=True)
@@ -116,9 +133,9 @@ class _LmlWorkspace:
     Built once from the unit-cube inputs and standardized targets.
     ``factor`` fills K from natural parameters and factors it; calling the
     workspace with log(signal variance, lengthscales..., noise variance)
-    returns (NLML, gradient) as ``scipy.optimize.minimize(jac=True)``
-    expects.  A kernel matrix that no jitter rung can factor scores 1e25
-    with a zero gradient, which steers L-BFGS away.
+    returns (NLML, gradient), the pair ``minimize`` descends.  A kernel
+    matrix that no jitter rung can factor scores 1e25 with a zero gradient,
+    which steers L-BFGS-B away.
     """
 
     def __init__(self, x_unit: np.ndarray, y: np.ndarray) -> None:
@@ -137,6 +154,7 @@ class _LmlWorkspace:
         self.expc = np.empty((n, n))
         self.onec = np.empty((n, n))  # 1 + c, then the lengthscale factor
         self.tmp = np.empty((n, n))
+        self.tmp_d = np.empty((d, n, n))
         self.k_signal = np.empty((n, n))
         self.k = np.empty((n, n))
         self.k_diag = self.k.reshape(n * n)[:: n + 1]
@@ -193,10 +211,75 @@ class _LmlWorkspace:
         np.multiply(onec, s2 * (5.0 / 3.0), out=onec)
         np.multiply(onec, expc, out=onec)
         np.multiply(w, onec, out=onec)
-        for j in range(d):
-            grad[1 + j] = -0.5 * inv_l2[j] * float(np.multiply(onec, self.raw_sq[j], out=tmp).sum())
+        # one (n, n) sum per lengthscale, over the last two axes of a C-ordered array
+        grad[1 : 1 + d] = -0.5 * inv_l2 * np.multiply(onec, self.raw_sq, out=self.tmp_d).sum(axis=(1, 2))
         grad[1 + d] = -0.5 * noise * float(w.trace())
         return nlml, grad
+
+
+@dataclass(frozen=True, slots=True)
+class SearchResult:
+    """Where one L-BFGS-B search stopped: its point, ``fun`` and evaluation count.
+
+    ``fun`` is the value of the last evaluation, which after an abnormal
+    line-search exit need not be the value at ``x``.
+    """
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def minimize(fun, x0: np.ndarray, bounds: list[tuple[float, float]]) -> SearchResult:
+    """L-BFGS-B from ``x0`` inside a finite box; ``fun(x)`` returns (value, gradient).
+
+    The same search, bit for bit, as ``scipy.optimize.minimize(fun, x0,
+    jac=True, method="L-BFGS-B", bounds=bounds, options={"maxiter": 200,
+    "gtol": 1e-6})``: x0 is clipped to the box and evaluated first; an
+    evaluation is reused while ``setulb`` asks again at an equal x; the
+    search stops after 200 iterations or once more than 15000 evaluations
+    have run, and ``nfev`` counts evaluations as scipy does.
+    """
+    lower = np.array([b[0] for b in bounds], dtype=float)
+    upper = np.array([b[1] for b in bounds], dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = x.size
+    nbd = np.full(n, 2, dtype=np.int32)  # every variable bounded on both sides
+    wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M * _LBFGSB_M + 8 * _LBFGSB_M)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+
+    seen_x = x.tolist()
+    seen_f, seen_g = fun(x.copy())
+    nfev = 1
+    f, g = np.array(0.0), np.zeros(n)
+    iterations = 0
+    while True:
+        _lbfgsb.setulb(
+            _LBFGSB_M, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
+        )
+        if task[0] == _TASK_FG:
+            # float equality, as scipy's np.array_equal, but on lists: cheaper
+            now = x.tolist()
+            if now != seen_x:
+                seen_x = now
+                seen_f, seen_g = fun(x.copy())
+                nfev += 1
+            # setulb gets its own copy of the gradient, as under scipy
+            f, g = seen_f, seen_g.copy()
+        elif task[0] == _TASK_NEW_X:
+            iterations += 1
+            if iterations >= _LBFGSB_MAXITER:
+                task[:] = (_TASK_STOP, _STOP_MAXITER)
+            elif nfev > _LBFGSB_MAXFUN:
+                task[:] = (_TASK_STOP, _STOP_MAXFUN)
+        else:
+            return SearchResult(x, f, nfev)
 
 
 def _check_kernel(name: str, k: KernelParams, d: int, positive_noise: bool) -> None:
@@ -229,10 +312,12 @@ def gp_fit(
 
     Otherwise the hyperparameters maximize the log marginal likelihood, and
     the model factors the very kernel matrix whose likelihood the search
-    scored best.  Without ``start`` the search is cold: 8 L-BFGS-B starts,
-    the fixed default and 7 seeded random points.  ``start``, such as the
-    same surrogate's fit on one point fewer, makes it warm: log(start), then
-    the default; a warm fit draws no random start and ignores ``seed``.
+    scored best.  Each start is one ``minimize`` search, the module's own
+    L-BFGS-B loop (maxiter 200, gtol 1e-6), equal step for step to
+    scipy's.  Without ``start`` the search is cold: 8 starts, the fixed
+    default and 7 seeded random points.  ``start``, such as the same
+    surrogate's fit on one point fewer, makes it warm: log(start), then the
+    default; a warm fit draws no random start and ignores ``seed``.
     The winner is the start whose returned point the workspace scores
     lowest, the earliest on a tie (L-BFGS-B's ``fun`` after an abnormal
     line-search exit need not be the value at that point).
@@ -297,14 +382,7 @@ def gp_fit(
         box = [_LOG_BOUNDS_SIGNAL] + [_LOG_BOUNDS_LENGTH] * d + [_LOG_BOUNDS_NOISE]
         best_x, best_nlml = None, math.inf
         for s in starts:
-            res = minimize(
-                lml,
-                s,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=box,
-                options={"maxiter": 200, "gtol": 1e-6},
-            )
+            res = minimize(lml, s, box)
             nlml = lml(res.x)[0]
             if best_x is None or nlml < best_nlml:
                 best_x, best_nlml = res.x, nlml

@@ -9,13 +9,15 @@ constraint GPs are trained on whatever is available.
 
 A constraint that is cheap and known in closed form is not modelled: the
 loop takes it as a mask (``known``) that zeroes the acquisition wherever it
-fails.  The mechanism optimizer does this with the two static gaps, so its
-only modelled constraint is the motion defect.
+fails.  The mechanism optimizer does this with the two static gaps,
+through ``constraints.assembles``, so its only modelled constraint is the
+motion defect.  The Gardner et al. (ICML 2014) acquisition, EI times the
+probability of feasibility, is then evaluated only where the mask passes.
 
 Each surrogate's hyperparameter search is warm-started from its own fit
 one iteration earlier (2 L-BFGS-B starts: that kernel, then the default); a
 surrogate's first fit, and a fit after a constant-data (degenerate) one, is
-cold (8 starts).
+cold (8 starts).  The starts run in ``gp``'s own L-BFGS-B loop.
 
 Everything is deterministic for a given seed: the LHS, the GP multistarts,
 the acquisition probes and the pattern-descent refinements all derive their
@@ -31,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .constraints import evaluate_design, static_gaps
+from .constraints import assembles, evaluate_design
 from .gp import GpModel, KernelParams, gp_fit, gp_predict
 from .kinematics import validate_baseline
 from .model import (
@@ -404,7 +406,8 @@ def run_optimization(
     Validates the baseline once, then runs the constrained-BO loop over
     ``evaluate_design``, each record mapped by ``step_from_record``.  The
     static gate is exact: the acquisition is zero wherever either static
-    gap is positive (one ``static_gaps`` call for both poses), so only the
+    gap is positive (one ``constraints.assembles`` call per batch of points,
+    both poses, equal to the signs of ``static_gaps``), so only the
     objective and the motion defect have surrogates.
     """
     validate_baseline(cfg, task)
@@ -412,10 +415,10 @@ def run_optimization(
     def evaluate(x: tuple[float, ...]) -> BoStep:
         return step_from_record(evaluate_design(DesignParams(*x), cfg, task))
 
-    def assembles(points: np.ndarray) -> np.ndarray:
-        return (static_gaps(points, cfg, task) <= 0.0).all(axis=0)
+    def known(points: np.ndarray) -> np.ndarray:
+        return assembles(points, cfg, task)
 
-    steps, acq_values = bo_minimize(evaluate, opt_cfg, known=assembles)
+    steps, acq_values = bo_minimize(evaluate, opt_cfg, known=known)
 
     records = tuple(s.payload for s in steps)
     best: tuple[DesignParams, float] | None = None

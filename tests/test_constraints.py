@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fourbar_synth import constraints
 from fourbar_synth.constraints import (
+    assembles,
     baseline_posture,
     dynamic_constraint,
     evaluate_design,
@@ -235,6 +236,139 @@ def test_static_gaps_equal_the_scalar_gap(designs):
 def test_vector_hypot_equals_math_hypot(x, y):
     got = constraints._hypot(np.array([x, y, 0.0]), np.array([y, x, x]))
     assert got.tolist() == [math.hypot(x, y), math.hypot(y, x), math.hypot(0.0, x)]
+
+
+# the canon box widened by 20% of its width on each side
+WIDE_BOX = tuple((lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo)) for lo, hi in CANON_BOX)
+
+
+def gate_reference(designs, cfg, task):
+    """What ``assembles`` must return: both static gaps non-positive."""
+    return (static_gaps(designs, cfg, task) <= 0.0).all(axis=0)
+
+
+def assert_mask_equals_gaps(designs, cfg=None, task=None):
+    cfg = cfg or make_canon_cfg()
+    task = task or make_canon_task()
+    designs = np.asarray(designs, dtype=float)
+    got = assembles(designs, cfg, task)
+    assert got.dtype == bool and got.shape == (len(designs),)
+    assert np.array_equal(got, gate_reference(designs, cfg, task))
+    return got
+
+
+def test_assembles_equals_static_gaps_on_random_designs():
+    rng = np.random.default_rng(11)
+    lo, hi = np.array(WIDE_BOX).T
+    got = assert_mask_equals_gaps(lo + rng.random((100_000, 3)) * (hi - lo))
+    assert 0.05 < got.mean() < 0.5  # both outcomes are common
+
+
+def ulp_neighbours(values, count=2):
+    """Each value and its ``count`` nearest floats on either side, in order."""
+    steps = [values]
+    for direction in (-np.inf, np.inf):
+        v = values
+        for _ in range(count):
+            v = np.nextafter(v, direction)
+            steps.append(v)
+    return np.stack(steps, axis=1)
+
+
+def boundary_brackets(cfg, task, rng, count):
+    """Designs at the last float of one coordinate where both poses assemble.
+
+    From designs that assemble, one coordinate moves toward a face of the
+    wide box where the design does not; bisection on its float value ends
+    on two adjacent floats.  Returns the designs on the assembling side,
+    the axis moved and the pose that fails one float further.
+    """
+    lo, hi = np.array(WIDE_BOX).T
+    cands = lo + rng.random((20 * count, 3)) * (hi - lo)
+    starts = cands[gate_reference(cands, cfg, task)][:count]
+    axis = rng.integers(0, 3, len(starts))
+    ends = starts.copy()
+    ends[np.arange(len(starts)), axis] = np.where(rng.random(len(starts)) < 0.5, lo[axis], hi[axis])
+    fails = ~gate_reference(ends, cfg, task)
+    starts, ends, axis = starts[fails], ends[fails], axis[fails]
+    rows = np.arange(len(starts))
+    good, bad = starts[rows, axis], ends[rows, axis]
+    for _ in range(80):
+        probe = starts.copy()
+        probe[rows, axis] = good + (bad - good) / 2.0
+        ok = gate_reference(probe, cfg, task)
+        good, bad = np.where(ok, probe[rows, axis], good), np.where(ok, bad, probe[rows, axis])
+    assert np.array_equal(np.nextafter(good, bad), bad)
+    inside = starts.copy()
+    inside[rows, axis] = good
+    outside = starts.copy()
+    outside[rows, axis] = bad
+    pose = np.argmax(static_gaps(outside, cfg, task) > 0.0, axis=0)
+    return inside, axis, pose
+
+
+def test_assembles_equals_static_gaps_within_ulps_of_each_boundary():
+    cfg, task = make_canon_cfg(), make_canon_task()
+    inside, axis, pose = boundary_brackets(cfg, task, np.random.default_rng(3), 600)
+    assert np.bincount(pose, minlength=2).min() >= 30  # both poses' boundaries
+    rows = np.arange(len(inside))
+    near = np.repeat(inside[:, None, :], 5, axis=1)
+    near[rows, :, axis] = ulp_neighbours(inside[rows, axis])
+    assert_mask_equals_gaps(near.reshape(-1, 3), cfg, task)
+
+
+def test_assembles_hands_the_degenerate_start_to_static_gaps(monkeypatch):
+    # the baseline assembles exactly, so its slide starts on O at both
+    # poses; a design within 1e-9 m of it starts within rounding of O
+    rng = np.random.default_rng(5)
+    base = np.array(make_canon_cfg().baseline.as_tuple())
+    designs = [base[None, :]]
+    for scale in (1e-12, 1e-9):
+        designs.append(base + scale * rng.uniform(-1.0, 1.0, (500, 3)))
+    designs = np.concatenate(designs)
+    calls = {}
+    monkeypatch.setattr(constraints, "static_gaps", counting(calls, "static_gaps", static_gaps))
+    assert assembles(designs, make_canon_cfg(), make_canon_task()).all()
+    assert calls == {"static_gaps": 1}  # the undecided rows went to the gaps
+    monkeypatch.undo()
+    assert_mask_equals_gaps(designs)
+
+
+def test_assembles_equals_static_gaps_on_folded_and_extended_chains():
+    cfg, task = make_canon_cfg(), make_canon_task()
+    rng = np.random.default_rng(8)
+    l_oa = rng.uniform(0.02, 0.3, 200)
+    l_bc = rng.uniform(0.05, 0.3, 200)
+    designs = []
+    # folded: l_ab == l_oa up to a relative step, so the hole vanishes
+    for rel in (0.0, 1e-15, -1e-15, 1e-12, -1e-9, 1e-9, 1e-6):
+        designs.append(np.stack([l_oa, l_oa * (1.0 + rel), l_bc], axis=1))
+    # O on a pose's reach circle (fully extended, |OB| = l_oa + l_ab) or on its
+    # hole's circle (|OB| = l_ab - l_oa), to a few ulps of l_ab
+    ox, oy = cfg.pivot_o
+    cx, cy = cfg.pivot_c
+    for pose in ("i", "e"):
+        ucbx, ucby = constraints._slide_frame(cfg, task, pose)[:2]
+        ob = np.hypot(ox - (cx + l_bc * ucbx), oy - (cy + l_bc * ucby))
+        for l_ab in (ob - l_oa, ob + l_oa):
+            keep = l_ab > 0.0
+            near = ulp_neighbours(l_ab[keep], count=3)
+            for j in range(near.shape[1]):
+                designs.append(np.stack([l_oa[keep], near[:, j], l_bc[keep]], axis=1))
+    assert_mask_equals_gaps(np.concatenate(designs), cfg, task)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    designs=st.lists(
+        st.one_of(designs_in(WIDE_BOX), designs_in(((0.005, 0.6),) * 3)), min_size=1, max_size=16
+    )
+)
+@example(designs=[(0.10, 0.25, 0.15)])  # the baseline: a degenerate start at both poses
+@example(designs=[(0.1, 0.25, 0.25)])  # slide ray tangent to the inner hole at pose i
+@example(designs=[(0.2, 0.2, 0.15), (0.3, 0.3, 0.1)])  # l_oa == l_ab: no inner hole
+def test_assembles_equals_static_gaps(designs):
+    assert_mask_equals_gaps(designs)
 
 
 def test_dynamic_constraint_hand_trace():

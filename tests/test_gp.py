@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from fourbar_synth import gp
@@ -336,6 +337,90 @@ def test_fixed_kernel_no_jitter_can_factor_raises():
     _, pts = make_points(5)
     with pytest.raises(np.linalg.LinAlgError):
         gp_fit(pts, BOUNDS, kernel=KernelParams(1.0, (0.3, 0.3), -1.0))
+
+
+def scipy_lbfgsb(fun, x0, bounds):
+    """The reference search: scipy's L-BFGS-B wrapper with the fit's options."""
+    return scipy.optimize.minimize(
+        fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options={"maxiter": 200, "gtol": 1e-6}
+    )
+
+
+def same_search(res, ref):
+    """Equal points, equal evaluation counts and equal last values."""
+    return np.array_equal(res.x, ref.x) and res.nfev == ref.nfev and res.fun == ref.fun
+
+
+def log_box(d):
+    return [gp._LOG_BOUNDS_SIGNAL] + [gp._LOG_BOUNDS_LENGTH] * d + [gp._LOG_BOUNDS_NOISE]
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (12, 3), (30, 3)])
+def test_minimize_is_scipy_lbfgsb_on_likelihood_workspaces(n, d):
+    rng = np.random.default_rng(200 + n)
+    y = rng.normal(size=n)
+    lml = _LmlWorkspace(rng.uniform(0.0, 1.0, size=(n, d)), (y - y.mean()) / y.std())
+    for _ in range(6):
+        # some starts lie outside the box and are clipped into it
+        x0 = np.concatenate([rng.uniform(-3.0, 3.0, 1), rng.uniform(-6.0, 6.0, d), rng.uniform(-26.0, 3.0, 1)])
+        assert same_search(gp.minimize(lml, x0, log_box(d)), scipy_lbfgsb(lml, x0, log_box(d)))
+
+
+def test_minimize_is_scipy_lbfgsb_on_abnormal_exits_and_the_noise_floor(monkeypatch):
+    searches = []
+    real = gp.minimize
+
+    def checked(fun, x0, bounds):
+        res = real(fun, x0, bounds)
+        searches.append((res, scipy_lbfgsb(fun, x0, bounds)))
+        return res
+
+    monkeypatch.setattr(gp, "minimize", checked)
+    _, pts = make_points(7)
+    gp_fit(pts, BOUNDS, seed=5)
+    assert len(searches) == 8
+    assert all(same_search(res, ref) for res, ref in searches)
+    # seed 5 has starts that end on an abnormal line-search exit, and
+    # starts whose noise variance ends at its 1e-10 floor
+    assert any(ref.message.startswith("ABNORMAL") for _, ref in searches)
+    assert any(ref.x[-1] == gp._LOG_BOUNDS_NOISE[0] for _, ref in searches)
+
+
+def test_minimize_is_scipy_lbfgsb_at_the_iteration_limit():
+    scale = np.logspace(0.0, 8.0, 10)  # ill-conditioned: 200 iterations do not converge
+
+    def quadratic(x):
+        return float(0.5 * (scale * x * x).sum()), scale * x
+
+    x0 = np.where(np.arange(10) % 2 == 0, -1.2, 1.5)
+    ref = scipy_lbfgsb(quadratic, x0, [(-2.0, 2.0)] * 10)
+    assert ref.nit == 200
+    assert same_search(gp.minimize(quadratic, x0, [(-2.0, 2.0)] * 10), ref)
+
+
+def test_minimize_evaluates_the_clipped_start_first_and_never_twice_in_a_row():
+    _, pts = make_points(6)
+    xs = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    lml = _LmlWorkspace(xs, (y - y.mean()) / y.std())
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return lml(x)
+
+    x0 = np.array([12.0, math.log(0.5), math.log(0.5), math.log(1e-4)])  # signal variance above its box
+    res = gp.minimize(recording, x0, log_box(2))
+    assert np.array_equal(seen[0], np.clip(x0, *np.array(log_box(2)).T))
+    assert res.nfev == len(seen) > 1
+    assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+
+
+def test_setulb_has_the_signature_minimize_drives():
+    # the compiled L-BFGS-B step that gp.minimize calls; scipy's own wrapper
+    # has called it this way since its L-BFGS-B moved from Fortran to C
+    signature = scipy.optimize._lbfgsb.setulb.__doc__.splitlines()[0]
+    assert signature == "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
 
 
 def test_fit_reaches_minimize_through_module_global(monkeypatch):

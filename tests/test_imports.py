@@ -1,7 +1,7 @@
 """Every imported name in the package and its tests is used, every private
 module-level name of the package is used by the package, the package
-exports every public name of its modules, and only the GP stack and the
-optimizer load scipy."""
+exports every public name of its modules, only the GP stack and the
+optimizer load scipy, and only the GP stack loads scipy.optimize."""
 import ast
 import importlib
 import json
@@ -137,6 +137,12 @@ def test_only_the_gp_stack_imports_scipy_and_the_cli_loads_it_lazily():
         if any(m.split(".")[0] == "scipy" for m in imported_modules(tree, "fourbar_synth"))
     }
     assert scipy_users == {"gp", "optimizer"}
+    optimize_users = {
+        stem
+        for stem, tree in trees.items()
+        if any(m.split(".")[:2] == ["scipy", "optimize"] for m in imported_modules(tree, "fourbar_synth"))
+    }
+    assert optimize_users == {"gp"}  # its own L-BFGS-B loop
     at_cli_import = imported_modules(trees["cli"], "fourbar_synth", module_level=True)
     assert {"fourbar_synth.gp", "fourbar_synth.optimizer"}.isdisjoint(at_cli_import)
 
@@ -154,7 +160,7 @@ codes = [
 ]
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from fourbar_synth import gp_fit
-after = "scipy" in sys.modules
+after = "scipy.optimize._lbfgsb" in sys.modules
 print(json.dumps({"codes": codes, "before": before, "after": after}))
 """
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from fourbar_synth import gp, optimizer
+from fourbar_synth.constraints import static_gaps
 from fourbar_synth.gp import KernelParams, gp_fit, gp_predict
 from fourbar_synth.model import (
     ConstraintBundle,
@@ -427,6 +428,28 @@ def test_run_optimization_reaches_evaluate_design_through_module_attribute(
     )
     assert len(run_optimization(canon_cfg, canon_task, opt).records) == 7
     assert calls == {"evaluate_design": 7}
+
+
+def test_run_optimization_masks_with_the_static_gaps_exactly(monkeypatch, canon_cfg, canon_task):
+    # every mask the acquisition sees equals the two static gaps' verdict
+    masks = []
+    real = optimizer.assembles
+
+    def recording(points, cfg, task):
+        got = real(points, cfg, task)
+        masks.append((points.copy(), got))
+        return got
+
+    monkeypatch.setattr(optimizer, "assembles", recording)
+    opt = OptimizerConfig(
+        bounds=((0.03, 0.14), (0.15, 0.34), (0.08, 0.25)),
+        n_init=6, n_max=10, n_acq_starts=8, n_acq_samples=512, seed=4,
+    )
+    run_optimization(canon_cfg, canon_task, opt)
+    assert len(masks) > 2 * (opt.n_max - opt.n_init)  # probes and descent sweeps
+    for points, got in masks:
+        assert np.array_equal(got, (static_gaps(points, canon_cfg, canon_task) <= 0.0).all(axis=0))
+    assert 0 < sum(int(got.sum()) for _, got in masks) < sum(len(got) for _, got in masks)
 
 
 def test_step_from_record_counts_the_tolerance_band_as_zero():
