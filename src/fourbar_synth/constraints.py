@@ -31,7 +31,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dynamics import _cycle_torque, _stack_masses, mass_model, torque_profile
+from .dynamics import _cycle_torque, torque_profile
 from .kinematics import Stroke, _crank_angle, _Lengths, _motion_law, _walk, solve_ik
 # perfbench traces this module attribute as its kinematics span.
 from .kinematics import kinematic_transform as _transform_full
@@ -425,9 +425,9 @@ def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:
     return _crank_reversal(stroke.theta, stroke.theta_dot)
 
 
-def _keeps_sign(rates: np.ndarray) -> bool:
-    """Whether the crank rates of a stroke keep one sign."""
-    return (rates >= 0.0).all() or (rates <= 0.0).all()
+def _keeps_sign(rates: np.ndarray) -> np.ndarray:
+    """Whether the crank rates of a stroke keep one sign, per column of (n, k) rates."""
+    return (rates >= 0.0).all(axis=0) | (rates <= 0.0).all(axis=0)
 
 
 def _crank_reversal(theta: np.ndarray, rates: np.ndarray) -> DynamicConstraintResult:
@@ -468,7 +468,7 @@ def evaluate_design(
         if stroke is not None:
             c_dyn = dynamic_constraint(stroke).value
 
-    bundle = ConstraintBundle.from_values(gap_i.value, gap_e.value, c_dyn)
+    bundle = ConstraintBundle(gap_i.value, gap_e.value, c_dyn)
     if bundle.feasible:
         try:
             objective = torque_profile(design, cfg, task, stroke).t_rms
@@ -509,24 +509,24 @@ def evaluate_designs(
     for rows in (walked[k : k + step] for k in range(0, len(walked), step)):
         lengths = _Lengths(*designs[rows].T)
         ax, ay, bx, by, theta_dot, theta_ddot, _, failed = _walk(lengths, cfg, law)
-        for j in np.flatnonzero(~failed.any(axis=0)).tolist():
-            if _keeps_sign(theta_dot[:, j]):
-                c_dyn[rows[j]] = 0.0
-            else:
-                theta = _crank_angle(ax[:, j], ay[:, j], cfg)
-                c_dyn[rows[j]] = _crank_reversal(theta, theta_dot[:, j]).value
+        solved = ~failed.any(axis=0)
+        steady = solved & _keeps_sign(theta_dot)
+        for j in np.flatnonzero(steady).tolist():
+            c_dyn[rows[j]] = 0.0
+        for j in np.flatnonzero(solved & ~steady).tolist():
+            theta = _crank_angle(ax[:, j], ay[:, j], cfg)
+            c_dyn[rows[j]] = _crank_reversal(theta, theta_dot[:, j]).value
 
         costed = [j for j, r in enumerate(rows) if _is_feasible(*gaps[r], c_dyn[r])]
         if not costed:
             continue
-        masses = _stack_masses([mass_model(params[rows[j]], cfg) for j in costed])
         _, t_rms, singular = _cycle_torque(
-            _Lengths(*(length[costed] for length in lengths)), cfg, task, masses, law[0],
+            _Lengths(*(length[costed] for length in lengths)), cfg, task, law[0],
             (ax[:, costed], ay[:, costed], bx[:, costed], by[:, costed]),
             theta_dot[:, costed], theta_ddot[:, costed],
         )
         for j, value, uncosted in zip(costed, t_rms.tolist(), singular.any(axis=0).tolist()):
             if not uncosted:
                 objective[rows[j]] = value
-    bundles = [ConstraintBundle.from_values(*g, c) for g, c in zip(gaps, c_dyn)]
+    bundles = [ConstraintBundle(*g, c) for g, c in zip(gaps, c_dyn)]
     return [EvaluationRecord(*record) for record in zip(params, bundles, objective)]

@@ -18,6 +18,9 @@ The rocker link is the rigid union of bar B-C, the effector beam of length
 ``effector_tip_length`` at the effector offset angle, and the payload as a
 point mass at the beam tip; the union is composed by the parallel-axis
 theorem and rotates about the fixed pivot C.
+
+The masses follow from the bar lengths, so each kernel derives them itself;
+all are elementwise over one design or the (k,) lengths of k designs.
 """
 
 from __future__ import annotations
@@ -88,8 +91,12 @@ def _rod(density: float, length: float) -> tuple[float, tuple[float, float], flo
     return mass, (0.5 * length, 0.0), mass * length * length / 12.0
 
 
-def mass_model(design: DesignParams, cfg: MechanismConfig) -> MassModel:
-    """Per-link inertial properties for the uniform-rod mass model."""
+def mass_model(design: DesignParams | _Lengths, cfg: MechanismConfig) -> MassModel:
+    """Per-link inertial properties for the uniform-rod mass model.
+
+    Elementwise: for a ``_Lengths`` of k designs each field broadcasts to
+    (k,), and its entries are ``==`` those of each design's own call.
+    """
     rho_oa, rho_ab, rho_bc = cfg.link_density
     m, com, i = _rod(rho_oa, design.l_oa)
     crank = LinkInertia(m, com, i)
@@ -98,24 +105,24 @@ def mass_model(design: DesignParams, cfg: MechanismConfig) -> MassModel:
 
     # Rocker composite: bar B-C plus effector beam plus point payload.  The
     # beam leaves C at the effector offset angle from the bar direction and
-    # shares the bar's linear density.
+    # shares the bar's linear density; without a beam it has zero mass and
+    # the payload sits at C.  Sums run left to right, part by part.  A rocker
+    # without mass has no centroid; its terms are zero.
     lt = cfg.effector_tip_length
-    off = cfg.effector_offset
-    parts = []  # (mass, com_x, com_y, i_com)
-    m_bar, com_bar, i_bar = _rod(rho_bc, design.l_bc)
-    parts.append((m_bar, com_bar[0], com_bar[1], i_bar))
-    if lt > 0.0:
-        m_beam = rho_bc * lt
-        cx, sx = math.cos(off), math.sin(off)
-        parts.append((m_beam, 0.5 * lt * cx, 0.5 * lt * sx, m_beam * lt * lt / 12.0))
-        parts.append((cfg.payload_mass, lt * cx, lt * sx, 0.0))
-    else:
-        parts.append((cfg.payload_mass, 0.0, 0.0, 0.0))
-    total = sum(p[0] for p in parts)
-    if total > 0.0:
-        gx = sum(p[0] * p[1] for p in parts) / total
-        gy = sum(p[0] * p[2] for p in parts) / total
-        i_g = sum(p[3] + p[0] * ((p[1] - gx) ** 2 + (p[2] - gy) ** 2) for p in parts)
+    cx, sx = math.cos(cfg.effector_offset), math.sin(cfg.effector_offset)
+    m_bar, (bar_x, bar_y), i_bar = _rod(rho_bc, design.l_bc)
+    m_beam, (beam_r, _), i_beam = _rod(rho_bc, lt)
+    beam_x, beam_y = beam_r * cx, beam_r * sx
+    m_tip = cfg.payload_mass
+    tip_x, tip_y = lt * cx, lt * sx
+    total = m_bar + m_beam + m_tip
+    if rho_bc > 0.0 or m_tip > 0.0:
+        gx = (m_bar * bar_x + m_beam * beam_x + m_tip * tip_x) / total
+        gy = (m_bar * bar_y + m_beam * beam_y + m_tip * tip_y) / total
+        # squared offsets by libm pow, as Python's float ``**`` takes them;
+        # numpy's ``**`` is v * v, off in the last bit on about 0.1% of doubles
+        sq = np.float_power([bar_x - gx, bar_y - gy, beam_x - gx, beam_y - gy, tip_x - gx, tip_y - gy], 2.0)
+        i_g = i_bar + m_bar * (sq[0] + sq[1]) + (i_beam + m_beam * (sq[2] + sq[3])) + m_tip * (sq[4] + sq[5])
     else:
         gx = gy = i_g = 0.0
     rocker = LinkInertia(total, (gx, gy), i_g)
@@ -125,7 +132,6 @@ def mass_model(design: DesignParams, cfg: MechanismConfig) -> MassModel:
 def _dyn_terms(
     design: DesignParams | _Lengths,
     cfg: MechanismConfig,
-    masses: MassModel,
     ax: np.ndarray,
     ay: np.ndarray,
     bx: np.ndarray,
@@ -134,7 +140,7 @@ def _dyn_terms(
     """(I_eq, I_eq', G, Q_ext, singular) at configurations given by joints A and B.
 
     Elementwise over scalars, stroke columns, or (n, k) arrays with the
-    lengths and masses of k designs as (k,) arrays.
+    lengths of k designs as (k,) arrays, which also give the link masses.
 
     Velocity coefficients are taken at unit crank rate: v_A = perp(A - O),
     and the coupler/rocker rates solve the rigid-body velocity closure
@@ -171,7 +177,7 @@ def _dyn_terms(
     omega_r_d = (wx * bax + wy * bay) / den
     omega_ab_d = (wx * bcx + wy * bcy) / den
 
-    mm = masses
+    mm = mass_model(design, cfg)
     gx, gy = cfg.gravity
 
     # crank: rotation about O
@@ -216,17 +222,6 @@ def _dyn_terms(
     return i_eq, 2.0 * i_half_d, g_sum, q_ext, singular
 
 
-def _stack_masses(models: list[MassModel]) -> MassModel:
-    """The mass models of k designs as one, each field a (k,) array."""
-
-    def link(name: str) -> LinkInertia:
-        rows = [(p.mass, *p.com, p.i_com) for p in (getattr(m, name) for m in models)]
-        mass, com_x, com_y, i_com = np.array(rows).T
-        return LinkInertia(mass, (com_x, com_y), i_com)
-
-    return MassModel(link("crank"), link("coupler"), link("rocker"))
-
-
 def posture_terms(
     design: DesignParams, cfg: MechanismConfig, posture: Posture
 ) -> tuple[float, float, float, float]:
@@ -243,7 +238,7 @@ def posture_terms(
     """
     ax, ay = posture.point_a
     bx, by = posture.point_b
-    *terms, singular = _dyn_terms(design, cfg, mass_model(design, cfg), *np.array([ax, ay, bx, by]))
+    *terms, singular = _dyn_terms(design, cfg, *np.array([ax, ay, bx, by]))
     if singular:
         raise SingularState(_COLLINEAR)
     return tuple(float(v) for v in terms)
@@ -264,7 +259,6 @@ def _cycle_torque(
     design: DesignParams | _Lengths,
     cfg: MechanismConfig,
     task: MotionTask,
-    masses: MassModel,
     t: np.ndarray,
     joints: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     theta_dot: np.ndarray,
@@ -273,8 +267,8 @@ def _cycle_torque(
     """(forward torque, cycle RMS, singular samples) of ``torque_profile``.
 
     Over the columns of one stroke, or over (n, k) arrays with the lengths
-    and masses of k designs as (k,) arrays and ``t`` an (n, 1) column; the
-    RMS then has one entry per design.  ``joints`` is (ax, ay, bx, by).
+    of k designs as (k,) arrays and ``t`` an (n, 1) column; the RMS then
+    has one entry per design.  ``joints`` is (ax, ay, bx, by).
 
     Raises ValueError when a sample's joints do not close the coupler.
     """
@@ -283,7 +277,7 @@ def _cycle_torque(
     gap = np.hypot(ax - bx, ay - by) - design.l_ab
     if (np.abs(gap) > 1e-6 * design.l_ab).any():
         raise ValueError("trajectory is inconsistent with the design geometry")
-    i_eq, i_prime, g_tau, q_ext, singular = _dyn_terms(design, cfg, masses, ax, ay, bx, by)
+    i_eq, i_prime, g_tau, q_ext, singular = _dyn_terms(design, cfg, ax, ay, bx, by)
     tau = i_eq * theta_ddot + 0.5 * i_prime * theta_dot * theta_dot + g_tau - q_ext
     holding = g_tau - q_ext  # static torque; the dwells hold its end values
     hold_e, hold_i = holding[0], holding[-1]
@@ -332,8 +326,7 @@ def torque_profile(
 
     joints = (*stroke.point_a.T, *stroke.point_b.T)
     tau, t_rms, singular = _cycle_torque(
-        design, cfg, task, mass_model(design, cfg), stroke.t, joints,
-        stroke.theta_dot, stroke.theta_ddot,
+        design, cfg, task, stroke.t, joints, stroke.theta_dot, stroke.theta_ddot
     )
     if singular.any():
         raise SingularState(_COLLINEAR, t=float(stroke.t[np.argmax(singular)]))

@@ -292,8 +292,9 @@ def _check_kernel(name: str, k: KernelParams, d: int, positive_noise: bool) -> N
     for key, value in fields:
         if not math.isfinite(value):
             raise ValueError(f"{name}.{key} must be finite, got {value!r}")
-        if value <= 0.0 and (positive_noise or key != "noise_variance"):
-            raise ValueError(f"{name}.{key} must be > 0, got {value!r}")
+        zero_ok = key == "noise_variance" and not positive_noise  # zero noise interpolates
+        if value < 0.0 or (value == 0.0 and not zero_ok):
+            raise ValueError(f"{name}.{key} must be {'>= 0' if zero_ok else '> 0'}, got {value!r}")
 
 
 def gp_fit(
@@ -326,10 +327,10 @@ def gp_fit(
     by tests and diagnostics); its kernel matrix comes from the same
     workspace.  ``start`` and ``kernel`` need d lengthscales, and finite,
     positive variances and lengthscales, else ``ValueError`` names the
-    field; only a fixed kernel's noise variance may be zero or negative
-    (it is added to K's diagonal as given).  Raises ``LinAlgError`` when no
-    jitter rung can factor the kernel matrix.  The search is deterministic
-    for a given seed and start.
+    field; only a fixed kernel's noise variance may be zero (it is added
+    to K's diagonal as given).  Raises ``LinAlgError`` when no jitter rung
+    can factor the kernel matrix.  The search is deterministic for a given
+    seed and start.
     """
     if len(points) < 2:
         raise ValueError("gp_fit needs at least 2 observations")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from typing import Any, Callable, Iterable, Literal, NamedTuple
 
@@ -305,22 +305,20 @@ class ConstraintBundle:
     stroke endpoints; ``c_dyn`` is the crank-reversal range (rad), or None
     when the trajectory could not be computed (statically infeasible or lost
     assembly mid-stroke).  Infeasibility is data here, never an exception.
+
+    ``feasible`` is derived from the three values on construction (both
+    gaps <= 0 and a defect-free stroke), so it cannot disagree with them.
     """
 
     c_static_i: float
     c_static_e: float
     c_dyn: float | None
-    feasible: bool
+    feasible: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.c_dyn is not None and self.c_dyn < 0.0:
             raise ValidationError("c_dyn", f"must be >= 0, got {self.c_dyn!r}")
-        if self.feasible != _is_feasible(self.c_static_i, self.c_static_e, self.c_dyn):
-            raise ValidationError("feasible", "flag inconsistent with constraint values")
-
-    @classmethod
-    def from_values(cls, c_static_i: float, c_static_e: float, c_dyn: float | None) -> "ConstraintBundle":
-        return cls(c_static_i, c_static_e, c_dyn, _is_feasible(c_static_i, c_static_e, c_dyn))
+        object.__setattr__(self, "feasible", _is_feasible(self.c_static_i, self.c_static_e, self.c_dyn))
 
 
 @dataclass(frozen=True, slots=True)

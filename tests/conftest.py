@@ -1,4 +1,5 @@
 """Shared fixtures: the canonical desk-scale mechanism used across the suite."""
+import dataclasses
 import math
 import pathlib
 
@@ -20,6 +21,28 @@ def make_canon_cfg() -> MechanismConfig:
         payload_mass=0.5,
         effector_tip_length=0.25,
     )
+
+
+def turned(cfg: MechanismConfig, offset: float, **changes) -> MechanismConfig:
+    """cfg with the effector at ``offset`` and pivot C turned by -offset about O.
+
+    The rocker angle is delta - offset, so the linkage is the original one
+    turned as a whole and its baseline still assembles on the same task;
+    only the beam's place on the rocker and the loads' directions change.
+    """
+    (cx, cy), c, s = cfg.pivot_c, math.cos(offset), math.sin(offset)
+    return dataclasses.replace(cfg, effector_offset=offset, pivot_c=(c * cx + s * cy, c * cy - s * cx), **changes)
+
+
+def mass_variants(cfg: MechanismConfig) -> list[MechanismConfig]:
+    """cfg with each kind of rocker composite: no beam, a beam across the
+    rocker, a massless rocker, and no mass at all."""
+    return [
+        turned(cfg, 2.5, effector_tip_length=0.0),
+        turned(cfg, math.pi / 2),
+        dataclasses.replace(cfg, link_density=(*cfg.link_density[:2], 0.0), payload_mass=0.0),
+        dataclasses.replace(cfg, link_density=(0.0, 0.0, 0.0), payload_mass=0.0),
+    ]
 
 
 def make_canon_task(n_samples: int = 201) -> MotionTask:

@@ -27,7 +27,7 @@ from fourbar_synth.model import (
 )
 from fourbar_synth.oracle import brute_static_gap
 
-from conftest import counting, fake_stroke, make_canon_cfg, make_canon_task
+from conftest import counting, fake_stroke, make_canon_cfg, make_canon_task, mass_variants
 
 
 def rotate(pt, phi):
@@ -472,7 +472,7 @@ KINEMATICS_FAILURES = [
     designs=st.lists(
         st.one_of(designs_in(CANON_BOX), designs_in(((0.02, 0.6),) * 3)), min_size=1, max_size=12
     ),
-    cfg=st.sampled_from([CANON, MINUS, PUSHED]),
+    cfg=st.sampled_from([CANON, MINUS, PUSHED, *mass_variants(PUSHED)]),
     task=st.sampled_from([TASK, DWELL]),
 )
 @example(designs=[BASELINE], cfg=CANON, task=TASK)  # feasible and costed

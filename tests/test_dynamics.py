@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from fourbar_synth.dynamics import mass_model, posture_terms, torque_profile
 from fourbar_synth.kinematics import (
     Posture,
+    _Lengths,
     kinematic_transform,
     solve_fk,
     solve_ik,
@@ -20,7 +22,7 @@ from fourbar_synth.model import (
 )
 from fourbar_synth.oracle import mechanical_energy
 
-from conftest import fake_stroke, make_canon_task
+from conftest import fake_stroke, make_canon_cfg, make_canon_task, mass_variants
 
 
 def motor_torque(design, cfg, posture, theta_dot, theta_ddot):
@@ -94,6 +96,65 @@ def test_rocker_composite_offset_beam(canon_cfg):
     assert mm.rocker.mass == pytest.approx(1.3, abs=1e-15)
     assert mm.rocker.com[0] == pytest.approx(0.3 * 0.075 / 1.3, abs=1e-15)
     assert mm.rocker.com[1] == pytest.approx((0.5 * 0.125 + 0.5 * 0.25) / 1.3, abs=1e-15)
+
+
+def rod_reference(density, length):
+    mass = density * length
+    return mass, 0.5 * length, 0.0, mass * length * length / 12.0
+
+
+def mass_reference(cfg):
+    """Design -> (mass, com_x, com_y, i_com) of crank, coupler and rocker, in Python floats.
+
+    The rocker composite as a list of parts, summed one part at a time and
+    squared by Python's float ``**``, the arithmetic of the mass model.
+    """
+    rho_oa, rho_ab, rho_bc = cfg.link_density
+    lt, off = cfg.effector_tip_length, cfg.effector_offset
+    if lt > 0.0:
+        m_beam = rho_bc * lt
+        cx, sx = math.cos(off), math.sin(off)
+        attached = [(m_beam, 0.5 * lt * cx, 0.5 * lt * sx, m_beam * lt * lt / 12.0), (cfg.payload_mass, lt * cx, lt * sx, 0.0)]
+    else:
+        attached = [(cfg.payload_mass, 0.0, 0.0, 0.0)]
+
+    def reference(l_oa, l_ab, l_bc):
+        parts = [rod_reference(rho_bc, l_bc), *attached]
+        total = mx = my = i_g = 0.0
+        for m, x, y, _ in parts:
+            total, mx, my = total + m, mx + m * x, my + m * y
+        gx = gy = 0.0
+        if total > 0.0:
+            gx, gy = mx / total, my / total
+            for m, x, y, i in parts:
+                i_g = i_g + (i + m * ((x - gx) ** 2 + (y - gy) ** 2))
+        return (*rod_reference(rho_oa, l_oa), *rod_reference(rho_ab, l_ab), total, gx, gy, i_g)
+
+    return reference
+
+
+def mass_fields(mm):
+    return [v for link in (mm.crank, mm.coupler, mm.rocker) for v in (link.mass, *link.com, link.i_com)]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_canon_cfg(), *mass_variants(make_canon_cfg())],
+    ids=["canon", "no-beam", "beam-across", "massless-rocker", "massless"],
+)
+def test_mass_model_is_elementwise(cfg):
+    # 200,000 designs at once equal the plain-float composite and each
+    # design's own call, field by field; numpy's ``v ** 2`` (v * v) in place
+    # of pow changes some tens of canon rockers
+    rng = np.random.default_rng(7)
+    lengths = _Lengths(*(0.02 + 0.58 * rng.random((3, 200_000))))
+    batch = [np.broadcast_to(field, lengths.l_oa.shape) for field in mass_fields(mass_model(lengths, cfg))]
+    reference = mass_reference(cfg)
+    rows = np.transpose(lengths).tolist()
+    want = np.array([reference(*row) for row in rows]).T
+    assert all(np.array_equal(got, field) for got, field in zip(batch, want))
+    for j in range(0, len(rows), 97):
+        assert mass_fields(mass_model(DesignParams(*rows[j]), cfg)) == [field[j] for field in batch]
 
 
 def test_massless_links_give_zero_torque(canon_cfg):

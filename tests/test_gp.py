@@ -332,11 +332,19 @@ def test_zero_noise_fixed_kernel_fits_without_warnings():
     assert np.abs(mu - linear(xs)).max() < 1e-8
 
 
-def test_fixed_kernel_no_jitter_can_factor_raises():
-    # a negative noise variance leaves K indefinite beyond the largest jitter
+def test_fixed_kernel_negative_noise_raises_naming_it():
+    # even a noise small enough that K still factors
     _, pts = make_points(5)
+    with pytest.raises(ValueError, match=r"^kernel\.noise_variance must be >= 0, got -1e-06$"):
+        gp_fit(pts, BOUNDS, kernel=KernelParams(1.0, (0.3, 0.3), -1e-6))
+
+
+def test_fixed_kernel_no_jitter_can_factor_raises():
+    # one input observed twice: with zero noise two rows of K are equal, and
+    # every jitter rung (at most 1e-6) rounds away on a diagonal of 1e12
+    pts = [((0.5, 0.5), 1.0), ((0.5, 0.5), 2.0), ((0.2, 0.7), 0.0)]
     with pytest.raises(np.linalg.LinAlgError):
-        gp_fit(pts, BOUNDS, kernel=KernelParams(1.0, (0.3, 0.3), -1.0))
+        gp_fit(pts, BOUNDS, kernel=KernelParams(1e12, (0.3, 0.3), 0.0))
 
 
 def scipy_lbfgsb(fun, x0, bounds):

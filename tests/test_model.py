@@ -18,6 +18,7 @@ from fourbar_synth import (
     load_config,
     load_config_dict,
 )
+from fourbar_synth.model import FEASIBLE_DYN_TOL
 from conftest import CANON_CONFIG, REPO_ROOT, make_canon_cfg, make_canon_task
 
 
@@ -103,27 +104,41 @@ def test_load_config_dict_rejects_negative_seed():
 
 
 def test_constraint_bundle_feasible_flag_must_match_values():
-    ConstraintBundle(-0.01, -0.01, 0.0, True)
-    with pytest.raises(ValidationError):
-        ConstraintBundle(-0.01, -0.01, 0.0, False)
-    with pytest.raises(ValidationError):
-        ConstraintBundle(0.01, -0.01, 0.0, True)
+    # the flag is derived from the values in each gate case, and no caller can set it
+    cases = [
+        ((-0.01, -0.01, 0.0), True),
+        ((0.0, 0.0, FEASIBLE_DYN_TOL), True),  # every bound is inclusive
+        ((1e-12, -0.01, 0.0), False),  # pose i does not assemble
+        ((-0.01, 1e-12, 0.0), False),  # pose e does not assemble
+        ((-0.01, -0.01, None), False),  # no stroke
+        ((-0.01, -0.01, math.nextafter(FEASIBLE_DYN_TOL, 1.0)), False),  # motion defect
+    ]
+    for values, feasible in cases:
+        bundle = ConstraintBundle(*values)
+        assert bundle.feasible is feasible
+        assert repr(bundle) == "ConstraintBundle(c_static_i={!r}, c_static_e={!r}, c_dyn={!r}, feasible={!r})".format(
+            *values, feasible
+        )
+        with pytest.raises(TypeError):
+            ConstraintBundle(*values, not feasible)
+        with pytest.raises(TypeError):
+            ConstraintBundle(*values, feasible=not feasible)
 
 
 def test_constraint_bundle_from_values():
-    assert ConstraintBundle.from_values(-0.01, -0.02, 0.0).feasible
-    assert not ConstraintBundle.from_values(-0.01, -0.02, None).feasible
-    assert not ConstraintBundle.from_values(-0.01, -0.02, 0.2).feasible
-    assert not ConstraintBundle.from_values(0.03, -0.02, 0.0).feasible
+    assert ConstraintBundle(-0.01, -0.02, 0.0).feasible
+    assert not ConstraintBundle(-0.01, -0.02, None).feasible
+    assert not ConstraintBundle(-0.01, -0.02, 0.2).feasible
+    assert not ConstraintBundle(0.03, -0.02, 0.0).feasible
 
 
 def test_constraint_bundle_rejects_negative_reversal_range():
     with pytest.raises(ValidationError):
-        ConstraintBundle.from_values(-0.01, -0.01, -0.5)
+        ConstraintBundle(-0.01, -0.01, -0.5)
 
 
 def test_evaluation_record_objective_requires_feasibility():
-    bundle = ConstraintBundle.from_values(0.05, -0.01, None)
+    bundle = ConstraintBundle(0.05, -0.01, None)
     with pytest.raises(ValidationError):
         EvaluationRecord(design=DesignParams(0.1, 0.25, 0.15), constraints=bundle, objective=1.0)
 

@@ -457,10 +457,10 @@ def test_step_from_record_counts_the_tolerance_band_as_zero():
     # record, so the loop must see it as satisfied and take it as f_best
     bounds = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
     band = EvaluationRecord(
-        DesignParams(0.10, 0.25, 0.15), ConstraintBundle.from_values(-0.01, -0.02, 5e-10), 1.5
+        DesignParams(0.10, 0.25, 0.15), ConstraintBundle(-0.01, -0.02, 5e-10), 1.5
     )
     clean = EvaluationRecord(
-        DesignParams(0.12, 0.20, 0.10), ConstraintBundle.from_values(-0.01, -0.01, 0.0), 2.0
+        DesignParams(0.12, 0.20, 0.10), ConstraintBundle(-0.01, -0.01, 0.0), 2.0
     )
     assert band.constraints.feasible
     step = step_from_record(band)
@@ -475,16 +475,16 @@ def test_static_rejected_record_is_seen_only_through_c_dyn():
     # and no objective, so it never becomes f_best
     bounds = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
     rejected = EvaluationRecord(
-        DesignParams(0.05, 0.30, 0.20), ConstraintBundle.from_values(0.03, -0.01, None)
+        DesignParams(0.05, 0.30, 0.20), ConstraintBundle(0.03, -0.01, None)
     )
     defective = EvaluationRecord(
-        DesignParams(0.06, 0.20, 0.10), ConstraintBundle.from_values(-0.01, -0.01, 0.2)
+        DesignParams(0.06, 0.20, 0.10), ConstraintBundle(-0.01, -0.01, 0.2)
     )
     clean = EvaluationRecord(
-        DesignParams(0.12, 0.20, 0.10), ConstraintBundle.from_values(-0.01, -0.01, 0.0), 2.0
+        DesignParams(0.12, 0.20, 0.10), ConstraintBundle(-0.01, -0.01, 0.0), 2.0
     )
     costly = EvaluationRecord(
-        DesignParams(0.10, 0.22, 0.12), ConstraintBundle.from_values(-0.01, -0.02, 0.0), 3.0
+        DesignParams(0.10, 0.22, 0.12), ConstraintBundle(-0.01, -0.02, 0.0), 3.0
     )
     step = step_from_record(rejected)
     assert step.constraints == {"c_dyn": None}
