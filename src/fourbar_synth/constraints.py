@@ -15,10 +15,11 @@ crossing of 0 or pi), the constraint value is the crank-angle range covered
 against the net direction of travel.
 
 Both scores feed the optimizer as data; infeasibility never raises.
-``evaluate_design`` runs the whole pipeline for one design, and
-``evaluate_designs`` for many at once, gating them together and walking the
-rest as one array per block.  ``assembles`` gives the static gate's verdict
-alone, for the optimizer's acquisition mask, without the gap values.
+``evaluate_design`` runs the whole pipeline for one design and
+``evaluate_designs`` for many; past their own static gates (one array pass
+costs 5 to 10 scalar pairs) they share one walk-and-cost body.
+``assembles`` gives the static gate's verdict alone, for the optimizer's
+acquisition mask, without the gap values.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
 from .dynamics import _cycle_torque, torque_profile
-from .kinematics import Stroke, _crank_angle, _Lengths, _motion_law, _walk, solve_ik
-# perfbench traces this module attribute as its kinematics span.
-from .kinematics import kinematic_transform as _transform_full
+from .kinematics import Stroke, _crank_angle, _law_columns, _Lengths, _walk, kinematic_transform, solve_ik
 from .model import (
     BaselineInfeasible,
     ConstraintBundle,
@@ -44,9 +43,6 @@ from .model import (
     MechanismConfig,
     MotionTask,
     NotAssemblable,
-    SingularState,
-    TransformUnsolvable,
-    _is_feasible,
 )
 
 __all__ = [
@@ -444,6 +440,39 @@ def _crank_reversal(theta: np.ndarray, rates: np.ndarray) -> DynamicConstraintRe
     return DynamicConstraintResult(float(values.max() - values.min()), reference_sign)
 
 
+def _walk_and_cost(blocks: Iterable, gaps: list, cfg: MechanismConfig, task: MotionTask):
+    """(bundle, t_rms or None) of each design past the static gate, block by block.
+
+    A block is one design or a ``_Lengths``; ``gaps`` holds the gap pairs in
+    block order.  Only a reversing crank's angle is taken, and exactly the
+    feasible designs are costed, none with a singular sample.  Raises
+    ValueError, as ``torque_profile`` does, for joints off the coupler.
+    """
+    law = _law_columns(task)
+    scored: list[tuple[ConstraintBundle, float | None]] = []
+    # one loop keeps a block's arrays alive until the next block's replace them: freed
+    # at each return, the heap was trimmed and regrown, and a 13^3 sweep took 10% longer
+    for design in blocks:
+        ax, ay, bx, by, theta_dot, theta_ddot, _, failed = _walk(design, cfg, law)
+        solved = ~failed.any(axis=0)
+        c_dyn = [0.0 if ok else None for ok in solved.tolist()]
+        for j in np.flatnonzero(solved & ~_keeps_sign(theta_dot)).tolist():
+            c_dyn[j] = _crank_reversal(_crank_angle(ax[:, j], ay[:, j], cfg), theta_dot[:, j]).value
+        bundles = [ConstraintBundle(*gap, c) for gap, c in zip(gaps[len(scored) :], c_dyn)]
+        objective: list[float | None] = [None] * len(bundles)
+        costed = [j for j, bundle in enumerate(bundles) if bundle.feasible]
+        if costed:
+            columns = (ax, ay, bx, by, theta_dot, theta_ddot)
+            if len(costed) < len(bundles):  # only a block of several has uncosted columns
+                design = _Lengths(*(length[costed] for length in design))
+                columns = tuple(column[:, costed] for column in columns)
+            _, t_rms, singular = _cycle_torque(design, cfg, task, law[0], columns[:4], *columns[4:])
+            for j, value, uncosted in zip(costed, t_rms.tolist(), singular.any(axis=0).tolist()):
+                objective[j] = None if uncosted else value
+        scored.extend(zip(bundles, objective))
+    return scored
+
+
 def evaluate_design(
     design: DesignParams, cfg: MechanismConfig, task: MotionTask
 ) -> EvaluationRecord:
@@ -454,27 +483,13 @@ def evaluate_design(
     defect-free trajectory (zero dynamic constraint) is costed for RMS
     torque.  Designs that fail early simply carry missing downstream
     observations; this function never raises for an infeasible design.
+    The gate is two ``static_gap`` calls, a fifth to a tenth of ``static_gaps``
+    on one row; the body after it is the one ``evaluate_designs`` runs.
     """
-    gap_i = static_gap(design, cfg, task, "i")
-    gap_e = static_gap(design, cfg, task, "e")
-
-    c_dyn: float | None = None
-    objective: float | None = None
-    if gap_i.value <= 0.0 and gap_e.value <= 0.0:
-        try:
-            stroke = _transform_full(design, cfg, task)
-        except TransformUnsolvable:
-            stroke = None  # assembles at the endpoints but not throughout
-        if stroke is not None:
-            c_dyn = dynamic_constraint(stroke).value
-
-    bundle = ConstraintBundle(gap_i.value, gap_e.value, c_dyn)
-    if bundle.feasible:
-        try:
-            objective = torque_profile(design, cfg, task, stroke).t_rms
-        except SingularState:
-            objective = None  # transmission singularity at a sample; leave uncosted
-    return EvaluationRecord(design=design, constraints=bundle, objective=objective)
+    gaps = (static_gap(design, cfg, task, "i").value, static_gap(design, cfg, task, "e").value)
+    if gaps[0] <= 0.0 and gaps[1] <= 0.0:
+        return EvaluationRecord(design, *_walk_and_cost([design], [gaps], cfg, task)[0])
+    return EvaluationRecord(design, ConstraintBundle(*gaps, None))
 
 
 def evaluate_designs(
@@ -483,12 +498,9 @@ def evaluate_designs(
     """``evaluate_design`` for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
 
     One record per row, in row order, each ``==`` the one ``evaluate_design``
-    returns: the same gates in the same floating-point operations, batched.
-    ``static_gaps`` gates all rows at once; the rows that pass are walked,
-    scored and costed as (samples x designs) arrays, and the crank angle,
-    which only a reversing crank needs, is taken for those designs alone.
-    A call costs about 100 us before any walk, so one design is cheaper
-    through ``evaluate_design``.
+    returns.  Only the gate differs: one ``static_gaps`` pass, about 100 us,
+    gates all rows, and the rows that pass go through the same body in
+    blocks of about 8,192 samples.
 
     Raises ValidationError for a row that is not a valid design, and
     ValueError for an array of another shape or, as ``torque_profile``
@@ -498,35 +510,18 @@ def evaluate_designs(
     if designs.ndim != 2 or designs.shape[1] != 3:
         raise ValueError(f"designs must be an (m, 3) array, got shape {designs.shape}")
     params = [DesignParams(*row) for row in designs.tolist()]
-    if not params:
-        return []
     gaps = list(zip(*static_gaps(designs, cfg, task).tolist()))
-    c_dyn: list[float | None] = [None] * len(params)
-    objective: list[float | None] = [None] * len(params)
     walked = [r for r, (gap_i, gap_e) in enumerate(gaps) if gap_i <= 0.0 and gap_e <= 0.0]
-    law = tuple(column[:, None] for column in _motion_law(task))  # designs along axis 1
     step = max(1, _BLOCK_SAMPLES // task.n_samples)
-    for rows in (walked[k : k + step] for k in range(0, len(walked), step)):
-        lengths = _Lengths(*designs[rows].T)
-        ax, ay, bx, by, theta_dot, theta_ddot, _, failed = _walk(lengths, cfg, law)
-        solved = ~failed.any(axis=0)
-        steady = solved & _keeps_sign(theta_dot)
-        for j in np.flatnonzero(steady).tolist():
-            c_dyn[rows[j]] = 0.0
-        for j in np.flatnonzero(solved & ~steady).tolist():
-            theta = _crank_angle(ax[:, j], ay[:, j], cfg)
-            c_dyn[rows[j]] = _crank_reversal(theta, theta_dot[:, j]).value
+    blocks = (_Lengths(*designs[walked[k : k + step]].T) for k in range(0, len(walked), step))
+    scored = dict(zip(walked, _walk_and_cost(blocks, [gaps[r] for r in walked], cfg, task)))
+    return [EvaluationRecord(design, *(scored.get(r) or (ConstraintBundle(*gaps[r], None), None)))
+            for r, design in enumerate(params)]
 
-        costed = [j for j, r in enumerate(rows) if _is_feasible(*gaps[r], c_dyn[r])]
-        if not costed:
-            continue
-        _, t_rms, singular = _cycle_torque(
-            _Lengths(*(length[costed] for length in lengths)), cfg, task, law[0],
-            (ax[:, costed], ay[:, costed], bx[:, costed], by[:, costed]),
-            theta_dot[:, costed], theta_ddot[:, costed],
-        )
-        for j, value, uncosted in zip(costed, t_rms.tolist(), singular.any(axis=0).tolist()):
-            if not uncosted:
-                objective[rows[j]] = value
-    bundles = [ConstraintBundle(*g, c) for g, c in zip(gaps, c_dyn)]
-    return [EvaluationRecord(*record) for record in zip(params, bundles, objective)]
+
+def __getattr__(name: str):
+    # perfbench, their only reader, wraps these to time the kinematics and dynamics layers
+    layers = {"_transform_full": kinematic_transform, "torque_profile": torque_profile}
+    if name in layers:
+        return layers[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

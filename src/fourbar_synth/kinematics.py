@@ -281,6 +281,12 @@ def _motion_law(task: MotionTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return law
 
 
+@lru_cache(maxsize=16)
+def _law_columns(task: MotionTask) -> tuple[np.ndarray, ...]:
+    """``_motion_law`` as read-only (n, 1) columns, for designs along axis 1."""
+    return tuple(column[:, None] for column in _motion_law(task))
+
+
 class _Lengths(NamedTuple):
     """Bar lengths of k designs as (k,) arrays, read as a DesignParams is.
 
@@ -298,9 +304,9 @@ def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, law: tuple[np.n
     """The stroke walk of ``kinematic_transform`` up to its failure rule, elementwise.
 
     ``law`` is the task's ``_motion_law``.  Returns (ax, ay, bx, by,
-    theta_dot, theta_ddot, assembles, failed): columns over the samples for
-    one design, or (n, k) arrays for ``_Lengths`` and the law as (n, 1)
-    columns.  ``failed`` marks the samples that do not assemble or meet a
+    theta_dot, theta_ddot, assembles, failed): columns over the samples, or
+    (n, k) arrays against the law's ``_law_columns``, k = 1 for one design.
+    ``failed`` marks the samples that do not assemble or meet a
     crank-coupler dead point inside the stroke; a design with a failed
     sample has no meaningful rates.
     """

@@ -293,10 +293,6 @@ class OptimizerConfig:
             raise ValidationError("seed", f"must be >= 0, got {self.seed!r}")
 
 
-def _is_feasible(c_static_i: float, c_static_e: float, c_dyn: float | None) -> bool:
-    return c_static_i <= 0.0 and c_static_e <= 0.0 and c_dyn is not None and c_dyn <= FEASIBLE_DYN_TOL
-
-
 @dataclass(frozen=True, slots=True)
 class ConstraintBundle:
     """Constraint observations for one design.
@@ -318,7 +314,9 @@ class ConstraintBundle:
     def __post_init__(self) -> None:
         if self.c_dyn is not None and self.c_dyn < 0.0:
             raise ValidationError("c_dyn", f"must be >= 0, got {self.c_dyn!r}")
-        object.__setattr__(self, "feasible", _is_feasible(self.c_static_i, self.c_static_e, self.c_dyn))
+        assembles = self.c_static_i <= 0.0 and self.c_static_e <= 0.0
+        defect_free = self.c_dyn is not None and self.c_dyn <= FEASIBLE_DYN_TOL
+        object.__setattr__(self, "feasible", assembles and defect_free)
 
 
 @dataclass(frozen=True, slots=True)
