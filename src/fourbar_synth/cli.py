@@ -341,10 +341,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, BaselineInfeasible, BaselineDefective) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MechanismError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MechanismError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,14 @@ crossing of 0 or pi), the constraint value is the crank-angle range covered
 against the net direction of travel.
 
 Both scores feed the optimizer as data; infeasibility never raises.
+The slide is written once, in ``_slide``: ``static_gap`` runs it on floats
+for one pose, about 4.5 us a call, and ``static_gaps`` on arrays for both
+poses of many designs, about 50 us plus 0.4 us a design (2-vCPU VM).
 ``evaluate_design`` runs the whole pipeline for one design and
 ``evaluate_designs`` for many; past their own static gates (one array pass
-costs 5 to 10 scalar pairs) they share one walk-and-cost body.
-``assembles`` gives the static gate's verdict alone, for the optimizer's
-acquisition mask, without the gap values.
+on one design costs about five scalar pairs) they share one walk-and-cost
+body.  ``assembles`` gives the static gate's verdict alone, for the
+optimizer's acquisition mask, without the gap values.
 """
 
 from __future__ import annotations
@@ -171,10 +174,88 @@ def _slide_frame(
 
 @lru_cache(maxsize=4096)
 def _slide_frames(cfg: MechanismConfig, task: MotionTask) -> np.ndarray:
-    """Both poses' ``_slide_frame`` as rows of one read-only (2, 6) array."""
-    frames = np.array([_slide_frame(cfg, task, "i"), _slide_frame(cfg, task, "e")])
+    """Both poses' ``_slide_frame`` as six read-only (2, 1) columns, pose "i" in row 0."""
+    frames = np.array([_slide_frame(cfg, task, "i"), _slide_frame(cfg, task, "e")]).T[:, :, None]
     frames.flags.writeable = False
     return frames
+
+
+def _slide_starts(l_oa, l_ab, l_bc, frame, cfg: MechanismConfig):
+    """B and the slide start O' of ``static_gap`` in a pose's frame.
+
+    The lengths are floats with one ``_slide_frame``, or (m,) arrays with
+    the columns of ``_slide_frames``, which give (2, m) coordinates.
+    """
+    ucbx, ucby, ubax, ubay, uaox, uaoy = frame
+    cx, cy = cfg.pivot_c
+    bx = cx + l_bc * ucbx
+    by = cy + l_bc * ucby
+    opx = bx + l_ab * ubax + l_oa * uaox
+    opy = by + l_ab * ubay + l_oa * uaoy
+    return bx, by, opx, opy
+
+
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot``, so equal to the scalar path bit for bit.
+
+    ``np.hypot`` rounds differently from ``math.hypot`` in about 0.6% of
+    pairs.  A numpy port of CPython's algorithm is exact too, but costs
+    about 100 us per call in array-op overhead, against 1.4 us here for one
+    pair and 0.4 to 0.5 ms for the 2 x 2197 points of a 13^3 grid sweep
+    (both poses).
+    """
+    values = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+# the operations of ``_slide`` that differ between floats and arrays: sqrt,
+# hypot, maximum, minimum, where and any.  Each array function rounds as its
+# float counterpart, with arguments in the same order, so both give equal bits
+_FLOATS = (math.sqrt, math.hypot, max, min, lambda c, a, b: a if c else b, bool)
+_ARRAYS = (np.sqrt, _hypot, np.maximum, np.minimum, np.where, np.any)
+
+
+def _slide(xp, l_oa, l_ab, bx, by, opx, opy, cfg: MechanismConfig):
+    """The slide of ``static_gap`` from O' toward O, elementwise in ``xp``'s operations.
+
+    Returns (value, s_o, s_final, degenerate): the gap, the distance from O'
+    to O, the length slid (from O for a degenerate start, which slides
+    outward from B through O) and whether the start was within 1e-9 m of O.
+    """
+    sqrt, hypot, maximum, minimum, where, any_ = xp
+    ox, oy = cfg.pivot_o
+    cap = cfg.overshoot_cap
+    r_in = abs(l_ab - l_oa)
+    r_out = l_ab + l_oa
+
+    s_o = hypot(ox - opx, oy - opy)
+    step = maximum(s_o, _DEGENERATE_START)  # == s_o on every start that is not degenerate
+    ux, uy = (ox - opx) / step, (oy - opy) / step
+    wx, wy = opx - bx, opy - by
+    w2 = wx * wx + wy * wy
+    p = wx * ux + wy * uy  # signed progress of the start along the ray
+
+    # first exit through the outer circle: larger root of |w + s u| = r_out
+    disc_out = p * p - (w2 - r_out * r_out)
+    s_exit = -p + sqrt(maximum(disc_out, 0.0))
+
+    # first entry into the inner hole (tangency, up to rounding, does not block)
+    disc_in = p * p - (w2 - r_in * r_in)
+    hole = (r_in > 0.0) & (disc_in > _TANGENT_REL * (p * p + w2 + r_in * r_in))
+    root = sqrt(where(hole, disc_in, 0.0))
+    a1 = -p - root
+    a2 = -p + root
+    enters = hole & (a2 > 0.0) & (a1 > -1e-15)
+    s_exit = where(enters, minimum(s_exit, maximum(a1, 0.0)), s_exit)
+
+    s_final = minimum(s_exit, s_o + cap)
+    value = s_o - s_final
+    degenerate = s_o < _DEGENERATE_START
+    if any_(degenerate):  # already at O: the capped slack outward from B through O
+        slack = minimum(cap, maximum(0.0, r_out - hypot(ox - bx, oy - by)))
+        s_final = where(degenerate, slack, s_final)
+        value = where(degenerate, -slack, value)
+    return value, s_o, s_final, degenerate
 
 
 def static_gap(
@@ -196,129 +277,40 @@ def static_gap(
     radially outward from B through O, giving the most negative capped
     value the local geometry allows.
 
-    ``static_gaps`` computes the same values for many designs at once.
+    One call takes about 4.5 us; ``static_gaps`` runs the same slide on
+    arrays of designs.
     """
-    ucbx, ucby, ubax, ubay, uaox, uaoy = _slide_frame(cfg, task, pose)
+    frame = _slide_frame(cfg, task, pose)
+    bx, by, opx, opy = _slide_starts(design.l_oa, design.l_ab, design.l_bc, frame, cfg)
+    value, s_o, s_final, degenerate = _slide(_FLOATS, design.l_oa, design.l_ab, bx, by, opx, opy, cfg)
     ox, oy = cfg.pivot_o
-    cx, cy = cfg.pivot_c
-    bx = cx + design.l_bc * ucbx
-    by = cy + design.l_bc * ucby
-    apx = bx + design.l_ab * ubax
-    apy = by + design.l_ab * ubay
-    opx = apx + design.l_oa * uaox
-    opy = apy + design.l_oa * uaoy
-
-    r_in = abs(design.l_ab - design.l_oa)
-    r_out = design.l_ab + design.l_oa
-    cap = cfg.overshoot_cap
-
-    s_o = math.hypot(ox - opx, oy - opy)
-    if s_o < _DEGENERATE_START:
-        # already at O: probe outward from B through O for the capped slack
+    if degenerate:
         dx, dy = ox - bx, oy - by
         d_ob = math.hypot(dx, dy)
-        if d_ob > 0.0:
-            ux, uy = dx / d_ob, dy / d_ob
-        else:
-            ux, uy = 1.0, 0.0
-        s_final = min(cap, max(0.0, r_out - d_ob))
-        return StaticGapResult(
-            value=-s_final,
-            pose=pose,
-            o_prime_init=(opx, opy),
-            o_prime_final=(ox + s_final * ux, oy + s_final * uy),
-            degenerate_start=True,
-        )
-
-    ux, uy = (ox - opx) / s_o, (oy - opy) / s_o
-    wx, wy = opx - bx, opy - by
-    w2 = wx * wx + wy * wy
-    p = wx * ux + wy * uy  # signed progress of the start along the ray
-
-    # first exit through the outer circle: larger root of |w + s u| = r_out
-    disc_out = p * p - (w2 - r_out * r_out)
-    s_exit = -p + math.sqrt(max(disc_out, 0.0))
-
-    # first entry into the inner hole (tangency, up to rounding, does not block)
-    if r_in > 0.0:
-        disc_in = p * p - (w2 - r_in * r_in)
-        if disc_in > _TANGENT_REL * (p * p + w2 + r_in * r_in):
-            root = math.sqrt(disc_in)
-            a1 = -p - root
-            a2 = -p + root
-            if a2 > 0.0 and a1 > -1e-15:
-                s_exit = min(s_exit, max(a1, 0.0))
-
-    s_final = min(s_exit, s_o + cap)
-    return StaticGapResult(
-        value=s_o - s_final,
-        pose=pose,
-        o_prime_init=(opx, opy),
-        o_prime_final=(opx + s_final * ux, opy + s_final * uy),
-        degenerate_start=False,
-    )
-
-
-def _slide_starts(
-    l_oa: np.ndarray, l_ab: np.ndarray, l_bc: np.ndarray, cfg: MechanismConfig, task: MotionTask
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """B and the slide start O' of ``static_gap`` for many designs, (2, m) per coordinate.
-
-    Row 0 is pose "i", row 1 pose "e"; the chain is built in the scalar
-    path's operations, in its order, so each value is ``==`` the scalar one.
-    """
-    ucbx, ucby, ubax, ubay, uaox, uaoy = _slide_frames(cfg, task).T[:, :, None]  # (2, 1) each
-    cx, cy = cfg.pivot_c
-    bx = cx + l_bc * ucbx
-    by = cy + l_bc * ucby
-    opx = bx + l_ab * ubax + l_oa * uaox
-    opy = by + l_ab * ubay + l_oa * uaoy
-    return bx, by, opx, opy
+        ux, uy = (dx / d_ob, dy / d_ob) if d_ob > 0.0 else (1.0, 0.0)
+        start = ox, oy
+    else:
+        ux, uy = (ox - opx) / s_o, (oy - opy) / s_o
+        start = opx, opy
+    final = (start[0] + s_final * ux, start[1] + s_final * uy)
+    return StaticGapResult(value, pose, (opx, opy), final, degenerate)
 
 
 def static_gaps(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np.ndarray:
     """``static_gap(...).value`` at both poses for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
 
-    Returns a (2, m) array: row 0 is pose "i", row 1 is pose "e".  The slide
-    of ``static_gap`` in the same floating-point operations, in the same
-    order, with each pose's frame as a column, so every value is ``==`` the
-    scalar one.  A call has a fixed cost of about 50 us in array-op
-    overhead, some ten scalar calls, so it pays only across many designs.
-    ``assembles`` returns only the signs, in about half the time.
+    Returns a (2, m) array: row 0 is pose "i", row 1 is pose "e".  The
+    slide of ``static_gap`` on arrays, with each pose's frame as a column,
+    so every value equals the scalar one bit for bit.  A call has a fixed
+    cost of about 50 us in array-op overhead, some ten scalar calls, and
+    about 0.4 us a design (0.9 ms for a 13^3 grid), so it pays only across
+    many designs.  ``assembles`` returns only the signs, in about half the
+    time.
     """
     designs = np.asarray(designs, dtype=float)
     l_oa, l_ab, l_bc = designs[:, 0], designs[:, 1], designs[:, 2]
-    bx, by, opx, opy = _slide_starts(l_oa, l_ab, l_bc, cfg, task)
-    ox, oy = cfg.pivot_o
-
-    r_in = np.abs(l_ab - l_oa)
-    r_out = l_ab + l_oa
-    cap = cfg.overshoot_cap
-
-    s_o = _hypot(ox - opx, oy - opy)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows that start at O
-        ux, uy = (ox - opx) / s_o, (oy - opy) / s_o
-    wx, wy = opx - bx, opy - by
-    w2 = wx * wx + wy * wy
-    p = wx * ux + wy * uy
-
-    disc_out = p * p - (w2 - r_out * r_out)
-    s_exit = -p + np.sqrt(np.maximum(disc_out, 0.0))
-
-    disc_in = p * p - (w2 - r_in * r_in)
-    hole = (r_in > 0.0) & (disc_in > _TANGENT_REL * (p * p + w2 + r_in * r_in))
-    root = np.sqrt(np.where(hole, disc_in, 0.0))
-    a1 = -p - root
-    a2 = -p + root
-    enters = hole & (a2 > 0.0) & (a1 > -1e-15)
-    s_exit = np.where(enters, np.minimum(s_exit, np.maximum(a1, 0.0)), s_exit)
-
-    values = s_o - np.minimum(s_exit, s_o + cap)
-    degenerate = s_o < _DEGENERATE_START
-    if degenerate.any():
-        slack = np.minimum(cap, np.maximum(0.0, r_out - _hypot(ox - bx, oy - by)))
-        values = np.where(degenerate, -slack, values)
-    return values
+    starts = _slide_starts(l_oa, l_ab, l_bc, _slide_frames(cfg, task), cfg)
+    return _slide(_ARRAYS, l_oa, l_ab, *starts, cfg)[0]
 
 
 def assembles(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np.ndarray:
@@ -364,7 +356,7 @@ def assembles(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np
     """
     designs = np.asarray(designs, dtype=float)
     l_oa, l_ab, l_bc = np.ascontiguousarray(designs.T)
-    bx, by, opx, opy = _slide_starts(l_oa, l_ab, l_bc, cfg, task)
+    bx, by, opx, opy = _slide_starts(l_oa, l_ab, l_bc, _slide_frames(cfg, task), cfg)
     ox, oy = cfg.pivot_o
 
     wx, wy = opx - bx, opy - by  # B -> O'
@@ -391,19 +383,6 @@ def assembles(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np
         rows = undecided.any(axis=0)
         passes[undecided] = (static_gaps(designs[rows], cfg, task) <= 0.0)[undecided[:, rows]]
     return passes[0] & passes[1]
-
-
-def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.hypot``, so equal to the scalar path bit for bit.
-
-    ``np.hypot`` rounds differently from ``math.hypot`` in about 0.6% of
-    pairs.  A numpy port of CPython's algorithm is exact too, but costs
-    about 100 us per call in array-op overhead, against 1 us here for one
-    pair and about 0.5 ms for the 2 x 2197 points of a 13^3 grid sweep
-    (both poses).
-    """
-    values = map(math.hypot, x.ravel().tolist(), y.ravel().tolist())
-    return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
 def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:
@@ -483,8 +462,9 @@ def evaluate_design(
     defect-free trajectory (zero dynamic constraint) is costed for RMS
     torque.  Designs that fail early simply carry missing downstream
     observations; this function never raises for an infeasible design.
-    The gate is two ``static_gap`` calls, a fifth to a tenth of ``static_gaps``
-    on one row; the body after it is the one ``evaluate_designs`` runs.
+    The gate is two ``static_gap`` calls, about 9 us, a fifth of
+    ``static_gaps`` on one row; the body after it is the one
+    ``evaluate_designs`` runs.
     """
     gaps = (static_gap(design, cfg, task, "i").value, static_gap(design, cfg, task, "e").value)
     if gaps[0] <= 0.0 and gaps[1] <= 0.0:
@@ -498,9 +478,9 @@ def evaluate_designs(
     """``evaluate_design`` for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
 
     One record per row, in row order, each ``==`` the one ``evaluate_design``
-    returns.  Only the gate differs: one ``static_gaps`` pass, about 100 us,
-    gates all rows, and the rows that pass go through the same body in
-    blocks of about 8,192 samples.
+    returns.  Only the gate differs: one ``static_gaps`` pass, about 50 us
+    plus 0.4 us a row, gates all rows, and the rows that pass go through
+    the same body in blocks of about 8,192 samples.
 
     Raises ValidationError for a row that is not a valid design, and
     ValueError for an array of another shape or, as ``torque_profile``

@@ -19,9 +19,11 @@ one iteration earlier (2 L-BFGS-B starts: that kernel, then the default); a
 surrogate's first fit, and a fit after a constant-data (degenerate) one, is
 cold (8 starts).  The starts run in ``gp``'s own L-BFGS-B loop.
 
-Everything is deterministic for a given seed: the LHS, the GP multistarts,
-the acquisition probes and the pattern-descent refinements all derive their
-RNG streams from ``OptimizerConfig.seed`` and the iteration index.
+Everything is deterministic for a given seed.  Three things draw random
+numbers: the LHS, from ``OptimizerConfig.seed``, and a cold GP fit's 7
+random starts and the acquisition probes, from streams derived from the
+seed and the iteration.  A warm fit and the pattern-descent refinements
+draw nothing.
 """
 
 from __future__ import annotations
@@ -146,8 +148,7 @@ def constrained_ei(
     pof = np.ones(m)
     for cm in constraint_models:
         mu, var = gp_predict(cm, q)
-        mu = np.atleast_1d(mu)
-        sd = np.sqrt(np.atleast_1d(var))
+        sd = np.sqrt(var)
         ok = sd > 0.0
         factor = np.where(ok, ndtr(-mu / np.where(ok, sd, 1.0)), (mu <= 0.0).astype(float))
         pof *= factor
@@ -156,8 +157,7 @@ def constrained_ei(
         acq = pof
     else:
         mu, var = gp_predict(objective_model, q)
-        mu = np.atleast_1d(mu)
-        sd = np.sqrt(np.atleast_1d(var))
+        sd = np.sqrt(var)
         imp = f_best - mu
         ok = sd > 0.0
         z = imp / np.where(ok, sd, 1.0)

@@ -130,6 +130,54 @@ def test_static_gap_crank_only_change_overshoots():
     assert math.hypot(*res.o_prime_final) == pytest.approx(cfg.overshoot_cap, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "design, pose, end",
+    [
+        ((0.13, 0.08, 0.41), "i", "outer"),  # stops short on the reach circle
+        ((0.03, 0.32, 0.24), "e", "outer"),
+        ((0.05, 0.12, 0.33), "i", "outer"),  # passes O, then leaves the reach disc
+        ((0.4, 0.14, 0.19), "i", "hole"),  # stops short at the inner hole
+        ((0.38, 0.03, 0.14), "e", "hole"),
+        ((0.09, 0.39, 0.08), "e", "hole"),  # passes O, then enters the hole
+        ((0.22, 0.22, 0.32), "i", "cap"),
+        ((0.22, 0.19, 0.25), "e", "cap"),
+        ((0.10, 0.25, 0.15), "i", "degenerate"),  # the baseline starts at O
+        ((0.10, 0.25, 0.15), "e", "degenerate"),
+    ],
+)
+def test_static_gap_final_point_is_where_the_slide_stops(canon_cfg, canon_task, design, pose, end):
+    # o_prime_final, which CLI evaluate --pose prints, against the slide's geometry
+    d = DesignParams(*design)
+    res = static_gap(d, canon_cfg, canon_task, pose)
+    ox, oy = canon_cfg.pivot_o
+    ang = (canon_task.delta_i if pose == "i" else canon_task.delta_e) - canon_cfg.effector_offset
+    bx = canon_cfg.pivot_c[0] + d.l_bc * math.cos(ang)
+    by = canon_cfg.pivot_c[1] + d.l_bc * math.sin(ang)
+    fx, fy = res.o_prime_final
+    assert res.degenerate_start == (end == "degenerate")
+    if end == "degenerate":
+        # slid from O outward along the ray B -> O by the slack -value
+        d_ob = math.hypot(ox - bx, oy - by)
+        reach = (d_ob - res.value) / d_ob
+        assert res.value < 0.0
+        assert math.hypot(fx - ox, fy - oy) == pytest.approx(-res.value, abs=1e-12)
+        assert (fx, fy) == pytest.approx((bx + reach * (ox - bx), by + reach * (oy - by)), abs=1e-12)
+        return
+    px, py = res.o_prime_init
+    s_o = math.hypot(ox - px, oy - py)
+    ux, uy = (ox - px) / s_o, (oy - py) / s_o
+    slid = s_o - res.value
+    assert (fx, fy) == pytest.approx((px + slid * ux, py + slid * uy), abs=1e-12)
+    radius = math.hypot(fx - bx, fy - by)
+    if end == "outer":
+        assert radius == pytest.approx(d.l_ab + d.l_oa, abs=1e-12)
+    elif end == "hole":
+        assert radius == pytest.approx(abs(d.l_ab - d.l_oa), abs=1e-12)
+    else:
+        assert res.value == pytest.approx(-canon_cfg.overshoot_cap, abs=1e-12)
+        assert math.hypot(fx - ox, fy - oy) == pytest.approx(canon_cfg.overshoot_cap, abs=1e-12)
+
+
 def test_static_gap_short_crank_positive(canon_cfg, canon_task):
     short = DesignParams(0.02, 0.25, 0.15)
     assert static_gap(short, canon_cfg, canon_task, "e").value == pytest.approx(
@@ -220,9 +268,11 @@ def test_static_gaps_equal_the_scalar_gap(designs):
     task = make_canon_task()
     values = static_gaps(np.array(designs), cfg, task)
     assert values.shape == (2, len(designs))
-    for pose, row in zip(("i", "e"), values):
-        for design, value in zip(designs, row):
-            assert value == static_gap(DesignParams(*design), cfg, task, pose).value
+    scalar = np.array(
+        [[static_gap(DesignParams(*design), cfg, task, pose).value for design in designs] for pose in ("i", "e")]
+    )
+    # bit patterns, so that a signed zero or a last bit on either side shows
+    assert values.view(np.int64).tolist() == scalar.view(np.int64).tolist()
 
 
 @settings(max_examples=300, deadline=None)
