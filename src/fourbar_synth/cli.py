@@ -31,7 +31,6 @@ from .model import (
     ValidationError,
     load_config,
 )
-from .oracle import grid_sweep
 
 _EVAL_HEADER = "l_oa,l_ab,l_bc,c_static_i,c_static_e,c_dyn,t_rms,feasible"
 _TRACE_HEADER = "t,delta,delta_dot,delta_ddot,theta,theta_dot,theta_ddot,torque"
@@ -178,6 +177,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    # only this command sweeps a grid, so only it loads the oracle module
+    from .oracle import grid_sweep
+
     cfg, task, opt_cfg = load_config(args.config, degrees=args.degrees)
     records = grid_sweep(cfg, task, opt_cfg.bounds, args.resolution)
     lines = [_EVAL_HEADER]

@@ -19,7 +19,10 @@ meets an interior dead point raises ``TransformUnsolvable``.  The walk
 returns a ``Stroke``, a struct of arrays whose joint columns the dynamics
 reads as they are, and ``validate_baseline`` checks the baseline on that
 same walk.  Its kernels are elementwise, so the same walk also runs many
-designs at once, as (samples x designs) arrays.
+designs at once, as (samples x designs) arrays.  One design's walk costs
+about 60 us on a 2-vCPU VM, nearly all of it per-call numpy overhead, so
+its design-independent columns are cached and its ``_joint_geometry``
+serves the torque too.
 """
 
 from __future__ import annotations
@@ -111,11 +114,17 @@ class Stroke:
         return len(self.t)
 
 
-def _rocker_tip(cfg: MechanismConfig, design: DesignParams | _Lengths, delta):
-    """Point B for effector angles delta, elementwise."""
+def _rocker_direction(cfg: MechanismConfig, delta):
+    """Unit direction (cos, sin) of the rocker ray C -> B at effector angles delta, elementwise."""
     ang = delta - cfg.effector_offset
+    return np.cos(ang), np.sin(ang)
+
+
+def _rocker_tip(cfg: MechanismConfig, design: DesignParams | _Lengths, direction):
+    """Point B for the rocker's unit ``direction`` from C, elementwise."""
+    ux, uy = direction
     cx, cy = cfg.pivot_c
-    return cx + design.l_bc * np.cos(ang), cy + design.l_bc * np.sin(ang)
+    return cx + design.l_bc * ux, cy + design.l_bc * uy
 
 
 def _intersect(c0x, c0y, r0: float, c1x, c1y, r1: float, label: Branch):
@@ -125,21 +134,21 @@ def _intersect(c0x, c0y, r0: float, c1x, c1y, r1: float, label: Branch):
     it.  Near-tangency within a 1e-12 relative band is snapped to exact
     tangency, where both labels give the one point, so that marginally
     assemblable designs still solve.  ``ok`` is false where the circles do
-    not meet or share their centre; x and y there are no intersection.
+    not meet or share their centre; x and y there are no intersection,
+    and the caller's ``np.errstate`` silences the division by d2 = 0.
     """
     # numpy floats even for float input, so that d2 = 0 cannot raise
     dx = np.subtract(c1x, c0x)
     dy = np.subtract(c1y, c0y)
     d2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = (d2 + r0 * r0 - r1 * r1) / (2.0 * d2)  # chord foot as fraction of d
-        h2 = r0 * r0 - a * a * d2
-        # h2 ~ -2*r0*r1/d * gap near tangency; accept gaps within tolerance
-        ok = (d2 > 0.0) & (h2 >= -4.0 * _TANGENT_TOL * r0 * r1)
-        h_over_d = np.sqrt(np.maximum(h2, 0.0) / d2)
-        if label == "minus":
-            h_over_d = -h_over_d
-        return c0x + a * dx - dy * h_over_d, c0y + a * dy + dx * h_over_d, ok
+    a = (d2 + r0 * r0 - r1 * r1) / (2.0 * d2)  # chord foot as fraction of d
+    h2 = r0 * r0 - a * a * d2
+    # h2 ~ -2*r0*r1/d * gap near tangency; accept gaps within tolerance
+    ok = (d2 > 0.0) & (h2 >= -4.0 * _TANGENT_TOL * r0 * r1)
+    h_over_d = np.sqrt(np.maximum(h2, 0.0) / d2)
+    if label == "minus":
+        h_over_d = -h_over_d
+    return c0x + a * dx - dy * h_over_d, c0y + a * dy + dx * h_over_d, ok
 
 
 def solve_ik(design: DesignParams, cfg: MechanismConfig, delta: float, elbow: Branch) -> Posture:
@@ -152,8 +161,9 @@ def solve_ik(design: DesignParams, cfg: MechanismConfig, delta: float, elbow: Br
     Raises NotAssemblable when the two circles do not intersect.
     """
     ox, oy = cfg.pivot_o
-    bx, by = _rocker_tip(cfg, design, delta)
-    ax, ay, ok = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, elbow)
+    bx, by = _rocker_tip(cfg, design, _rocker_direction(cfg, delta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ax, ay, ok = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, elbow)
     if not ok:
         raise NotAssemblable(
             f"no crank-pin position at delta={delta!r} for lengths {design.as_tuple()!r}"
@@ -173,7 +183,8 @@ def solve_fk(design: DesignParams, cfg: MechanismConfig, theta: float, elbow: Br
     cx, cy = cfg.pivot_c
     ax = ox + design.l_oa * math.cos(theta)
     ay = oy + design.l_oa * math.sin(theta)
-    bx, by, ok = _intersect(ax, ay, design.l_ab, cx, cy, design.l_bc, elbow)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bx, by, ok = _intersect(ax, ay, design.l_ab, cx, cy, design.l_bc, elbow)
     if not ok:
         raise NotAssemblable(
             f"no rocker-pin position at theta={theta!r} for lengths {design.as_tuple()!r}"
@@ -187,12 +198,12 @@ def kinematic_coefficients(
 ) -> KinematicCoefficients:
     """First and second stroke derivatives of the crank angle, in closed form.
 
-    Differentiating the closure |A(theta) - B(delta)| = l_ab with
-    e = A - B, A_theta = perp(A - O) and B_delta = perp(B - C) gives
-        r = dtheta/ddelta = (e . B_delta) / (e . A_theta)
+    Differentiating the closure |B(delta) - A(theta)| = l_ab with
+    d = B - A, A_theta = perp(A - O) and B_delta = perp(B - C) gives
+        r = dtheta/ddelta = (d . B_delta) / (d . A_theta)
     and, once more (A_theta' = -(A - O), B_delta' = -(B - C)),
-        d2theta/ddelta2 = -[(l_oa^2 - e.(A - O)) r^2 - 2 (A_theta . B_delta) r
-                            + (l_bc^2 + e.(B - C))] / (e . A_theta).
+        d2theta/ddelta2 = [(l_oa^2 + d.(A - O)) r^2 - 2 (A_theta . B_delta) r
+                           + (l_bc^2 - d.(B - C))] / (d . A_theta).
     The shared denominator is proportional to sin(alpha) (crank-coupler
     dead point), the numerator of r to sin(beta) (transmission singularity,
     where r vanishes and the crank reverses).
@@ -200,9 +211,9 @@ def kinematic_coefficients(
     Raises SingularPosture at a crank-coupler dead point, where the
     effector-driven ratio is unbounded.
     """
-    ratio, accel, singular = _crank_coefficients(
-        design, cfg, *np.asarray(posture.point_a), *np.asarray(posture.point_b)
-    )
+    geometry = _joint_geometry(cfg, *np.asarray(posture.point_a), *np.asarray(posture.point_b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio, accel, singular = _crank_coefficients(design, geometry)
     if singular:
         raise SingularPosture(
             f"crank and coupler collinear at delta={posture.delta!r}; "
@@ -211,42 +222,54 @@ def kinematic_coefficients(
     return KinematicCoefficients(float(ratio), float(accel))
 
 
-def _crank_coefficients(
-    design: DesignParams | _Lengths,
-    cfg: MechanismConfig,
-    ax: np.ndarray,
-    ay: np.ndarray,
-    bx: np.ndarray,
-    by: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dtheta/ddelta, d2theta/ddelta2, dead point) at joints A, B.
+def _joint_geometry(cfg: MechanismConfig, ax, ay, bx, by):
+    """The joint differences and cross products that the walk and the torque share.
 
-    Elementwise over scalars or sample columns; see kinematic_coefficients.
-    At a dead point (the third result) the two ratios are not finite.
+    Elementwise over scalars, sample columns or (n, k) arrays.  Returns
+    (rax, ray, rbx, rby, bax, bay, vax, den, num): A - O, B - C, d = B - A,
+    vax of the crank's perpendicular A_theta = perp(A - O) = (vax, rax), and
+    the cross products den = d . A_theta and num = d . B_delta =
+    cross(B - C, B - A) of ``kinematic_coefficients``.  The torque takes
+    A_theta as the crank pin's velocity at unit rate, num as the
+    determinant of its velocity closure and den as the rocker rate's
+    numerator.
     """
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
-    ex = ax - bx
-    ey = ay - by
     rax = ax - ox
     ray = ay - oy
     rbx = bx - cx
     rby = by - cy
-    # A_theta = perp(A - O), B_delta = perp(B - C)
-    dax, day = -ray, rax
-    dbx, dby = -rby, rbx
-    den = ex * dax + ey * day
-    num = ex * dbx + ey * dby
+    bax = bx - ax
+    bay = by - ay
+    vax = -ray
+    den = vax * bax + rax * bay  # zero at a crank-coupler dead point
+    # zero at a transmission singularity; the negation of (A - B) . B_delta
+    # rather than rbx * bay - rby * bax, so that an exact zero is -0.0 and
+    # the zero ratio num / den has the sign it has with A - B on both sides
+    num = -(rby * bax - rbx * bay)
+    return rax, ray, rbx, rby, bax, bay, vax, den, num
+
+
+def _crank_coefficients(
+    design: DesignParams | _Lengths, geometry: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dtheta/ddelta, d2theta/ddelta2, dead point) at the joints ``_joint_geometry`` describes.
+
+    Elementwise; see kinematic_coefficients.  At a dead point (the third
+    result) the two ratios are not finite, and the caller's ``np.errstate``
+    silences the division.
+    """
+    rax, ray, rbx, rby, bax, bay, _, den, num = geometry
     singular = np.abs(den) < _SINGULAR_TOL * design.l_oa * design.l_ab
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = num / den
-        curvature = (
-            (design.l_oa * design.l_oa - (ex * rax + ey * ray)) * ratio * ratio
-            - 2.0 * (dax * dbx + day * dby) * ratio
-            + design.l_bc * design.l_bc
-            + (ex * rbx + ey * rby)
-        )
-        return ratio, -curvature / den, singular
+    ratio = num / den
+    curvature = (
+        (design.l_oa * design.l_oa + (bax * rax + bay * ray)) * ratio * ratio
+        - 2.0 * (ray * rby + rax * rbx) * ratio  # A_theta . B_delta
+        + design.l_bc * design.l_bc
+        - (bax * rbx + bay * rby)
+    )
+    return ratio, curvature / den, singular
 
 
 def motion_profile(task: MotionTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -281,10 +304,17 @@ def _motion_law(task: MotionTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return law
 
 
-@lru_cache(maxsize=16)
-def _law_columns(task: MotionTask) -> tuple[np.ndarray, ...]:
-    """``_motion_law`` as read-only (n, 1) columns, for designs along axis 1."""
-    return tuple(column[:, None] for column in _motion_law(task))
+@lru_cache(maxsize=64)
+def _walk_columns(cfg: MechanismConfig, task: MotionTask) -> tuple[np.ndarray, ...]:
+    """What ``_walk`` reads that no design changes, as read-only (n, 1) columns.
+
+    (delta_dot, delta_ddot, cos, sin): the task's effector rates and the
+    rocker's ``_rocker_direction`` at each sample, for designs along axis 1.
+    """
+    _, delta, delta_dot, delta_ddot = _motion_law(task)
+    columns = tuple(column[:, None] for column in (delta_dot, delta_ddot, *_rocker_direction(cfg, delta)))
+    _read_only(*columns)
+    return columns
 
 
 class _Lengths(NamedTuple):
@@ -300,33 +330,37 @@ class _Lengths(NamedTuple):
     l_bc: np.ndarray
 
 
-def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, law: tuple[np.ndarray, ...]):
+def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, columns: tuple[np.ndarray, ...]):
     """The stroke walk of ``kinematic_transform`` up to its failure rule, elementwise.
 
-    ``law`` is the task's ``_motion_law``.  Returns (ax, ay, bx, by,
-    theta_dot, theta_ddot, assembles, failed): columns over the samples, or
-    (n, k) arrays against the law's ``_law_columns``, k = 1 for one design.
-    ``failed`` marks the samples that do not assemble or meet a
-    crank-coupler dead point inside the stroke; a design with a failed
-    sample has no meaningful rates.
+    ``columns`` is (delta_dot, delta_ddot, cos, sin) as ``_walk_columns``
+    gives them.  Returns (ax, ay, bx, by, theta_dot, theta_ddot, assembles,
+    failed, geometry): columns over the samples, or (n, k) arrays against
+    (n, 1) columns, k = 1 for one design, and the joints'
+    ``_joint_geometry``, which the torque reads too.  ``failed`` marks the
+    samples that do not assemble or meet a crank-coupler dead point inside
+    the stroke; a design with a failed sample has no meaningful rates.
+    One design's walk takes about 60 us.
     """
-    _, delta, delta_dot, delta_ddot = law
+    delta_dot, delta_ddot, *direction = columns
     ox, oy = cfg.pivot_o
-    bx, by = _rocker_tip(cfg, design, delta)
-    ax, ay, assembles = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, cfg.branch)
-
-    ratio, accel, dead = _crank_coefficients(design, cfg, ax, ay, bx, by)
-    failed = ~assembles
-    failed[1:-1] |= dead[1:-1]
-    with np.errstate(invalid="ignore"):
+    # one errstate for the whole walk: its divisions by zero and NaNs fall on
+    # samples that it marks failed or rests
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bx, by = _rocker_tip(cfg, design, direction)
+        ax, ay, assembles = _intersect(ox, oy, design.l_oa, bx, by, design.l_ab, cfg.branch)
+        geometry = _joint_geometry(cfg, ax, ay, bx, by)
+        ratio, accel, dead = _crank_coefficients(design, geometry)
         theta_dot = ratio * delta_dot
         theta_ddot = accel * delta_dot * delta_dot + ratio * delta_ddot
+    failed = ~assembles
+    failed[1:-1] |= dead[1:-1]
     if dead.any():
         # a walk that does not fail meets dead points only at the stroke
         # ends, where the quintic brings the effector, and so the crank, to rest
         theta_dot[dead] = 0.0
         theta_ddot[dead] = 0.0
-    return ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed
+    return ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed, geometry
 
 
 def _crank_angle(ax: np.ndarray, ay: np.ndarray, cfg: MechanismConfig) -> np.ndarray:
@@ -363,9 +397,9 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
     the first failing sample in walk order (the mid-stroke sample up to the
     last, then down to the first) and whether it failed at a dead point.
     """
-    law = _motion_law(task)
-    t, delta, delta_dot, delta_ddot = law
-    ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed = _walk(design, cfg, law)
+    t, delta, delta_dot, delta_ddot = _motion_law(task)
+    columns = (delta_dot, delta_ddot, *_rocker_direction(cfg, delta))
+    ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed, _ = _walk(design, cfg, columns)
     if failed.any():
         mid = task.n_samples // 2
         upper = np.flatnonzero(failed[mid:])

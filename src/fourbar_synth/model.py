@@ -132,6 +132,11 @@ def _check_finite(name: str, value: float) -> None:
         raise ValidationError(name, f"must be finite, got {value!r}")
 
 
+def _cache_hash(obj: Any) -> None:
+    """Store the hash of a config's compared fields once: configs key the memoised tables."""
+    object.__setattr__(obj, "_hash", hash(tuple(getattr(obj, f.name) for f in fields(obj) if f.compare)))
+
+
 @dataclass(frozen=True, slots=True)
 class DesignParams:
     """The three free bar lengths of the linkage (metres).
@@ -146,6 +151,8 @@ class DesignParams:
     l_bc: float
 
     def __post_init__(self) -> None:
+        if 0.0 < self.l_oa < math.inf and 0.0 < self.l_ab < math.inf and 0.0 < self.l_bc < math.inf:
+            return
         for name in ("l_oa", "l_ab", "l_bc"):
             value = getattr(self, name)
             _check_finite(name, value)
@@ -176,6 +183,10 @@ class MechanismConfig:
     tip_force: tuple[float, float] = (0.0, 0.0)
     gravity: tuple[float, float] = (0.0, -9.81)
     overshoot_cap: float = 0.020
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self) -> None:
         for name in ("pivot_c", "pivot_o", "tip_force", "gravity"):
@@ -208,6 +219,7 @@ class MechanismConfig:
         _check_finite("overshoot_cap", self.overshoot_cap)
         if self.overshoot_cap <= 0.0:
             raise ValidationError("overshoot_cap", "must be positive")
+        _cache_hash(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,6 +237,10 @@ class MotionTask:
     t_move: float
     t_dwell: float = 0.0
     n_samples: int = 201
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self) -> None:
         _check_finite("delta_i", self.delta_i)
@@ -241,6 +257,7 @@ class MotionTask:
             raise ValidationError("n_samples", "must be an integer")
         if self.n_samples < 51 or self.n_samples % 2 == 0:
             raise ValidationError("n_samples", f"must be odd and >= 51, got {self.n_samples!r}")
+        _cache_hash(self)
 
     @property
     def delta_mid(self) -> float:
@@ -413,7 +430,7 @@ def _read_keys(
 
 def _read_object(cls: type, table: dict[str, _Kind], raw: Any, name: str, degrees: bool) -> Any:
     """Build ``cls`` from the keys present; an absent key takes the field default."""
-    required = [f.name for f in fields(cls) if f.default is MISSING]
+    required = [f.name for f in fields(cls) if f.init and f.default is MISSING]
     return cls(**_read_keys(raw, name, table, required, degrees))
 
 

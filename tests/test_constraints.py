@@ -16,9 +16,9 @@ from fourbar_synth.constraints import (
     static_gap,
     static_gaps,
 )
-from fourbar_synth import kinematics
-from fourbar_synth.dynamics import torque_profile
-from fourbar_synth.kinematics import kinematic_transform, solve_ik
+from fourbar_synth import dynamics, kinematics
+from fourbar_synth.dynamics import posture_terms, torque_profile
+from fourbar_synth.kinematics import Posture, kinematic_transform, solve_ik
 from fourbar_synth.model import (
     ConstraintBundle,
     DesignParams,
@@ -614,3 +614,49 @@ def test_evaluate_designs_lets_the_joint_closure_guard_raise(monkeypatch, canon_
         evaluate_design(canon_cfg.baseline, canon_cfg, canon_task)
     with pytest.raises(ValueError, match="inconsistent with the design geometry"):
         evaluate_designs(np.array([BASELINE, BASELINE]), canon_cfg, canon_task)
+
+
+def int_bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_the_walk_and_the_torque_share_one_joint_geometry():
+    # the torque reads the walk's geometry: its terms equal those built from
+    # each sample's joints alone and its forward torque equals torque_profile's.
+    # The two shared cross products equal the torque's expressions and the
+    # crank's with e = A - B, negated, written here from the joints; each is
+    # bit for bit the one whose sign of an exact zero reaches a result
+    rng = np.random.default_rng(31)
+    stream = [tuple(np.array(BASELINE) * rng.uniform(0.9, 1.1, 3)) for _ in range(12)]
+    examples = [BASELINE, SINGULAR, REVERSAL, (0.1, 0.25, 0.25), *KINEMATICS_FAILURES]
+    cases = [(cfg, design) for cfg in (CANON, MINUS, PUSHED) for design in stream + examples]
+    cases += [(STRETCHED, (0.125, 0.374, 0.25)), (STRETCHED, (0.125, 0.375, 0.25))]
+    cases += [(dataclasses.replace(CANON, baseline=DesignParams(*END_DEAD)), END_DEAD)]
+    for cfg, lengths in cases:
+        design = DesignParams(*lengths)
+        walked = kinematics._walk(design, cfg, kinematics._walk_columns(cfg, TASK))
+        ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed, geometry = walked
+        solved = assembles[:, 0]
+
+        (ox, oy), (cx, cy) = cfg.pivot_o, cfg.pivot_c
+        rax, ray, rbx, rby = ax - ox, ay - oy, bx - cx, by - cy
+        bax, bay, ex, ey = bx - ax, by - ay, ax - bx, ay - by
+        *_, den, num = geometry
+        assert int_bits((-ray * bax + rax * bay)[solved]) == int_bits(den[solved])  # v_A . (B - A)
+        assert ((rbx * bay - rby * bax) == num)[solved].all()  # cross(B - C, B - A)
+        assert int_bits(-(ex * -rby + ey * rbx)[solved]) == int_bits(num[solved])  # e . perp(B - C)
+        assert ((ex * -ray + ey * rax) == -den)[solved].all()  # e . perp(A - O)
+
+        i_eq, i_half_d, g_tau, q_ext, singular = dynamics._dyn_terms(design, cfg, geometry)
+        terms = np.broadcast_arrays(i_eq, 2.0 * i_half_d, g_tau, q_ext)
+        for k in np.flatnonzero(solved & ~singular[:, 0]).tolist():
+            joints = (float(ax[k, 0]), float(ay[k, 0])), (float(bx[k, 0]), float(by[k, 0]))
+            want = posture_terms(design, cfg, Posture(0.0, 0.0, *joints, cfg.branch))
+            assert int_bits([term[k, 0] for term in terms]) == int_bits(want)
+        if not (failed.any() or singular.any()):
+            steps = dynamics._task_steps(TASK)
+            tau, *_ = dynamics._cycle_torque(
+                design, cfg, TASK, steps, walked[:4], geometry, theta_dot, theta_ddot
+            )
+            want = torque_profile(design, cfg, TASK, kinematic_transform(design, cfg, TASK)).torque
+            assert int_bits(tau[:, 0]) == int_bits(want)

@@ -1,7 +1,8 @@
 """Every imported name in the package and its tests is used, every private
 module-level name of the package is used by the package, the package
 exports every public name of its modules, only the GP stack and the
-optimizer load scipy, and only the GP stack loads scipy.optimize."""
+optimizer load scipy, only the GP stack loads scipy.optimize, and only the
+``grid`` command loads the oracle."""
 import ast
 import importlib
 import json
@@ -165,16 +166,40 @@ print(json.dumps({"codes": codes, "before": before, "after": after}))
 """
 
 
-def test_cli_evaluation_commands_never_import_scipy(tmp_path):
+def run_fresh(script: str, out_dir) -> dict:
+    """Run ``script`` on the canon config in a fresh interpreter; its last line of output as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     config = REPO_ROOT / "configs" / "canon.json"
     done = subprocess.run(
-        [sys.executable, "-c", CLI_WITHOUT_SCIPY, str(config), str(tmp_path)],
+        [sys.executable, "-c", script, str(config), str(out_dir)],
         capture_output=True, text=True, env=env, check=True,
     )
-    result = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_evaluation_commands_never_import_scipy(tmp_path):
+    result = run_fresh(CLI_WITHOUT_SCIPY, tmp_path)
     assert result == {"codes": [0, 0, 0, 0], "before": [], "after": True}
     assert (tmp_path / "trace.csv").is_file() and (tmp_path / "grid.csv").is_file()
+
+
+CLI_WITHOUT_ORACLE = """
+import json, sys
+from fourbar_synth.cli import main
+
+config, out = sys.argv[1], sys.argv[2]
+codes = [
+    main(["validate", "--config", config]),
+    main(["evaluate", "--config", config]),
+    main(["trace", "--config", config, "--out", out + "/trace.csv"]),
+]
+print(json.dumps({"codes": codes, "oracle": "fourbar_synth.oracle" in sys.modules}))
+"""
+
+
+def test_cli_commands_other_than_grid_never_import_the_oracle(tmp_path):
+    # a cold ``validate`` is the benchmark's set-up; the oracle serves only ``grid``
+    assert run_fresh(CLI_WITHOUT_ORACLE, tmp_path) == {"codes": [0, 0, 0], "oracle": False}

@@ -312,7 +312,7 @@ def reach(cfg, delta, l_bc):
 
 def crank_pins(design, cfg, delta):
     """The distinct crank pins at an effector angle, the "plus" label first."""
-    bx, by = kinematics._rocker_tip(cfg, design, delta)
+    bx, by = kinematics._rocker_tip(cfg, design, kinematics._rocker_direction(cfg, delta))
     pins = []
     for label in ("plus", "minus"):
         x, y, ok = kinematics._intersect(*cfg.pivot_o, design.l_oa, bx, by, design.l_ab, label)
@@ -341,7 +341,8 @@ def test_dead_point_at_stroke_end_rests_the_crank(canon_cfg, canon_task):
     deltas = stroke_deltas(canon_task)
     design = DesignParams(0.1, reach(canon_cfg, deltas[0], 0.15) - 0.1 - 1e-13, 0.15)
     (pin,) = crank_pins(design, canon_cfg, deltas[0])
-    end = Posture(0.0, deltas[0], pin, kinematics._rocker_tip(canon_cfg, design, deltas[0]), "plus")
+    tip = kinematics._rocker_tip(canon_cfg, design, kinematics._rocker_direction(canon_cfg, deltas[0]))
+    end = Posture(0.0, deltas[0], pin, tip, "plus")
     with pytest.raises(SingularPosture):
         kinematic_coefficients(end, design, canon_cfg)
     stroke = kinematic_transform(design, canon_cfg, canon_task)
@@ -422,7 +423,7 @@ def continuation_walk(design, cfg, task):
     sign = 1.0 if cfg.branch == "plus" else -1.0
     out = [None] * n
     for k in [*range(mid, n), *range(mid - 1, -1, -1)]:
-        b_pt = kinematics._rocker_tip(cfg, design, deltas[k])
+        b_pt = kinematics._rocker_tip(cfg, design, kinematics._rocker_direction(cfg, deltas[k]))
         pts = crank_pins(design, cfg, deltas[k])
         if not pts:
             raise TransformUnsolvable(deltas[k])

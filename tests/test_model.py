@@ -1,4 +1,5 @@
 """Domain types, validation rules, and config file round-trips."""
+import dataclasses
 import json
 import math
 import re
@@ -161,6 +162,27 @@ def test_config_round_trip_is_bit_exact():
     assert cfg2 == cfg
     assert task2 == task
     assert opt2 == opt
+
+
+def test_configs_hash_by_value():
+    # the memoised tables key on the configs, which hash their fields once
+    cfg, task = make_canon_cfg(), make_canon_task()
+    assert hash(cfg) == hash(make_canon_cfg()) and hash(task) == hash(make_canon_task())
+    pushed = dataclasses.replace(cfg, tip_force=(3.0, -2.0))
+    fresh = MechanismConfig(
+        pivot_c=(0.30, 0.0),
+        baseline=DesignParams(0.10, 0.25, 0.15),
+        branch="plus",
+        link_density=(2.0, 2.0, 2.0),
+        payload_mass=0.5,
+        effector_tip_length=0.25,
+        tip_force=(3.0, -2.0),
+    )
+    assert pushed == fresh and hash(pushed) == hash(fresh) and pushed != cfg
+    dwell = dataclasses.replace(task, t_dwell=0.1)
+    assert hash(dwell) == hash(MotionTask(task.delta_i, task.delta_e, task.t_move, t_dwell=0.1))
+    assert {cfg: "canon", pushed: "pushed"}[fresh] == "pushed"
+    assert "_hash" not in repr(cfg) + repr(task)
 
 
 def test_readme_config_schema_matches_canon():
