@@ -32,9 +32,11 @@ from .model import (
     load_config,
 )
 
-_EVAL_HEADER = "l_oa,l_ab,l_bc,c_static_i,c_static_e,c_dyn,t_rms,feasible"
+# one evaluated design: its three lengths, its three constraint values and its RMS torque
+_RECORD_COLUMNS = ("l_oa", "l_ab", "l_bc", "c_static_i", "c_static_e", "c_dyn", "t_rms")
+_EVAL_HEADER = ",".join((*_RECORD_COLUMNS, "feasible"))
+_OPT_HEADER = ",".join(("iter", *_RECORD_COLUMNS, "acq", "best_so_far"))
 _TRACE_HEADER = "t,delta,delta_dot,delta_ddot,theta,theta_dot,theta_ddot,torque"
-_OPT_HEADER = "iter,l_oa,l_ab,l_bc,c_static_i,c_static_e,c_dyn,t_rms,acq,best_so_far"
 
 USAGE_ERROR = 64
 
@@ -77,36 +79,26 @@ def _design_triplet(text: str) -> DesignParams:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _record_row(record: EvaluationRecord) -> str:
+def _cells(record: EvaluationRecord) -> list[str]:
+    """A record's formatted values, in ``_RECORD_COLUMNS`` order."""
     c = record.constraints
-    return ",".join(
-        [
-            _fmt(record.design.l_oa),
-            _fmt(record.design.l_ab),
-            _fmt(record.design.l_bc),
-            _fmt(c.c_static_i),
-            _fmt(c.c_static_e),
-            _fmt(c.c_dyn),
-            _fmt(record.objective),
-            "true" if c.feasible else "false",
-        ]
-    )
+    values = (*record.design.as_tuple(), c.c_static_i, c.c_static_e, c.c_dyn, record.objective)
+    return [_fmt(v) for v in values]
+
+
+def _record_row(record: EvaluationRecord) -> str:
+    return ",".join([*_cells(record), "true" if record.constraints.feasible else "false"])
+
+
+def _design_json(design: DesignParams) -> dict:
+    return dict(zip(_RECORD_COLUMNS[:3], design.as_tuple()))
 
 
 def _record_json(record: EvaluationRecord) -> dict:
-    c = record.constraints
     return {
-        "design": {
-            "l_oa": record.design.l_oa,
-            "l_ab": record.design.l_ab,
-            "l_bc": record.design.l_bc,
-        },
-        "constraints": {
-            "c_static_i": c.c_static_i,
-            "c_static_e": c.c_static_e,
-            "c_dyn": c.c_dyn,
-        },
-        "feasible": c.feasible,
+        "design": _design_json(record.design),
+        "constraints": {name: getattr(record.constraints, name) for name in _RECORD_COLUMNS[3:6]},
+        "feasible": record.constraints.feasible,
         "t_rms": record.objective,
     }
 
@@ -191,26 +183,12 @@ def _cmd_grid(args) -> int:
 def _trace_csv(trace) -> str:
     lines = [_OPT_HEADER]
     best = math.inf
-    for i, record in enumerate(trace.records):
-        if record.constraints.feasible and record.objective is not None:
+    for i, (record, acq) in enumerate(zip(trace.records, trace.acquisition, strict=True)):
+        # a record carries an objective only when it is feasible
+        if record.objective is not None:
             best = min(best, record.objective)
-        acq = trace.acquisition[i]
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _fmt(record.design.l_oa),
-                    _fmt(record.design.l_ab),
-                    _fmt(record.design.l_bc),
-                    _fmt(record.constraints.c_static_i),
-                    _fmt(record.constraints.c_static_e),
-                    _fmt(record.constraints.c_dyn),
-                    _fmt(record.objective),
-                    _fmt(acq),
-                    _fmt(best if best < math.inf else None),
-                ]
-            )
-        )
+        best_so_far = _fmt(best if best < math.inf else None)
+        lines.append(",".join([str(i), *_cells(record), _fmt(acq), best_so_far]))
     return "\n".join(lines) + "\n"
 
 
@@ -254,32 +232,19 @@ def _cmd_optimize(args) -> int:
         opt_cfg = dataclasses.replace(opt_cfg, **overrides)
 
     trace = run_optimization(cfg, task, opt_cfg)
+    if trace.best_feasible is None:
+        payload = {"no_feasible_found": True}
+    else:
+        design, t_rms = trace.best_feasible
+        payload = {"design": _design_json(design), "t_rms": t_rms}
     if args.out:
         _write_text(args.out, _trace_csv(trace))
     if args.best:
-        if trace.best_feasible is None:
-            payload = {"no_feasible_found": True}
-        else:
-            design, t_rms = trace.best_feasible
-            payload = {
-                "design": {"l_oa": design.l_oa, "l_ab": design.l_ab, "l_bc": design.l_bc},
-                "t_rms": t_rms,
-            }
         _write_text(args.best, json.dumps(payload, indent=2) + "\n")
     if args.dump_gp:
         _write_text(args.dump_gp, json.dumps(_gp_dump(trace, opt_cfg), indent=2) + "\n")
-    if trace.best_feasible is None:
-        print(json.dumps({"no_feasible_found": True}))
-    else:
-        design, t_rms = trace.best_feasible
-        print(
-            json.dumps(
-                {
-                    "best": {"l_oa": design.l_oa, "l_ab": design.l_ab, "l_bc": design.l_bc},
-                    "t_rms": t_rms,
-                }
-            )
-        )
+    # stdout names the design "best"
+    print(json.dumps({"best" if key == "design" else key: value for key, value in payload.items()}))
     return 0
 
 

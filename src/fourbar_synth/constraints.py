@@ -298,6 +298,14 @@ def static_gap(
     return StaticGapResult(value, pose, (opx, opy), final, degenerate)
 
 
+def _design_rows(designs) -> np.ndarray:
+    """``designs`` as an (m, 3) float array, uncopied if it is one; ValueError for another shape."""
+    designs = np.asarray(designs, dtype=float)
+    if designs.ndim != 2 or designs.shape[1] != 3:
+        raise ValueError(f"designs must be an (m, 3) array, got shape {designs.shape}")
+    return designs
+
+
 def static_gaps(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np.ndarray:
     """``static_gap(...).value`` at both poses for every row (l_oa, l_ab, l_bc) of an (m, 3) array.
 
@@ -307,9 +315,9 @@ def static_gaps(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> 
     cost of about 50 us in array-op overhead, some ten scalar calls, and
     about 0.4 us a design (0.9 ms for a 13^3 grid), so it pays only across
     many designs.  ``assembles`` returns only the signs, in about half the
-    time.
+    time.  Raises ValueError for an array of another shape.
     """
-    designs = np.asarray(designs, dtype=float)
+    designs = _design_rows(designs)
     l_oa, l_ab, l_bc = designs[:, 0], designs[:, 1], designs[:, 2]
     starts = _slide_starts(l_oa, l_ab, l_bc, _slide_frames(cfg, task), cfg)
     return _slide(_ARRAYS, l_oa, l_ab, *starts, cfg)[0]
@@ -355,8 +363,10 @@ def assembles(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np
       passes, and an entry root a1 > -1e-15 counts as entering the hole,
       where a1 < 0 only if O' lies on the hole's circle up to rounding.
       The last two bands hand both cases to ``static_gaps``.
+
+    Raises ValueError for an array of another shape than (m, 3).
     """
-    designs = np.asarray(designs, dtype=float)
+    designs = _design_rows(designs)
     l_oa, l_ab, l_bc = np.ascontiguousarray(designs.T)
     bx, by, opx, opy = _slide_starts(l_oa, l_ab, l_bc, _slide_frames(cfg, task), cfg)
     ox, oy = cfg.pivot_o
@@ -490,9 +500,7 @@ def evaluate_designs(
     ValueError for an array of another shape or, as ``torque_profile``
     does, when walked joints do not close the coupler.
     """
-    designs = np.asarray(designs, dtype=float)
-    if designs.ndim != 2 or designs.shape[1] != 3:
-        raise ValueError(f"designs must be an (m, 3) array, got shape {designs.shape}")
+    designs = _design_rows(designs)
     params = [DesignParams(*row) for row in designs.tolist()]
     gaps = list(zip(*static_gaps(designs, cfg, task).tolist()))
     walked = [r for r, (gap_i, gap_e) in enumerate(gaps) if gap_i <= 0.0 and gap_e <= 0.0]
@@ -504,7 +512,8 @@ def evaluate_designs(
 
 
 def __getattr__(name: str):
-    # perfbench, their only reader, wraps these to time the kinematics and dynamics layers
+    # perfbench, their only reader, wraps these to time the kinematics and dynamics layers.
+    # The import binds torque_profile already; its entry is that import's only reference
     layers = {"_transform_full": kinematic_transform, "torque_profile": torque_profile}
     if name in layers:
         return layers[name]

@@ -421,11 +421,9 @@ def run_optimization(
     steps, acq_values = bo_minimize(evaluate, opt_cfg, known=known)
 
     records = tuple(s.payload for s in steps)
-    best: tuple[DesignParams, float] | None = None
-    for rec in records:
-        if rec.constraints.feasible and rec.objective is not None:
-            if best is None or rec.objective < best[1]:
-                best = (rec.design, rec.objective)
+    # a record carries an objective only when it is feasible; the first minimum wins
+    costed = ((rec.design, rec.objective) for rec in records if rec.objective is not None)
+    best = min(costed, key=lambda pair: pair[1], default=None)
     return OptimizationTrace(
         records=records,
         acquisition=tuple(acq_values),

@@ -5,8 +5,19 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from fourbar_synth import DesignParams, MechanismConfig, MotionTask, OptimizerConfig, Stroke
+from fourbar_synth import (
+    BaselineDefective,
+    BaselineInfeasible,
+    DesignParams,
+    MechanismConfig,
+    MotionTask,
+    OptimizerConfig,
+    Stroke,
+    validate_baseline,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CANON_CONFIG = REPO_ROOT / "configs" / "canon.json"
@@ -43,6 +54,52 @@ def mass_variants(cfg: MechanismConfig) -> list[MechanismConfig]:
         dataclasses.replace(cfg, link_density=(*cfg.link_density[:2], 0.0), payload_mass=0.0),
         dataclasses.replace(cfg, link_density=(0.0, 0.0, 0.0), payload_mass=0.0),
     ]
+
+
+@st.composite
+def mechanisms(draw) -> tuple[MechanismConfig, MotionTask]:
+    """A random (cfg, task) pair whose baseline ``validate_baseline`` accepts.
+
+    Pivot O within 0.1 m of the origin per axis, C 0.15-0.4 m from O in any
+    direction, either branch, the effector offset within 1 rad, a tip force
+    of up to 3 N per axis, a dwell of 0 or 0.1 s, and a stroke of 0.3-1.2
+    rad either way from any angle; the masses are canon's.  The baseline's
+    crank and coupler are drawn to reach every point B of the stroke's arc,
+    sampled at 61 angles, from O; about a quarter of the draws still have a
+    crank that turns back along the stroke, and are rejected.
+    """
+    angle = st.floats(-math.pi, math.pi)
+    ox, oy = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
+    ground, heading = draw(st.floats(0.15, 0.4)), draw(angle)
+    cx, cy = ox + ground * math.cos(heading), oy + ground * math.sin(heading)
+    offset = draw(st.floats(-1.0, 1.0))
+    delta_e, stroke = draw(angle), draw(st.floats(0.3, 1.2)) * draw(st.sampled_from([1.0, -1.0]))
+    l_bc = draw(st.floats(0.05, 0.3))
+    rocker = np.linspace(delta_e, delta_e + stroke, 61) - offset
+    reach = np.hypot(cx + l_bc * np.cos(rocker) - ox, cy + l_bc * np.sin(rocker) - oy)
+    near, far = float(reach.min()), float(reach.max())
+    # |l_ab - l_oa| < near and l_ab + l_oa > far, with room to spare on both sides
+    l_oa = 0.5 * (far - near) + draw(st.floats(0.005, 0.1))
+    shortest = max(far - l_oa, l_oa - near)
+    l_ab = shortest + draw(st.floats(0.1, 0.9)) * (near + l_oa - shortest)
+    cfg = MechanismConfig(
+        pivot_c=(cx, cy),
+        pivot_o=(ox, oy),
+        baseline=DesignParams(l_oa, l_ab, l_bc),
+        branch=draw(st.sampled_from(["plus", "minus"])),
+        effector_offset=offset,
+        link_density=(2.0, 2.0, 2.0),
+        payload_mass=0.5,
+        effector_tip_length=0.25,
+        tip_force=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
+    )
+    dwell = draw(st.sampled_from([0.0, 0.1]))
+    task = MotionTask(delta_i=delta_e + stroke, delta_e=delta_e, t_move=0.5, t_dwell=dwell)
+    try:
+        validate_baseline(cfg, task)
+    except (BaselineInfeasible, BaselineDefective):
+        assume(False)
+    return cfg, task
 
 
 def make_canon_task(n_samples: int = 201) -> MotionTask:

@@ -240,6 +240,26 @@ def test_optimize_outputs(capsys, tmp_path):
         }
 
 
+def test_optimize_reports_no_feasible_design(capsys, tmp_path):
+    # on canon, every design in this box has a static gap of 0.2 m or more at pose i
+    data = json.loads(CANON_CONFIG.read_text())
+    data["optimizer"]["bounds"] = {"l_oa": [0.2, 0.3], "l_ab": [0.01, 0.02], "l_bc": [0.08, 0.25]}
+    config = tmp_path / "no_feasible.json"
+    config.write_text(json.dumps(data))
+    out_csv = tmp_path / "opt.csv"
+    best_json = tmp_path / "best.json"
+    code, out, _ = run_cli(
+        capsys, "optimize", "--config", str(config), "--budget", "14",
+        "--out", str(out_csv), "--best", str(best_json),
+    )
+    assert code == 0
+    assert json.loads(best_json.read_text()) == {"no_feasible_found": True}
+    assert json.loads(out) == {"no_feasible_found": True}
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 14
+    assert all(row[7] == "" and row[9] == "" for row in rows)
+
+
 def test_optimize_reruns_are_byte_identical(capsys, tmp_path):
     config = small_opt_config(tmp_path)
     first = tmp_path / "a.csv"

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fourbar_synth import constraints
@@ -32,7 +33,7 @@ from fourbar_synth.model import (
 )
 from fourbar_synth.oracle import brute_static_gap
 
-from conftest import counting, fake_stroke, make_canon_cfg, make_canon_task, mass_variants
+from conftest import counting, fake_stroke, make_canon_cfg, make_canon_task, mass_variants, mechanisms
 
 
 def rotate(pt, phi):
@@ -590,13 +591,54 @@ def test_evaluate_designs_outcomes_of_the_examples(canon_cfg, canon_task):
     assert kinematic_transform(end.design, end_cfg, canon_task).theta_dot[0] == 0.0
 
 
+def outcome(record: EvaluationRecord) -> str:
+    """Which gate decided a record."""
+    c = record.constraints
+    if c.c_static_i > 0.0 or c.c_static_e > 0.0:
+        return "static reject"
+    if c.c_dyn is None:
+        return "unsolvable"
+    if not c.feasible:
+        return "motion defect"
+    return "singular" if record.objective is None else "costed"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mechanism=mechanisms(),
+    factors=st.lists(st.tuples(*[st.floats(-0.4, 0.4)] * 3), min_size=1, max_size=12),
+)
+def test_evaluate_designs_equals_evaluate_design_on_random_mechanisms(mechanism, factors):
+    # the test above varies designs on fixed configs; this one draws the mechanism too
+    cfg, task = mechanism
+    designs = np.exp(np.array(factors)) * cfg.baseline.as_tuple()
+    want = [evaluate_design(DesignParams(*design), cfg, task) for design in designs.tolist()]
+    assert evaluate_designs(designs, cfg, task) == want
+    event(f"branch {cfg.branch}, {'with' if task.t_dwell else 'no'} dwell")
+    for record in want:
+        event(outcome(record))
+
+
 def test_evaluate_designs_takes_an_m_by_3_array(canon_cfg, canon_task):
     assert evaluate_designs(np.zeros((0, 3)), canon_cfg, canon_task) == []
-    for shape in ((3,), (2, 6), (1, 3, 1)):
+    for shape in ((3,), (1, 4), (2, 6), (1, 3, 1)):
         with pytest.raises(ValueError, match="an \\(m, 3\\) array"):
             evaluate_designs(np.full(shape, 0.1), canon_cfg, canon_task)
     with pytest.raises(ValidationError):
         evaluate_designs(np.array([BASELINE, (0.1, -0.25, 0.15)]), canon_cfg, canon_task)
+
+
+@pytest.mark.parametrize("gate", [static_gaps, assembles])
+def test_the_static_gate_takes_an_m_by_3_array(gate, canon_cfg, canon_task):
+    # a (1, 4) array was read by its first three columns or failed to unpack, a 1-D row raised IndexError
+    assert gate(np.zeros((0, 3)), canon_cfg, canon_task).shape[-1] == 0
+    for shape in ((3,), (1, 4), (2, 6), (1, 3, 1)):
+        message = f"designs must be an (m, 3) array, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gate(np.full(shape, 0.1), canon_cfg, canon_task)
+    # the check hands a float array on uncopied: the acquisition masks every batch of points
+    designs = np.array([BASELINE])
+    assert constraints._design_rows(designs) is designs
 
 
 def test_evaluate_designs_lets_the_joint_closure_guard_raise(monkeypatch, canon_cfg, canon_task):
