@@ -20,8 +20,9 @@ parameters and factors it through ``lapack.dpotrf``/``dpotrs`` with
 escalating jitter.  The likelihood gradient is GPML eq. 5.9, with K^-1
 from ``dpotrs`` against the identity.  The fitted model factors that same
 K, at the values the search scored at its optimum or at a fixed kernel's
-own values, and prediction is one cross-covariance block, a product and
-one ``dtrtrs``.  ``minimize`` drives scipy's compiled L-BFGS-B iteration,
+own values, and prediction is one cross-covariance block, two row-wise
+sums and one ``dtrtrs``, so that a point's prediction does not depend on
+its batch.  ``minimize`` drives scipy's compiled L-BFGS-B iteration,
 ``_lbfgsb.setulb`` (Byrd, Lu, Nocedal & Zhu 1995), directly: scipy's
 ``minimize`` wrapper around it cost about as much per evaluation as the
 likelihood itself.
@@ -113,13 +114,18 @@ class GpModel:
 def _scaled_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared distances between rows already divided by the lengthscales.
 
-    The (m, n, d) difference array is filled one input dimension at a time:
-    a single broadcast subtraction would run m * n inner loops of length d.
+    The squared differences are added one input dimension at a time, left
+    to right, into one (m, n) buffer: a broadcast over an (m, n, d) array
+    would run m * n inner loops of length d.
     """
-    diff = np.empty((a.shape[0], b.shape[0], a.shape[1]))
-    for k in range(a.shape[1]):
-        np.subtract(a[:, k, None], b[:, k], out=diff[:, :, k])
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    sq = np.subtract(a[:, 0, None], b[:, 0])
+    np.multiply(sq, sq, out=sq)
+    diff = np.empty_like(sq)
+    for k in range(1, a.shape[1]):
+        np.subtract(a[:, k, None], b[:, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(sq, diff, out=sq)
+    return sq
 
 
 def _matern52(r: np.ndarray, s2: float) -> np.ndarray:
@@ -419,11 +425,11 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray | float, np.ndarray | floa
     arrays); any other shape raises ``ValueError``.  Variance is that of the
     latent function; tiny negative values from rounding are clamped to zero.
 
-    A point's mean can differ in its last bits with the other rows of the
-    batch: ``k_star @ alpha`` is a BLAS matrix-vector product whose
-    rounding depends on where the row falls in the batch.  The variance is
-    the same in any batch of two or more points; alone, a point's variance
-    can differ too.
+    A point's prediction does not depend on the other rows of its batch,
+    bit for bit: the mean and the variance are row-wise sums over the
+    training points, and a lone query is solved as a pair of equal rows,
+    because ``dtrtrs`` solves one right-hand side in another order than
+    two or more.
     """
     q = np.asarray(x, dtype=float)
     d = len(model.bounds)
@@ -432,21 +438,25 @@ def gp_predict(model: GpModel, x) -> tuple[np.ndarray | float, np.ndarray | floa
     single = q.ndim == 1
     if single:
         q = q[None, :]
+    m = q.shape[0]
 
     if model.degenerate:
-        mean = np.full(q.shape[0], model.y_mean)
-        var = np.zeros(q.shape[0])
+        mean = np.full(m, model.y_mean)
+        var = np.zeros(m)
         return (float(mean[0]), float(var[0])) if single else (mean, var)
 
+    if m == 1:
+        q = np.repeat(q, 2, axis=0)
     s2 = model.kernel.signal_variance
     q_scaled = (q - model.lo) / model.width / model.ls
     r = np.sqrt(_scaled_sq_dists(q_scaled, model.x_scaled))
-    k_star = _matern52(r, s2)  # (m, n)
-    mean_std = k_star @ model.alpha
+    k_star = _matern52(r, s2)  # (m, n), C-ordered
+    mean_std = (k_star * model.alpha).sum(axis=1)
     v, _ = lapack.dtrtrs(model.chol, k_star.T, lower=1, overwrite_b=1)  # solves in k_star
-    var_std = s2 - np.einsum("ij,ij->j", v, v)
+    vt = v.T  # (m, n), C-ordered: dtrtrs returns a Fortran-ordered solution
+    var_std = s2 - (vt * vt).sum(axis=1)
     var_std = np.maximum(var_std, 0.0)
 
-    mean = model.y_mean + model.y_sd * mean_std
-    var = (model.y_sd * model.y_sd) * var_std
+    mean = model.y_mean + model.y_sd * mean_std[:m]
+    var = (model.y_sd * model.y_sd) * var_std[:m]
     return (float(mean[0]), float(var[0])) if single else (mean, var)

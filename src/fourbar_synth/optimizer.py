@@ -19,6 +19,13 @@ one iteration earlier (2 L-BFGS-B starts: that kernel, then the default); a
 surrogate's first fit, and a fit after a constant-data (degenerate) one, is
 cold (8 starts).  The starts run in ``gp``'s own L-BFGS-B loop.
 
+A proposal maximizes the acquisition by seeded uniform probes and then a
+pattern descent from the best of them (Hooke & Jeeves, J. ACM 1961).  All
+starts descend in lockstep, and a sweep polls every axis move of every
+start at two step lengths in one acquisition call: the polls of several
+step lengths at once, as in Kolda, Lewis & Torczon (SIAM Review 2003), cost
+fewer calls than one step length per sweep.
+
 Everything is deterministic for a given seed.  Three things draw random
 numbers: the LHS, from ``OptimizerConfig.seed``, and a cold GP fit's 7
 random starts and the acquisition probes, from streams derived from the
@@ -61,6 +68,9 @@ __all__ = [
 ]
 
 _LOG_FLOOR = 1e-300  # guards log() of a zero-torque objective
+# the step fractions a descent sweep tries, as multiples of a start's
+# fraction f: every axis move at f and at f/4, in one acquisition call
+_SWEEP_STEPS = np.array([1.0, 0.25])
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,8 @@ def constrained_ei(
     """Expected improvement times the probability all constraints are met.
 
     Constraints are feasible at or below zero, so each model contributes
-    Phi(-mu/sigma); a zero-variance prediction contributes a hard 0/1.  For
+    Phi(-mu/sigma); a zero-variance prediction contributes a hard 0/1, and a
+    constant (degenerate) model contributes its 0/1 without a prediction.  For
     minimization EI(x) = sigma phi(z) + (f_best - mu) Phi(z) with
     z = (f_best - mu)/sigma, degrading to max(0, f_best - mu) at zero
     variance.  Without an objective observation yet (no f_best), the
@@ -147,6 +158,9 @@ def constrained_ei(
 
     pof = np.ones(m)
     for cm in constraint_models:
+        if cm.degenerate:  # a constant model predicts y_mean with zero variance everywhere
+            pof *= float(cm.y_mean <= 0.0)
+            continue
         mu, var = gp_predict(cm, q)
         sd = np.sqrt(var)
         ok = sd > 0.0
@@ -181,10 +195,16 @@ def propose_next(
     """Maximize the acquisition inside the box; returns (point, value).
 
     Seeded uniform probes followed by derivative-free pattern descent from
-    the best probes (axis moves, step halving down to 1e-4 of the box
-    width).  Deterministic for a given seed and trace length.  Never
-    returns an already-evaluated point: exact collisions are nudged by a
-    1e-6 box-width perturbation.
+    the ``n_acq_starts`` best probes.  Each start carries a step fraction f
+    of the box width, 0.1 at first.  A sweep tries every axis move of every
+    active start at f and at f/4, all in one acquisition call, and a start
+    takes its best candidate if that beats its value by 1e-5 of the
+    leader's; the first best wins a tie.  On success f becomes
+    min(0.1, 2 x the fraction that won); on failure it shrinks 8-fold, so
+    the next sweep tries f/8 and f/32.  A start stops once f < 1e-4, and
+    the descent after 150 sweeps.  Deterministic for a given seed and trace
+    length.  Never returns an already-evaluated point: exact collisions are
+    nudged by a 1e-6 box-width perturbation.
 
     ``known`` maps an (m, d) array of points to a 0/1 (or boolean) mask of
     the points that satisfy the known constraints.  The acquisition is the
@@ -195,11 +215,11 @@ def propose_next(
     skipped and the first probe, a uniform draw, is proposed with value
     0.0.  ``known=None`` masks nothing.
 
-    The acquisition values depend in their last bits on how points are
-    batched (see ``gp_predict``), and the descent's choices on those bits.
-    So evaluating the surrogates on other batches of the same candidates,
-    for instance only on those that could move their start, can change the
-    proposals and with them the rest of the run.
+    A point's acquisition value does not depend on the batch it is
+    evaluated in (see ``gp_predict``).  So the sweeps may group their
+    candidates differently, for instance evaluate only those that could
+    move their start, without changing a proposal, as long as each start
+    sees the same candidates in the same order.
     """
     bounds = opt_cfg.bounds
     lo = np.array([b[0] for b in bounds])
@@ -244,8 +264,11 @@ def propose_next(
             break
         guard += 1
         na = active.size
-        cand = np.clip(xs[active][:, None, :] + fracs[active][:, None, None] * moves, lo, hi)
-        cv = acq(cand.reshape(-1, d))[0].reshape(na, 2 * d)
+        steps = fracs[active][:, None] * _SWEEP_STEPS  # (na, fractions)
+        cand = np.clip(xs[active][:, None, None, :] + steps[:, :, None, None] * moves, lo, hi)
+        cand = cand.reshape(na, -1, d)  # per start: the 2d moves at f, then at f/4
+        cv = acq(cand.reshape(-1, d))[0].reshape(na, -1)
+        # the first best wins a tie: the larger fraction, then the axis order
         best_j = np.argmax(cv, axis=1)
         best_cv = cv[np.arange(na), best_j]
         # a gain only counts if it is visible at the scale of the current
@@ -256,10 +279,13 @@ def propose_next(
         moved = active[improved]
         xs[moved] = cand[improved, best_j[improved]]
         vs[moved] = best_cv[improved]
-        # expand on success so a start marching down a gentle slope covers
-        # it in logarithmic rather than linear sweeps; shrink on failure
-        fracs[moved] = np.minimum(0.1, fracs[moved] * 2.0)
-        fracs[active[~improved]] *= 0.5
+        # expand from the winning fraction on success, so a start marching
+        # down a gentle slope covers it in logarithmic rather than linear
+        # sweeps; on failure shrink 8-fold, so the next sweep tries f/8 and
+        # f/32, half the smallest fraction this one tried
+        won = steps[improved, best_j[improved] // (2 * d)]
+        fracs[moved] = np.minimum(0.1, won * 2.0)
+        fracs[active[~improved]] *= 0.5 * _SWEEP_STEPS[-1]
 
     winner = int(np.argmax(vs))
     best_x = xs[winner].copy()

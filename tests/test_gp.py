@@ -161,6 +161,29 @@ def test_rejects_degenerate_inputs():
         gp_fit([((0.1,), 1.0), ((0.3,), 2.0)], BOUNDS)
 
 
+def test_prediction_does_not_depend_on_the_batch():
+    # the same points predicted in one batch, behind other points, in
+    # uneven pieces and one at a time give the same bits
+    rng = np.random.default_rng(11)
+    bounds = ((0.03, 0.14), (0.15, 0.34), (0.08, 0.25))
+    lo = np.array([b[0] for b in bounds])
+    width = np.array([b[1] for b in bounds]) - lo
+    for n in (5, 23, 47):
+        xs = lo + rng.uniform(size=(n, 3)) * width
+        ys = np.sin(xs @ np.array([30.0, 20.0, 10.0])) + 0.1 * rng.normal(size=n)
+        model = gp_fit([(tuple(x), float(y)) for x, y in zip(xs, ys)], bounds, seed=n)
+        q = lo + rng.uniform(size=(40, 3)) * width
+        mean, var = gp_predict(model, q)
+        others = lo + rng.uniform(size=(13, 3)) * width
+        shifted = [a[13:] for a in gp_predict(model, np.vstack([others, q]))]
+        pieces = [gp_predict(model, q[i:j]) for i, j in ((0, 1), (1, 3), (3, 10), (10, 40))]
+        split = [np.concatenate(a) for a in zip(*pieces)]
+        alone = [np.array(a) for a in zip(*(gp_predict(model, row) for row in q))]
+        for got_mean, got_var in (shifted, split, alone):
+            assert np.array_equal(got_mean.view(np.int64), mean.view(np.int64))
+            assert np.array_equal(got_var.view(np.int64), var.view(np.int64))
+
+
 def test_predict_rejects_query_of_wrong_dimension():
     bounds3 = ((0.0, 1.0),) * 3
     pts = [((0.1, 0.2, 0.3), 1.0), ((0.5, 0.6, 0.4), 2.0), ((0.9, 0.1, 0.7), 0.5)]
@@ -484,7 +507,11 @@ def plain_neg_lml_and_grad(log_params, x_unit, y):
 def plain_kernel(xa, xb, kernel):
     ls = np.asarray(kernel.lengthscales)
     diff = xa[:, None, :] / ls - xb[None, :, :] / ls
-    r = np.sqrt(np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0))
+    sq = diff * diff
+    r2 = sq[:, :, 0]
+    for k in range(1, sq.shape[2]):  # dimension by dimension, left to right
+        r2 = r2 + sq[:, :, k]
+    r = np.sqrt(np.maximum(r2, 0.0))
     c = math.sqrt(5.0) * r
     return kernel.signal_variance * (1.0 + c + 5.0 * r * r / 3.0) * np.exp(-c)
 
@@ -493,9 +520,12 @@ def plain_predict(model, x_unit, q):
     lo = np.array([b[0] for b in model.bounds])
     hi = np.array([b[1] for b in model.bounds])
     k_star = plain_kernel((q - lo) / (hi - lo), x_unit, model.kernel)
-    v = solve_triangular(model.chol, k_star.T, lower=True)
-    var = np.maximum(model.kernel.signal_variance - np.einsum("ij,ij->j", v, v), 0.0)
-    return model.y_mean + model.y_sd * (k_star @ model.alpha), model.y_sd * model.y_sd * var
+    # a lone row is solved as a pair: one right-hand side takes another path
+    rhs = np.repeat(k_star, 2, axis=0) if len(q) == 1 else k_star
+    v = np.ascontiguousarray(solve_triangular(model.chol, rhs.T, lower=True).T[: len(q)])
+    var = np.maximum(model.kernel.signal_variance - (v * v).sum(axis=1), 0.0)
+    mean = (k_star * model.alpha).sum(axis=1)
+    return model.y_mean + model.y_sd * mean, model.y_sd * model.y_sd * var
 
 
 @pytest.mark.parametrize("n, d", [(3, 1), (9, 2), (17, 3), (40, 3)])

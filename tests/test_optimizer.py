@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from fourbar_synth import gp, optimizer
@@ -109,6 +110,34 @@ def test_uncertain_constraint_scales_by_feasibility_probability():
     assert constrained_ei(q, model, (cmod,), f_best=mu_o + 0.2) == pytest.approx(
         expected, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("level", [-1.0, 0.0, 2.0])
+def test_a_constant_constraint_model_is_a_hard_factor_without_a_prediction(level, monkeypatch):
+    model = fitted_objective()
+    pts = [((0.1, 0.1), -0.5), ((0.9, 0.2), 0.4), ((0.4, 0.8), -0.1), ((0.7, 0.6), 0.2)]
+    kernel = KernelParams(signal_variance=0.8, lengthscales=(0.4, 0.4), noise_variance=1e-4)
+    cmod = gp_fit(pts, UNIT2, kernel=kernel)
+    const = gp_fit([((0.1, 0.1), level), ((0.9, 0.9), level)], UNIT2)
+    assert const.degenerate
+    q = np.random.default_rng(3).uniform(size=(50, 2))
+    f_best = 0.45
+
+    # the general expression, through a prediction, for every model
+    pof = np.ones(len(q))
+    for cm in (cmod, const):
+        mu, var = gp_predict(cm, q)
+        sd = np.sqrt(var)
+        ok = sd > 0.0
+        pof *= np.where(ok, ndtr(-mu / np.where(ok, sd, 1.0)), (mu <= 0.0).astype(float))
+    expected = constrained_ei(q, model, (), f_best) * pof
+
+    calls = {}
+    monkeypatch.setattr(optimizer, "gp_predict", counting(calls, "predict", gp_predict))
+    got = constrained_ei(q, model, (cmod, const), f_best)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert calls == {"predict": 2}  # the objective and cmod, not the constant model
+    assert (got == 0.0).all() == (level > 0.0)
 
 
 def test_feasibility_only_acquisition_without_objective():
@@ -346,6 +375,56 @@ def test_propose_next_with_no_probe_passing_proposes_the_first_probe(monkeypatch
     assert x == tuple(masked[0][0])
     assert acq == 0.0
     assert calls == {}
+
+
+def sweep_calls(monkeypatch, mask):
+    """The points of each acquisition call of one proposal on the unit line.
+
+    Two starts descend, one at each of two probes; the acquisition peaks at
+    the first probe.  The probes pass the ``known`` mask, and every later
+    point passes where ``mask(points, probes)`` does.
+    """
+    opt = OptimizerConfig(
+        bounds=((0.0, 1.0),), n_init=4, n_max=5, n_acq_starts=2, n_acq_samples=2, seed=0
+    )
+    calls = []
+
+    def known(X):
+        calls.append(X[:, 0].copy())
+        return np.ones(len(X), dtype=bool) if len(calls) == 1 else mask(X[:, 0], calls[0])
+
+    def peaked(X, *models):
+        return 1.0 - np.abs(X[:, 0] - calls[0][0])
+
+    monkeypatch.setattr(optimizer, "constrained_ei", peaked)
+    propose_next([], optimizer.SurrogateSet(None, (), (), None), opt, known=known)
+    return calls
+
+
+def around(x, step):
+    return [x + step, x - step, x + step / 4, x - step / 4]
+
+
+def test_a_sweep_tries_each_move_at_f_and_at_f_over_4_in_one_call(monkeypatch):
+    # the mask passes only within 0.05 of the second probe: that start's
+    # move at f = 0.1 is masked, its move at f/4 passes and climbs; the
+    # first start sits on the peak, fails at both fractions, shrinks 8-fold
+    calls = sweep_calls(monkeypatch, lambda x, probes: np.abs(x - probes[1]) < 0.05)
+    peak, second = calls[0]
+    assert 0.15 < second < peak - 0.2 and peak < 0.85  # no move is clipped
+    assert calls[1] == pytest.approx(around(peak, 0.1) + around(second, 0.1), abs=1e-15)
+    moved = second + 0.025  # doubles its winning fraction, to 0.05
+    assert calls[2] == pytest.approx(around(peak, 0.0125) + around(moved, 0.05), abs=1e-15)
+
+
+def test_a_start_that_fails_at_both_fractions_shrinks_8_fold_per_sweep(monkeypatch):
+    # past the probes nothing passes: 0.1 -> 0.0125 -> 0.0015625 ->
+    # 0.000195 -> 0.0000244, below 1e-4, so four sweeps after the probes
+    calls = sweep_calls(monkeypatch, lambda x, probes: np.zeros(len(x), dtype=bool))
+    assert len(calls) == 1 + 4
+    for k, points in enumerate(calls[1:]):
+        step = 0.1 / 8**k
+        assert points == pytest.approx(around(calls[0][0], step) + around(calls[0][1], step))
 
 
 def test_fit_surrogates_best_uses_only_constraint_satisfying_steps():
