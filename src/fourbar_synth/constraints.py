@@ -21,8 +21,8 @@ poses of many designs, about 50 us plus 0.4 us a design (2-vCPU VM).
 ``evaluate_design`` runs the whole pipeline for one design and
 ``evaluate_designs`` for many; past their own static gates (one array pass
 on one design costs about five scalar pairs) they share one walk-and-cost
-body, about 0.2 ms for one costed design: the walk about 60 us and the
-torque pass, which reads the walk's joint geometry, about 115 us.
+body, about 0.2 ms for one costed design: the walk, then the torque pass,
+which reads the walk's joint geometry.
 ``assembles`` gives the static gate's verdict alone, for the optimizer's
 acquisition mask, without the gap values.
 """
@@ -299,10 +299,14 @@ def static_gap(
 
 
 def _design_rows(designs) -> np.ndarray:
-    """``designs`` as an (m, 3) float array, uncopied if it is one; ValueError for another shape."""
+    """``designs`` as an (m, 3) float array, uncopied if it is one; ValueError for another
+    shape, and ``DesignParams``'s ValidationError for the first row that is not a design."""
     designs = np.asarray(designs, dtype=float)
     if designs.ndim != 2 or designs.shape[1] != 3:
         raise ValueError(f"designs must be an (m, 3) array, got shape {designs.shape}")
+    valid = (designs > 0.0) & (designs < math.inf)
+    if not valid.all():
+        DesignParams(*designs[np.argmin(valid.all(axis=1))].tolist())
     return designs
 
 

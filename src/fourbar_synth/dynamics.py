@@ -13,16 +13,17 @@ coefficients at unit crank rate, and I_eq' from their theta-derivatives,
 which solve the same velocity closure with the centripetal terms as its
 right-hand side.
 
-Links are uniform slender rods (m = rho L, centroid at L/2, I = m L^2/12).
-The rocker link is the rigid union of bar B-C, the effector beam of length
+Links are uniform slender rods of mass m = rho L, each described about
+its inner joint (O for the crank, A for the coupler, C for the rocker) by
+its mass, first moment and inertia: (rho L, rho L^2/2, rho L^3/3).  The
+rocker link is the rigid union of bar B-C, the effector beam of length
 ``effector_tip_length`` at the effector offset angle, and the payload as a
-point mass at the beam tip; the union is composed by the parallel-axis
-theorem and rotates about the fixed pivot C.
+point mass at the beam tip; it turns about the fixed pivot C, so its three
+quantities are sums over the three parts.
 
 The masses follow from the bar lengths, so each kernel derives them itself;
 all are elementwise over one design or the (k,) lengths of k designs.  The
-torque pass of one design costs about 115 us on a 2-vCPU VM, 85 us of it in
-the terms; it reads the walk's joint geometry and the task's cached steps.
+torque pass reads the walk's joint geometry and the task's cached steps.
 """
 
 from __future__ import annotations
@@ -52,21 +53,21 @@ __all__ = [
 ]
 
 _SINGULAR_TOL = 1e-12
-_NO_LOAD = 0.0  # Q_ext without a tip force; the torque skips subtracting it
 _COLLINEAR = "transmission singularity: coupler and rocker collinear"
 
 
 @dataclass(frozen=True, slots=True)
 class LinkInertia:
-    """Mass, centroid and central inertia of one link, in its local frame.
+    """Mass, first moment and inertia of one link about its inner joint.
 
-    The local frame is anchored at the link's inner joint (O for the crank,
-    A for the coupler, C for the rocker) with x along the bar.
+    The inner joint is O for the crank, A for the coupler and C for the
+    rocker; the first moment is taken in the link's local frame, anchored
+    there with x along the bar, and the inertia is about that joint.
     """
 
     mass: float
-    com: tuple[float, float]
-    i_com: float
+    first_moment: tuple[float, float]
+    inertia: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,46 +91,35 @@ class TorqueProfile:
     t_rms: float
 
 
-def _rod(density: float, length: float) -> tuple[float, tuple[float, float], float]:
+def _rod(density: float, length: float) -> tuple[float, float, float]:
+    """(mass, first moment, inertia) of a uniform rod about one end."""
     mass = density * length
-    return mass, (0.5 * length, 0.0), mass * length * length / 12.0
+    return mass, 0.5 * mass * length, mass * length * length / 3.0
 
 
 def mass_model(design: DesignParams | _Lengths, cfg: MechanismConfig) -> MassModel:
-    """Per-link inertial properties for the uniform-rod mass model.
+    """Per-link mass, first moment and inertia about the inner joint.
 
     Elementwise: for a ``_Lengths`` of k designs each field broadcasts to
     (k,), and its entries are ``==`` those of each design's own call.
     """
     rho_oa, rho_ab, rho_bc = cfg.link_density
-    m, com, i = _rod(rho_oa, design.l_oa)
-    crank = LinkInertia(m, com, i)
-    m, com, i = _rod(rho_ab, design.l_ab)
-    coupler = LinkInertia(m, com, i)
+    m, s, i = _rod(rho_oa, design.l_oa)
+    crank = LinkInertia(m, (s, 0.0), i)
+    m, s, i = _rod(rho_ab, design.l_ab)
+    coupler = LinkInertia(m, (s, 0.0), i)
 
-    # Rocker composite: bar B-C plus effector beam plus point payload.  The
-    # beam leaves C at the effector offset angle from the bar direction and
-    # shares the bar's linear density; without a beam it has zero mass and
-    # the payload sits at C.  Sums run left to right, part by part.  A rocker
-    # without mass has no centroid; its terms are zero.
+    # Rocker: bar C-B, effector beam and point payload at the beam's tip,
+    # summed part by part.  The beam leaves C at the effector offset angle
+    # from the bar and shares the bar's linear density
     lt = cfg.effector_tip_length
     cx, sx = math.cos(cfg.effector_offset), math.sin(cfg.effector_offset)
-    m_bar, (bar_x, bar_y), i_bar = _rod(rho_bc, design.l_bc)
-    m_beam, (beam_r, _), i_beam = _rod(rho_bc, lt)
-    beam_x, beam_y = beam_r * cx, beam_r * sx
+    m_bar, s_bar, i_bar = _rod(rho_bc, design.l_bc)
+    m_beam, s_beam, i_beam = _rod(rho_bc, lt)
     m_tip = cfg.payload_mass
-    tip_x, tip_y = lt * cx, lt * sx
-    total = m_bar + m_beam + m_tip
-    if rho_bc > 0.0 or m_tip > 0.0:
-        gx = (m_bar * bar_x + m_beam * beam_x + m_tip * tip_x) / total
-        gy = (m_bar * bar_y + m_beam * beam_y + m_tip * tip_y) / total
-        # squared offsets by libm pow, as Python's float ``**`` takes them;
-        # numpy's ``**`` is v * v, off in the last bit on about 0.1% of doubles
-        sq = np.float_power([bar_x - gx, bar_y - gy, beam_x - gx, beam_y - gy, tip_x - gx, tip_y - gy], 2.0)
-        i_g = i_bar + m_bar * (sq[0] + sq[1]) + (i_beam + m_beam * (sq[2] + sq[3])) + m_tip * (sq[4] + sq[5])
-    else:
-        gx = gy = i_g = 0.0
-    rocker = LinkInertia(total, (gx, gy), i_g)
+    s_tip = m_tip * lt
+    moment = (s_bar + s_beam * cx + s_tip * cx, s_beam * sx + s_tip * sx)
+    rocker = LinkInertia(m_bar + m_beam + m_tip, moment, i_bar + i_beam + s_tip * lt)
     return MassModel(crank, coupler, rocker)
 
 
@@ -145,8 +135,9 @@ def _dyn_terms(
     and the coupler/rocker rates solve the rigid-body velocity closure
     v_A + omega_ab perp(B - A) = omega_r perp(B - C).  Differentiating the
     closure over theta gives the same 2x2 system for (omega_ab', omega_r')
-    with v_A replaced by -(A - O) - omega_ab^2 (B - A) + omega_r^2 (B - C);
-    the crank and rocker terms of I_eq are constant, so
+    with v_A replaced by -(A - O) - omega_ab^2 (B - A) + omega_r^2 (B - C).
+    The crank's and the rocker's inertias about their pivots are constants
+    of the design, so
     I_eq'/2 = m_ab v_G . a_G + I_ab omega_ab omega_ab' + I_C omega_r omega_r'.
     Q_ext is the float 0.0 without a tip force.
 
@@ -175,37 +166,32 @@ def _dyn_terms(
     mm = mass_model(design, cfg)
     gx, gy = cfg.gravity
 
-    # crank: rotation about O
-    i_eq = mm.crank.i_com + mm.crank.mass * (0.25 * (rax * rax + ray * ray))
-    vgx = 0.5 * vax
-    vgy = 0.5 * vay
-    g_sum = -mm.crank.mass * (gx * vgx + gy * vgy)
+    # crank: rotation about O, its weight at the bar midpoint
+    g_sum = -mm.crank.mass * (gx * (0.5 * vax) + gy * (0.5 * vay))
 
-    # coupler: general plane motion, centroid at the bar midpoint
+    # coupler: general plane motion about its midpoint, where a uniform rod's
+    # inertia is a quarter of that about its end
+    i_mid = 0.25 * mm.coupler.inertia
     vgx = vax + omega_ab * (-0.5 * bay)
     vgy = vay + omega_ab * (0.5 * bax)
-    i_eq += mm.coupler.mass * (vgx * vgx + vgy * vgy) + mm.coupler.i_com * omega_ab * omega_ab
+    i_eq = mm.crank.inertia + mm.coupler.mass * (vgx * vgx + vgy * vgy) + i_mid * omega_ab2
     agx = nrax - 0.5 * (omega_ab_d * bay + omega_ab2 * bax)
     agy = vax + 0.5 * (omega_ab_d * bax - omega_ab2 * bay)
-    i_half_d = mm.coupler.mass * (vgx * agx + vgy * agy) + mm.coupler.i_com * omega_ab * omega_ab_d
+    i_half_d = mm.coupler.mass * (vgx * agx + vgy * agy) + i_mid * omega_ab * omega_ab_d
     g_sum -= mm.coupler.mass * (gx * vgx + gy * vgy)
 
-    # rocker composite: rotation about C; local frame x-axis along C->B
+    # rocker: rotation about C; its local x-axis along C->B at angle phi, so
+    # its first moment turns by (cos phi, sin phi) into the world frame
     cphi = bcx / design.l_bc
     sphi = bcy / design.l_bc
-    lx, ly = mm.rocker.com
-    rgx = lx * cphi - ly * sphi  # centroid offset from C in world frame
-    rgy = lx * sphi + ly * cphi
-    i_about_c = mm.rocker.i_com + mm.rocker.mass * (rgx * rgx + rgy * rgy)
-    i_eq += i_about_c * omega_r * omega_r
-    i_half_d += i_about_c * omega_r * omega_r_d
-    vgx = omega_r * (-rgy)
-    vgy = omega_r * rgx
-    g_sum -= mm.rocker.mass * (gx * vgx + gy * vgy)
+    sx, sy = mm.rocker.first_moment
+    i_eq += mm.rocker.inertia * omega_r2
+    i_half_d += mm.rocker.inertia * omega_r * omega_r_d
+    g_sum -= omega_r * (gy * (sx * cphi - sy * sphi) - gx * (sx * sphi + sy * cphi))
 
     # external tip force acting at the end of the effector beam
     fx, fy = cfg.tip_force
-    q_ext = _NO_LOAD
+    q_ext = 0.0
     if fx != 0.0 or fy != 0.0:
         lt = cfg.effector_tip_length
         co = math.cos(cfg.effector_offset)
@@ -271,19 +257,16 @@ def _cycle_torque(
     of k designs as (k,) arrays and ``steps`` (n - 1, 1) columns; the RMS
     then has one entry per design.  ``steps`` is ``_time_steps``,
     ``joints`` is (ax, ay, bx, by) and ``geometry`` their ``_joint_geometry``.
-    One design takes about 115 us.
 
     Raises ValueError when a sample's joints do not close the coupler.
     """
     ax, ay, bx, by = joints
-    # cheap consistency guard: every sample must close the coupler
+    # cheap consistency guard: every sample must close the coupler (NaN fails)
     gap = np.hypot(ax - bx, ay - by) - design.l_ab
-    if (np.abs(gap) > 1e-6 * design.l_ab).any():
+    if not (np.abs(gap) <= 1e-6 * design.l_ab).all():
         raise ValueError("trajectory is inconsistent with the design geometry")
     i_eq, i_half_d, g_tau, q_ext, singular = _dyn_terms(design, cfg, geometry)
-    tau = i_eq * theta_ddot + i_half_d * theta_dot * theta_dot + g_tau
-    if q_ext is not _NO_LOAD:
-        tau = tau - q_ext
+    tau = i_eq * theta_ddot + i_half_d * theta_dot * theta_dot + g_tau - q_ext
 
     # trapezoid rule on tau^2, summed in sample order: add.accumulate adds
     # sequentially, like a loop, where a pairwise sum would not.  The return

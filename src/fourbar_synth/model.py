@@ -132,6 +132,11 @@ def _check_finite(name: str, value: float) -> None:
         raise ValidationError(name, f"must be finite, got {value!r}")
 
 
+def _check_integer(name: str, value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(name, f"must be an integer, got {value!r}")
+
+
 def _cache_hash(obj: Any) -> None:
     """Store the hash of a config's compared fields once: configs key the memoised tables."""
     object.__setattr__(obj, "_hash", hash(tuple(getattr(obj, f.name) for f in fields(obj) if f.compare)))
@@ -253,8 +258,7 @@ class MotionTask:
         _check_finite("t_dwell", self.t_dwell)
         if self.t_dwell < 0.0:
             raise ValidationError("t_dwell", f"must be >= 0, got {self.t_dwell!r}")
-        if not isinstance(self.n_samples, int):
-            raise ValidationError("n_samples", "must be an integer")
+        _check_integer("n_samples", self.n_samples)
         if self.n_samples < 51 or self.n_samples % 2 == 0:
             raise ValidationError("n_samples", f"must be odd and >= 51, got {self.n_samples!r}")
         _cache_hash(self)
@@ -298,6 +302,8 @@ class OptimizerConfig:
                 raise ValidationError("bounds", f"entry {k} must satisfy lo < hi")
             clean.append((lo, hi))
         object.__setattr__(self, "bounds", tuple(clean))
+        for name in ("n_init", "n_max", "n_acq_starts", "n_acq_samples", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.n_init < 4:
             raise ValidationError("n_init", f"must be >= 4, got {self.n_init!r}")
         if self.n_max <= self.n_init:

@@ -5,8 +5,9 @@ angles come from a dense sweep with Newton polish instead of circle
 intersection, and the assembly gap comes from marching the slide ray in
 micrometre steps instead of geometric clipping.  Slowness is fine; these
 exist so the fast paths have something independent to disagree with.  The
-mechanical energy sums the links' potential at their centroids instead of
-integrating the gravity torque.
+mechanical energy sums the potential of each part at its own centroid, and
+of the tip force at the tip, instead of integrating the gravity and tip
+torques.
 
 ``grid_sweep`` is the exception: it runs the main path itself, batched over
 every cell of a grid, as the exhaustive ground truth for the optimizer.
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import constraints
 from .constraints import _pose_delta, evaluate_designs
-from .dynamics import mass_model, posture_terms
+from .dynamics import posture_terms
 from .kinematics import Posture
 from .model import (
     BaselineInfeasible,
@@ -347,31 +348,27 @@ def brute_theta_sweep(
 def mechanical_energy(
     design: DesignParams, cfg: MechanismConfig, posture: Posture, theta_dot: float
 ) -> float:
-    """Kinetic plus gravitational potential energy at a state (J).
+    """Kinetic plus potential energy at a state (J).
 
-    The potential sums each link's weight at its centroid, independently of
-    the gravity torque G, so that the energy balance can check the torque.
+    The potential sums each part's weight at its own centroid, placed from
+    the joints, and the tip force's -F . (tip position); it shares nothing
+    with G or Q_ext, so that the energy balance can check them.
     """
-    masses = mass_model(design, cfg)
     i_eq = posture_terms(design, cfg, posture)[0]
-    gx, gy = cfg.gravity
-    ox, oy = cfg.pivot_o
-    cx, cy = cfg.pivot_c
-    ax, ay = posture.point_a
-    bx, by = posture.point_b
-
-    v_pot = 0.0
-    m = masses.crank.mass
-    v_pot -= m * (gx * 0.5 * (ox + ax) + gy * 0.5 * (oy + ay))
-    m = masses.coupler.mass
-    v_pot -= m * (gx * 0.5 * (ax + bx) + gy * 0.5 * (ay + by))
-    cphi = (bx - cx) / design.l_bc
-    sphi = (by - cy) / design.l_bc
-    lx, ly = masses.rocker.com
-    rgx = cx + lx * cphi - ly * sphi
-    rgy = cy + lx * sphi + ly * cphi
-    v_pot -= masses.rocker.mass * (gx * rgx + gy * rgy)
-
+    (ox, oy), (cx, cy), (gx, gy), (fx, fy) = cfg.pivot_o, cfg.pivot_c, cfg.gravity, cfg.tip_force
+    (ax, ay), (bx, by) = posture.point_a, posture.point_b
+    rho_oa, rho_ab, rho_bc = cfg.link_density
+    lt = cfg.effector_tip_length
+    phi = math.atan2(by - cy, bx - cx) + cfg.effector_offset  # the beam's angle at C
+    tx, ty = cx + lt * math.cos(phi), cy + lt * math.sin(phi)
+    parts = [  # (mass, centroid) of the three bars, the beam and the payload
+        (rho_oa * design.l_oa, 0.5 * (ox + ax), 0.5 * (oy + ay)),
+        (rho_ab * design.l_ab, 0.5 * (ax + bx), 0.5 * (ay + by)),
+        (rho_bc * design.l_bc, 0.5 * (cx + bx), 0.5 * (cy + by)),
+        (rho_bc * lt, 0.5 * (cx + tx), 0.5 * (cy + ty)),
+        (cfg.payload_mass, tx, ty),
+    ]
+    v_pot = -sum(m * (gx * x + gy * y) for m, x, y in parts) - (fx * tx + fy * ty)
     return 0.5 * i_eq * theta_dot * theta_dot + v_pot
 
 

@@ -641,6 +641,16 @@ def test_the_static_gate_takes_an_m_by_3_array(gate, canon_cfg, canon_task):
     assert constraints._design_rows(designs) is designs
 
 
+@pytest.mark.parametrize("gate", [static_gaps, assembles])
+def test_the_static_gate_rejects_rows_that_are_not_designs(gate, canon_cfg, canon_task):
+    # a row that is not a design is refused with the error DesignParams gives it, never scored
+    for bad in ((0.05, -0.2, 0.1), (0.05, math.nan, 0.1), (0.0, 0.25, 0.15), (0.1, 0.25, math.inf)):
+        with pytest.raises(ValidationError) as want:
+            DesignParams(*bad)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(want.value))}$"):
+            gate(np.array([BASELINE, bad, (-1.0, 0.25, 0.15)]), canon_cfg, canon_task)
+
+
 def test_evaluate_designs_lets_the_joint_closure_guard_raise(monkeypatch, canon_cfg, canon_task):
     # walked joints that do not close the coupler raise in the torque guard,
     # for one design as for a batch

@@ -95,6 +95,16 @@ def test_optimizer_config_budget_ordering():
         OptimizerConfig(bounds=((0.0, 1.0),), n_init=3, n_max=10)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("n_init", 12.5), ("n_max", 60.0), ("n_acq_starts", 2.5), ("n_acq_samples", 100.0), ("seed", 1.5), ("seed", True)],
+)
+def test_optimizer_config_takes_integer_counts_and_seed(name, value):
+    # the kind is checked where the config is built, not first inside run_optimization
+    with pytest.raises(ValidationError, match=f"^{name}: must be an integer, got {value!r}$"):
+        OptimizerConfig(bounds=((0.0, 1.0),), **{name: value})
+
+
 def test_load_config_dict_rejects_negative_seed():
     # numpy's generators take no negative seed; the config check names the key
     data = json.loads(CANON_CONFIG.read_text(encoding="utf-8"))
