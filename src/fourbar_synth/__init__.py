@@ -22,7 +22,7 @@ _EXPORTS = {
         "BaselineDefective", "NotAssemblable", "SingularPosture", "TransformUnsolvable",
         "SingularState", "EmptyTrajectory", "Branch", "DesignParams", "MechanismConfig",
         "MotionTask", "OptimizerConfig", "ConstraintBundle", "EvaluationRecord",
-        "load_config", "load_config_dict", "config_to_dict",
+        "load_config", "load_config_dict",
     ),
     "kinematics": (
         "Posture", "KinematicCoefficients", "Stroke", "solve_ik", "solve_fk",

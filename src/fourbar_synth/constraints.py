@@ -21,8 +21,8 @@ poses of many designs, about 50 us plus 0.4 us a design (2-vCPU VM).
 ``evaluate_design`` runs the whole pipeline for one design and
 ``evaluate_designs`` for many; past their own static gates (one array pass
 on one design costs about five scalar pairs) they share one walk-and-cost
-body, about 0.2 ms for one costed design: the walk, then the torque pass,
-which reads the walk's joint geometry.
+body: the walk, then the torque pass, which reads the walk's joint
+geometry.
 ``assembles`` gives the static gate's verdict alone, for the optimizer's
 acquisition mask, without the gap values.
 """
@@ -440,8 +440,9 @@ def _walk_and_cost(blocks: Iterable, gaps: list, cfg: MechanismConfig, task: Mot
 
     A block is one design or a ``_Lengths``; ``gaps`` holds the gap pairs in
     block order.  Only a reversing crank's angle is taken, and exactly the
-    feasible designs are costed, none with a singular sample.  Raises
-    ValueError, as ``torque_profile`` does, for joints off the coupler.
+    feasible designs are costed, none with a singular sample, on their
+    columns of the walk's rates and joint geometry.  Raises ValueError, as
+    ``torque_profile`` does, for joints off the coupler.
     """
     columns = _walk_columns(cfg, task)
     steps = _task_steps(task)
@@ -449,20 +450,22 @@ def _walk_and_cost(blocks: Iterable, gaps: list, cfg: MechanismConfig, task: Mot
     # one loop keeps a block's arrays alive until the next block's replace them: freed
     # at each return, the heap was trimmed and regrown, and a 13^3 sweep took 10% longer
     for design in blocks:
-        ax, ay, bx, by, theta_dot, theta_ddot, _, failed, geometry = _walk(design, cfg, columns)
+        walked = _walk(design, cfg, columns)
+        theta_dot, theta_ddot, _, failed, geometry = walked[4:]
+        rax, ray = geometry[:2]  # A - O
         solved = ~failed.any(axis=0)
         c_dyn = [0.0 if ok else None for ok in solved.tolist()]
         for j in np.flatnonzero(solved & ~_keeps_sign(theta_dot)).tolist():
-            c_dyn[j] = _crank_reversal(_crank_angle(ax[:, j], ay[:, j], cfg), theta_dot[:, j]).value
+            c_dyn[j] = _crank_reversal(_crank_angle(rax[:, j], ray[:, j]), theta_dot[:, j]).value
         bundles = [ConstraintBundle(*gap, c) for gap, c in zip(gaps[len(scored) :], c_dyn)]
         objective: list[float | None] = [None] * len(bundles)
         costed = [j for j, bundle in enumerate(bundles) if bundle.feasible]
         if costed:
-            joints, rates = (ax, ay, bx, by), (theta_dot, theta_ddot)
+            rates = theta_dot, theta_ddot
             if len(costed) < len(bundles):  # only a block of several has uncosted columns
                 design = _Lengths(*(length[costed] for length in design))
-                joints, rates, geometry = ([c[:, costed] for c in cs] for cs in (joints, rates, geometry))
-            _, t_rms, singular = _cycle_torque(design, cfg, task, steps, joints, geometry, *rates)
+                rates, geometry = ([c[:, costed] for c in cs] for cs in (rates, geometry))
+            _, t_rms, singular = _cycle_torque(design, cfg, task, steps, geometry, *rates)
             for j, value, uncosted in zip(costed, t_rms.tolist(), singular.any(axis=0).tolist()):
                 objective[j] = None if uncosted else value
         scored.extend(zip(bundles, objective))
@@ -481,8 +484,7 @@ def evaluate_design(
     observations; this function never raises for an infeasible design.
     The gate is two ``static_gap`` calls, about 9 us, a fifth of
     ``static_gaps`` on one row; the body after it is the one
-    ``evaluate_designs`` runs.  A costed design takes about 0.23 ms in all
-    (2-vCPU VM).
+    ``evaluate_designs`` runs.
     """
     gaps = (static_gap(design, cfg, task, "i").value, static_gap(design, cfg, task, "e").value)
     if gaps[0] <= 0.0 and gaps[1] <= 0.0:

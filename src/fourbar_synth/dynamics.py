@@ -23,7 +23,8 @@ quantities are sums over the three parts.
 
 The masses follow from the bar lengths, so each kernel derives them itself;
 all are elementwise over one design or the (k,) lengths of k designs.  The
-torque pass reads the walk's joint geometry and the task's cached steps.
+torque pass reads the walk's joint geometry and the task's cached steps,
+and sums the whole cycle over the forward stroke (see ``TorqueProfile``).
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ class TorqueProfile:
     """Motor torque over one full duty cycle (stroke, dwell, return, dwell).
 
     ``torque`` is the forward-stroke torque column, one entry per stroke
-    sample; the return stroke mirrors it in time and the dwells hold the
-    static torque at the stroke ends.
+    sample.  The return stroke revisits forward sample n-1-j at its sample
+    j with the crank rate negated and the same acceleration; the rate enters
+    the torque only squared, so the return torque is the forward one
+    mirrored in time.  The dwells hold the static torque at the stroke ends.
     """
 
     torque: np.ndarray
-    t_cycle: float
     t_rms: float
 
 
@@ -145,23 +147,24 @@ def _dyn_terms(
     has no solution there (the crank cannot drive through), and the terms
     there are finite but meaningless.
     """
-    # v_A = perp(A - O) = (vax, vay) at crank rate 1, v_ab = v_A . (B - A)
-    # and den = cross(B - C, B - A), ~ sin(beta)
-    rax, ray, bcx, bcy, bax, bay, vax, v_ab, den = geometry
+    # v_A = perp(A - O) = (vax, vay) at crank rate 1; den = v_A . (B - A), the
+    # rocker rate's numerator, and num = cross(B - C, B - A), ~ sin(beta), the
+    # determinant of the velocity closure
+    rax, ray, rbx, rby, bax, bay, vax, den, num = geometry
     vay = rax
     nrax = -rax  # -(A - O) = (nrax, vax)
 
-    singular = np.abs(den) < _SINGULAR_TOL * design.l_bc * design.l_ab
+    singular = np.abs(num) < _SINGULAR_TOL * design.l_bc * design.l_ab
     if singular.any():
-        den = np.where(singular, np.inf, den)  # no division by zero
-    omega_r = v_ab / den
-    omega_ab = (vax * bcx + vay * bcy) / den
+        num = np.where(singular, np.inf, num)  # no division by zero
+    omega_r = den / num
+    omega_ab = (vax * rbx + vay * rby) / num
     omega_ab2 = omega_ab * omega_ab
     omega_r2 = omega_r * omega_r
-    wx = nrax - omega_ab2 * bax + omega_r2 * bcx
-    wy = vax - omega_ab2 * bay + omega_r2 * bcy
-    omega_r_d = (wx * bax + wy * bay) / den
-    omega_ab_d = (wx * bcx + wy * bcy) / den
+    wx = nrax - omega_ab2 * bax + omega_r2 * rbx
+    wy = vax - omega_ab2 * bay + omega_r2 * rby
+    omega_r_d = (wx * bax + wy * bay) / num
+    omega_ab_d = (wx * rbx + wy * rby) / num
 
     mm = mass_model(design, cfg)
     gx, gy = cfg.gravity
@@ -182,8 +185,8 @@ def _dyn_terms(
 
     # rocker: rotation about C; its local x-axis along C->B at angle phi, so
     # its first moment turns by (cos phi, sin phi) into the world frame
-    cphi = bcx / design.l_bc
-    sphi = bcy / design.l_bc
+    cphi = rbx / design.l_bc
+    sphi = rby / design.l_bc
     sx, sy = mm.rocker.first_moment
     i_eq += mm.rocker.inertia * omega_r2
     i_half_d += mm.rocker.inertia * omega_r * omega_r_d
@@ -227,17 +230,11 @@ def posture_terms(
     return float(i_eq), float(2.0 * i_half_d), float(g_tau), float(q_ext)
 
 
-def _time_steps(t: np.ndarray, task: MotionTask) -> tuple[np.ndarray, np.ndarray]:
-    """Time steps of the forward stroke at times t and of the return stroke, over the first axis."""
-    back = (task.t_move + task.t_dwell) + t
-    return t[1:] - t[:-1], back[1:] - back[:-1]
-
-
 @lru_cache(maxsize=16)
-def _task_steps(task: MotionTask) -> tuple[np.ndarray, np.ndarray]:
-    """``_time_steps`` of the task's own time grid, as read-only (n - 1, 1) columns."""
-    steps = _time_steps(_motion_law(task)[0][:, None], task)
-    _read_only(*steps)
+def _task_steps(task: MotionTask) -> np.ndarray:
+    """Time steps of the task's stroke grid, as a read-only (n - 1, 1) column."""
+    steps = np.diff(_motion_law(task)[0])[:, None]
+    _read_only(steps)
     return steps
 
 
@@ -245,46 +242,34 @@ def _cycle_torque(
     design: DesignParams | _Lengths,
     cfg: MechanismConfig,
     task: MotionTask,
-    steps: tuple[np.ndarray, np.ndarray],
-    joints: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    steps: np.ndarray,
     geometry: tuple,
     theta_dot: np.ndarray,
     theta_ddot: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(forward torque, cycle RMS, singular samples) of ``torque_profile``.
 
-    Over the columns of one stroke, or over (n, k) arrays with the lengths
-    of k designs as (k,) arrays and ``steps`` (n - 1, 1) columns; the RMS
-    then has one entry per design.  ``steps`` is ``_time_steps``,
-    ``joints`` is (ax, ay, bx, by) and ``geometry`` their ``_joint_geometry``.
+    Over the columns of one stroke with ``steps`` its time steps, or over
+    (n, k) arrays with the lengths of k designs as (k,) arrays and
+    ``steps`` an (n - 1, 1) column; the RMS then has one entry per design.
+    ``geometry`` is the stroke joints' ``_joint_geometry``.
 
     Raises ValueError when a sample's joints do not close the coupler.
     """
-    ax, ay, bx, by = joints
     # cheap consistency guard: every sample must close the coupler (NaN fails)
-    gap = np.hypot(ax - bx, ay - by) - design.l_ab
+    gap = np.hypot(*geometry[4:6]) - design.l_ab  # |B - A|
     if not (np.abs(gap) <= 1e-6 * design.l_ab).all():
         raise ValueError("trajectory is inconsistent with the design geometry")
     i_eq, i_half_d, g_tau, q_ext, singular = _dyn_terms(design, cfg, geometry)
     tau = i_eq * theta_ddot + i_half_d * theta_dot * theta_dot + g_tau - q_ext
 
-    # trapezoid rule on tau^2, summed in sample order: add.accumulate adds
-    # sequentially, like a loop, where a pairwise sum would not.  The return
-    # stroke revisits forward sample n-1-j at its sample j with the crank rate
-    # negated; squared-rate dynamics make its torque the forward one mirrored
-    # in time, so it takes the same step means in reverse
+    # trapezoid rule on tau^2 over the forward stroke, which counts the return
+    # stroke too: 1/2 (a + b) h, twice, is (a + b) h.  The dwells hold the end
+    # torques, static where the quintic rests.  add.accumulate sums in sample
+    # order, like a loop, for one column as for k, so evaluate_designs stays
+    # equal to evaluate_design; a pairwise sum would not
     sq = tau * tau
-    mean_sq = 0.5 * (sq[:-1] + sq[1:])
-    forward, back = steps
-    integral = np.add.accumulate(mean_sq * forward)[-1]
-    td = task.t_dwell
-    if td > 0.0:
-        holding = g_tau - q_ext  # static torque; the dwells hold its end values
-        hold_e, hold_i = holding[0], holding[-1]
-        integral = integral + hold_i * hold_i * td
-    integral = integral + np.add.accumulate(mean_sq[::-1] * back)[-1]
-    if td > 0.0:
-        integral = integral + hold_e * hold_e * td
+    integral = np.add.accumulate((sq[:-1] + sq[1:]) * steps)[-1] + (sq[0] + sq[-1]) * task.t_dwell
     return tau, np.sqrt(integral / task.t_cycle), singular
 
 
@@ -297,11 +282,9 @@ def torque_profile(
     """Motor torque over the full duty cycle and its RMS value.
 
     The forward stroke follows the given stroke, at the joints it carries.
-    The return stroke is the time-reversed effector profile, recomputed
-    through the same torque model (the crank rate flips sign; because the
-    rate enters only squared the return torque mirrors the forward one in
-    time).  Dwells contribute the static holding torque at the stroke
-    endpoints.
+    The return stroke's torque is the forward one mirrored in time (see
+    ``TorqueProfile``), so one trapezoid sum over the forward stroke counts
+    both strokes.  The dwells hold the static torque at the stroke ends.
 
     t_rms = sqrt( (1/t_cycle) * integral of T_m^2 dt )  (trapezoid rule).
 
@@ -315,11 +298,10 @@ def torque_profile(
     if n != task.n_samples:
         raise ValueError("trajectory sample count does not match the task")
 
-    joints = (*stroke.point_a.T, *stroke.point_b.T)
+    geometry = _joint_geometry(cfg, *stroke.point_a.T, *stroke.point_b.T)
     tau, t_rms, singular = _cycle_torque(
-        design, cfg, task, _time_steps(stroke.t, task), joints, _joint_geometry(cfg, *joints),
-        stroke.theta_dot, stroke.theta_ddot,
+        design, cfg, task, np.diff(stroke.t), geometry, stroke.theta_dot, stroke.theta_ddot
     )
     if singular.any():
         raise SingularState(_COLLINEAR, t=float(stroke.t[np.argmax(singular)]))
-    return TorqueProfile(torque=tau, t_cycle=task.t_cycle, t_rms=float(t_rms))
+    return TorqueProfile(torque=tau, t_rms=float(t_rms))

@@ -18,11 +18,11 @@ failure rule: the first sample in walk order that does not assemble or
 meets an interior dead point raises ``TransformUnsolvable``.  The walk
 returns a ``Stroke``, a struct of arrays whose joint columns the dynamics
 reads as they are, and ``validate_baseline`` checks the baseline on that
-same walk.  Its kernels are elementwise, so the same walk also runs many
-designs at once, as (samples x designs) arrays.  One design's walk costs
-about 60 us on a 2-vCPU VM, nearly all of it per-call numpy overhead, so
-its design-independent columns are cached and its ``_joint_geometry``
-serves the torque too.
+same walk.  Its kernels are elementwise, so the same walk runs one design
+or many at once, as (samples x designs) arrays.  A walk's cost is nearly
+all per-call numpy overhead, so its design-independent columns are cached
+per (cfg, task) and its ``_joint_geometry`` serves the crank angle and the
+torque too.
 """
 
 from __future__ import annotations
@@ -335,12 +335,11 @@ def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, columns: tuple[
 
     ``columns`` is (delta_dot, delta_ddot, cos, sin) as ``_walk_columns``
     gives them.  Returns (ax, ay, bx, by, theta_dot, theta_ddot, assembles,
-    failed, geometry): columns over the samples, or (n, k) arrays against
-    (n, 1) columns, k = 1 for one design, and the joints'
-    ``_joint_geometry``, which the torque reads too.  ``failed`` marks the
-    samples that do not assemble or meet a crank-coupler dead point inside
-    the stroke; a design with a failed sample has no meaningful rates.
-    One design's walk takes about 60 us.
+    failed, geometry): (n, k) arrays, k = 1 for one design, and the joints'
+    ``_joint_geometry``, which the crank angle and the torque read too.
+    ``failed`` marks the samples that do not assemble or meet a
+    crank-coupler dead point inside the stroke; a design with a failed
+    sample has no meaningful rates.
     """
     delta_dot, delta_ddot, *direction = columns
     ox, oy = cfg.pivot_o
@@ -363,13 +362,12 @@ def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, columns: tuple[
     return ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed, geometry
 
 
-def _crank_angle(ax: np.ndarray, ay: np.ndarray, cfg: MechanismConfig) -> np.ndarray:
-    """Crank angle along one walk, continued outward from the mid-stroke sample."""
-    n = len(ax)
+def _crank_angle(rax: np.ndarray, ray: np.ndarray) -> np.ndarray:
+    """Crank angle along one walk's A - O columns, continued outward from the mid-stroke sample."""
+    n = len(rax)
     mid = n // 2
-    ox, oy = cfg.pivot_o
     # math.atan2, not np.arctan2: the two differ in the last bit
-    raw = np.fromiter(map(math.atan2, (ay - oy).tolist(), (ax - ox).tolist()), float, n)
+    raw = np.fromiter(map(math.atan2, ray.tolist(), rax.tolist()), float, n)
     # whole turns that keep each step outward from mid-stroke below pi
     turns = np.round((raw[:-1] - raw[1:]) / math.tau)
     offset = np.zeros(n)
@@ -398,14 +396,14 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
     last, then down to the first) and whether it failed at a dead point.
     """
     t, delta, delta_dot, delta_ddot = _motion_law(task)
-    columns = (delta_dot, delta_ddot, *_rocker_direction(cfg, delta))
-    ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed, _ = _walk(design, cfg, columns)
+    *walked, (rax, ray, *_) = _walk(design, cfg, _walk_columns(cfg, task))
+    ax, ay, bx, by, theta_dot, theta_ddot, assembles, failed = (column[:, 0] for column in walked)
     if failed.any():
         mid = task.n_samples // 2
         upper = np.flatnonzero(failed[mid:])
         k = mid + upper[0] if upper.size else np.flatnonzero(failed[:mid])[-1]
         raise TransformUnsolvable(float(delta[k]), dead_point=bool(assembles[k]))
-    theta = _crank_angle(ax, ay, cfg)
+    theta = _crank_angle(rax[:, 0], ray[:, 0])
 
     # (n, 2) in column-major order, so that each coordinate is contiguous
     point_a = np.array((ax, ay)).T

@@ -1,4 +1,4 @@
-"""Core data model: mechanism description, motion task, result records, config I/O.
+"""Core data model: mechanism description, motion task, result records, config loading.
 
 Conventions used throughout the package:
 
@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
-from typing import Any, Callable, Iterable, Literal, NamedTuple
+from typing import Any, Callable, Iterable, Literal
 
 __all__ = [
     "Branch",
@@ -42,7 +42,6 @@ __all__ = [
     "TransformUnsolvable",
     "SingularState",
     "EmptyTrajectory",
-    "config_to_dict",
     "load_config",
     "load_config_dict",
 ]
@@ -363,17 +362,12 @@ class EvaluationRecord:
 # ---------------------------------------------------------------------------
 # config ingestion
 #
-# One table per JSON object maps each key to the kind of its value.  The same
-# table reads the object (rejecting keys it lacks) and writes it back in
-# config_to_dict, so the key list is written once.  Defaults live only on the
-# dataclass fields and range checks only in their __post_init__.
+# One table per JSON object maps each key to the reader of its value,
+# (raw, "section.key", degrees) -> value, and the object is read through it,
+# rejecting keys it lacks.  Defaults live only on the dataclass fields and
+# range checks only in their __post_init__.
 
-
-class _Kind(NamedTuple):
-    """How one config value is read from JSON and written back."""
-
-    read: Callable[[Any, str, bool], Any]  # (raw, "section.key", degrees) -> value
-    write: Callable[[Any], Any] = lambda value: value
+_Reader = Callable[[Any, str, bool], Any]
 
 
 def _number(raw: Any, name: str, degrees: bool = False) -> float:
@@ -418,7 +412,7 @@ def _angle(raw: Any, name: str, degrees: bool) -> float:
 
 
 def _read_keys(
-    raw: Any, name: str, table: dict[str, _Kind], required: Iterable[str], degrees: bool
+    raw: Any, name: str, table: dict[str, _Reader], required: Iterable[str], degrees: bool
 ) -> dict[str, Any]:
     """Read the keys present in one JSON object; each must be in ``table``."""
     if not isinstance(raw, dict):
@@ -427,21 +421,17 @@ def _read_keys(
     for key, value in raw.items():
         if key not in table:
             raise ParseError(f"{name}.{key}: unknown key")
-        values[key] = table[key].read(value, f"{name}.{key}", degrees)
+        values[key] = table[key](value, f"{name}.{key}", degrees)
     for key in required:
         if key not in values:
             raise ParseError(f"{name}.{key}: missing required key")
     return values
 
 
-def _read_object(cls: type, table: dict[str, _Kind], raw: Any, name: str, degrees: bool) -> Any:
+def _read_object(cls: type, table: dict[str, _Reader], raw: Any, name: str, degrees: bool) -> Any:
     """Build ``cls`` from the keys present; an absent key takes the field default."""
     required = [f.name for f in fields(cls) if f.init and f.default is MISSING]
     return cls(**_read_keys(raw, name, table, required, degrees))
-
-
-def _write_object(table: dict[str, _Kind], obj: Any) -> dict[str, Any]:
-    return {key: kind.write(getattr(obj, key)) for key, kind in table.items()}
 
 
 def _read_bounds(raw: Any, name: str, degrees: bool) -> tuple[tuple[float, ...], ...]:
@@ -449,47 +439,39 @@ def _read_bounds(raw: Any, name: str, degrees: bool) -> tuple[tuple[float, ...],
     return tuple(pairs[key] for key in _BOUNDS)
 
 
-def _write_bounds(bounds: tuple[tuple[float, float], ...]) -> dict[str, list[float]]:
-    return {key: list(pair) for key, pair in zip(_BOUNDS, bounds)}
-
-
-_NUMBER = _Kind(_number)
-_INTEGER = _Kind(_integer)
-_VECTOR = _Kind(_vector, list)
-_ANGLE = _Kind(_angle)
-_ANGLE_OBJECT = {"value": _NUMBER, "units": _Kind(_units)}
-_DESIGN = dict.fromkeys(("l_oa", "l_ab", "l_bc"), _NUMBER)
-_BOUNDS = dict.fromkeys(_DESIGN, _VECTOR)
-_SECTIONS: dict[str, tuple[type, dict[str, _Kind]]] = {
+_ANGLE_OBJECT = {"value": _number, "units": _units}
+_DESIGN = dict.fromkeys(("l_oa", "l_ab", "l_bc"), _number)
+_BOUNDS = dict.fromkeys(_DESIGN, _vector)
+_SECTIONS: dict[str, tuple[type, dict[str, _Reader]]] = {
     "mechanism": (
         MechanismConfig,
         {
-            "pivot_o": _VECTOR,
-            "pivot_c": _VECTOR,
-            "baseline": _Kind(partial(_read_object, DesignParams, _DESIGN), partial(_write_object, _DESIGN)),
-            "branch": _Kind(_branch),
-            "effector_offset": _ANGLE,
-            "link_density": _VECTOR,
-            "payload_mass": _NUMBER,
-            "effector_tip_length": _NUMBER,
-            "tip_force": _VECTOR,
-            "gravity": _VECTOR,
-            "overshoot_cap": _NUMBER,
+            "pivot_o": _vector,
+            "pivot_c": _vector,
+            "baseline": partial(_read_object, DesignParams, _DESIGN),
+            "branch": _branch,
+            "effector_offset": _angle,
+            "link_density": _vector,
+            "payload_mass": _number,
+            "effector_tip_length": _number,
+            "tip_force": _vector,
+            "gravity": _vector,
+            "overshoot_cap": _number,
         },
     ),
     "task": (
         MotionTask,
-        {"delta_i": _ANGLE, "delta_e": _ANGLE, "t_move": _NUMBER, "t_dwell": _NUMBER, "n_samples": _INTEGER},
+        {"delta_i": _angle, "delta_e": _angle, "t_move": _number, "t_dwell": _number, "n_samples": _integer},
     ),
     "optimizer": (
         OptimizerConfig,
         {
-            "bounds": _Kind(_read_bounds, _write_bounds),
-            "n_init": _INTEGER,
-            "n_max": _INTEGER,
-            "n_acq_starts": _INTEGER,
-            "n_acq_samples": _INTEGER,
-            "seed": _INTEGER,
+            "bounds": _read_bounds,
+            "n_init": _integer,
+            "n_max": _integer,
+            "n_acq_starts": _integer,
+            "n_acq_samples": _integer,
+            "seed": _integer,
         },
     ),
 }
@@ -517,23 +499,28 @@ def load_config_dict(data: dict, degrees: bool = False) -> tuple[MechanismConfig
     return cfg, task, opt
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object's (key, value) pairs as a dict; ParseError for a key given twice."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"{key}: key given twice in one object")
+        data[key] = value
+    return data
+
+
 def load_config(path: str, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
     """Load and validate a JSON config file.
 
-    Raises ParseError for malformed JSON or a malformed, missing or unknown key,
-    ValidationError (naming the field) for value-level violations.
+    Raises ParseError for malformed JSON, a key given twice in one object, or
+    a malformed, missing or unknown key, ValidationError (naming the field)
+    for value-level violations.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
     return load_config_dict(data, degrees=degrees)
-
-
-def config_to_dict(cfg: MechanismConfig, task: MotionTask, opt: OptimizerConfig) -> dict[str, Any]:
-    """Serialize configs back to the JSON schema; round-trips bit-for-bit."""
-    objects = (cfg, task, opt)
-    return {name: _write_object(table, obj) for (name, (_cls, table)), obj in zip(_SECTIONS.items(), objects)}

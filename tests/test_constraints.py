@@ -652,13 +652,14 @@ def test_the_static_gate_rejects_rows_that_are_not_designs(gate, canon_cfg, cano
 
 
 def test_evaluate_designs_lets_the_joint_closure_guard_raise(monkeypatch, canon_cfg, canon_task):
-    # walked joints that do not close the coupler raise in the torque guard,
-    # for one design as for a batch
+    # a walked geometry whose B - A does not close the coupler raises in the
+    # torque guard, for one design as for a batch
     walk = kinematics._walk
 
     def shifted(*args):
-        ax, *rest = walk(*args)
-        return ax + 1e-3, *rest
+        *rest, geometry = walk(*args)
+        rax, ray, rbx, rby, bax, *more = geometry
+        return *rest, (rax, ray, rbx, rby, bax + 1e-3, *more)
 
     monkeypatch.setattr(kinematics, "_walk", shifted)
     monkeypatch.setattr(constraints, "_walk", shifted)
@@ -707,8 +708,6 @@ def test_the_walk_and_the_torque_share_one_joint_geometry():
             assert int_bits([term[k, 0] for term in terms]) == int_bits(want)
         if not (failed.any() or singular.any()):
             steps = dynamics._task_steps(TASK)
-            tau, *_ = dynamics._cycle_torque(
-                design, cfg, TASK, steps, walked[:4], geometry, theta_dot, theta_ddot
-            )
+            tau, *_ = dynamics._cycle_torque(design, cfg, TASK, steps, geometry, theta_dot, theta_ddot)
             want = torque_profile(design, cfg, TASK, kinematic_transform(design, cfg, TASK)).torque
             assert int_bits(tau[:, 0]) == int_bits(want)

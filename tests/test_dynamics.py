@@ -257,14 +257,14 @@ def test_canon_rms_torque(canon_cfg, canon_task):
     design = canon_cfg.baseline
     stroke = kinematic_transform(design, canon_cfg, canon_task)
     profile = torque_profile(design, canon_cfg, canon_task, stroke)
-    assert profile.t_cycle == pytest.approx(1.0, abs=1e-15)
+    assert canon_task.t_cycle == pytest.approx(1.0, abs=1e-15)
     assert len(profile.torque) == canon_task.n_samples
     assert profile.t_rms == pytest.approx(1.7428895130664603, rel=1e-12)
     # stored RMS agrees with a direct trapezoid pass over the cycle
     cycle = cycle_samples(canon_task, stroke, profile)
     assert len(cycle) == 2 * canon_task.n_samples
     assert profile.t_rms == pytest.approx(
-        math.sqrt(trapz_sq(cycle) / profile.t_cycle), rel=1e-12
+        math.sqrt(trapz_sq(cycle) / canon_task.t_cycle), rel=1e-12
     )
 
 
@@ -278,7 +278,7 @@ def test_return_stroke_mirrors_forward(canon_cfg, canon_task):
         back = motor_torque(design, canon_cfg, p, -stroke.theta_dot[k], stroke.theta_ddot[k])
         assert back == profile.torque[k]
     half = trapz_sq(list(zip(stroke.t.tolist(), profile.torque.tolist())))
-    assert profile.t_rms == pytest.approx(math.sqrt(2.0 * half / profile.t_cycle), rel=1e-12)
+    assert profile.t_rms == pytest.approx(math.sqrt(2.0 * half / canon_task.t_cycle), rel=1e-12)
 
 
 def test_dwell_holds_static_torque(canon_cfg):
@@ -288,7 +288,7 @@ def test_dwell_holds_static_torque(canon_cfg):
     stroke = kinematic_transform(design, canon_cfg, task)
     profile = torque_profile(design, canon_cfg, task, stroke)
     n = task.n_samples
-    assert profile.t_cycle == pytest.approx(1.2, abs=1e-15)
+    assert task.t_cycle == pytest.approx(1.2, abs=1e-15)
     cycle = cycle_samples(task, stroke, profile)
     assert len(cycle) == 2 * n + 4
     t_in, tau_in = cycle[n]
@@ -297,7 +297,7 @@ def test_dwell_holds_static_torque(canon_cfg):
     p_end = solve_ik(design, canon_cfg, task.delta_i, "plus")
     assert tau_in == pytest.approx(posture_terms(design, canon_cfg, p_end)[2], abs=1e-12)
     assert profile.t_rms == pytest.approx(
-        math.sqrt(trapz_sq(cycle) / profile.t_cycle), rel=1e-12
+        math.sqrt(trapz_sq(cycle) / task.t_cycle), rel=1e-12
     )
 
 
@@ -386,6 +386,30 @@ def test_motor_work_equals_energy_change_on_random_mechanisms(mechanism, heading
     assert abs(integral(power) - (e_end - e_start)) <= 1e-9 * scale
     event(f"branch {cfg.branch}, crank {'wraps past pi' if np.abs(stroke.theta).max() > math.pi else 'within (-pi, pi]'}")
     event(f"peak crank rate {'over' if np.abs(stroke.theta_dot).max() > 10.0 else 'under'} 10 rad/s")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mechanism=mechanisms(),
+    dwell=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+    force=st.tuples(*[st.floats(-3.0, 3.0)] * 2),
+)
+def test_rms_matches_a_full_cycle_trapezoid_on_random_mechanisms(mechanism, dwell, force):
+    # t_rms sums the forward stroke once for both strokes; the explicit cycle
+    # is the forward column, the tau_i dwell, the column mirrored on the
+    # return grid (t_move + t_dwell) + t and the tau_e dwell
+    cfg, task = mechanism
+    cfg = dataclasses.replace(cfg, tip_force=force)
+    task = dataclasses.replace(task, t_dwell=dwell)
+    stroke = kinematic_transform(cfg.baseline, cfg, task)
+    try:
+        profile = torque_profile(cfg.baseline, cfg, task, stroke)
+    except SingularState:
+        event("transmission singularity")
+        assume(False)
+    cycle = cycle_samples(task, stroke, profile)
+    assert profile.t_rms == pytest.approx(math.sqrt(trapz_sq(cycle) / task.t_cycle), rel=1e-12)
+    event("with dwell" if dwell else "no dwell")
 
 
 def test_trajectory_task_mismatch(canon_cfg, canon_task):

@@ -15,7 +15,6 @@ from fourbar_synth import (
     OptimizerConfig,
     ParseError,
     ValidationError,
-    config_to_dict,
     load_config,
     load_config_dict,
 )
@@ -165,15 +164,6 @@ def test_load_canon_config_values():
     assert opt.seed == 0 and opt.n_init == 12 and opt.n_max == 60
 
 
-def test_config_round_trip_is_bit_exact():
-    cfg, task, opt = load_config(str(CANON_CONFIG))
-    data = config_to_dict(cfg, task, opt)
-    cfg2, task2, opt2 = load_config_dict(json.loads(json.dumps(data)))
-    assert cfg2 == cfg
-    assert task2 == task
-    assert opt2 == opt
-
-
 def test_configs_hash_by_value():
     # the memoised tables key on the configs, which hash their fields once
     cfg, task = make_canon_cfg(), make_canon_task()
@@ -198,8 +188,7 @@ def test_configs_hash_by_value():
 def test_readme_config_schema_matches_canon():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
-    documented = config_to_dict(*load_config_dict(json.loads(block)))
-    assert documented == config_to_dict(*load_config(str(CANON_CONFIG)))
+    assert load_config_dict(json.loads(block)) == load_config(str(CANON_CONFIG))
 
 
 def test_load_config_dict_defaults():
@@ -325,6 +314,18 @@ def test_load_config_malformed_json_is_parse_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("key, value", [("t_move", "5.0"), ("l_oa", "0.2"), ("units", '"rad"')])
+def test_load_config_rejects_a_key_given_twice(tmp_path, key, value):
+    # json keeps the last of two equal keys; the loader names the key instead.
+    # The canon with the key's first place (in task, baseline, delta_i) given twice
+    text = CANON_CONFIG.read_text(encoding="utf-8")
+    head, tail = re.match(rf'(?s)(.*?"{key}":)(.*)', text).groups()
+    p = tmp_path / "twice.json"
+    p.write_text(f"{head} {value}, \"{key}\":{tail}", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"{key}: key given twice"):
         load_config(str(p))
 
 

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fourbar_synth import oracle
 from fourbar_synth.constraints import evaluate_designs, static_gap
@@ -9,7 +12,7 @@ from fourbar_synth.kinematics import kinematic_transform, solve_ik
 from fourbar_synth.model import DesignParams, MechanismConfig
 from fourbar_synth.oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep
 
-from conftest import make_canon_task
+from conftest import make_canon_task, mechanisms
 
 
 def test_brute_ik_finds_the_closed_form_roots(canon_cfg):
@@ -49,6 +52,44 @@ def test_static_gap_matches_marching_oracle(canon_cfg, canon_task):
     assert worst < 2e-6  # marching step is 1e-6
 
 
+def slide_event(result, design, cfg, task) -> str:
+    """How a ``static_gap`` slide went: a degenerate start, a slide that passes
+    within 1% of tangency to the inner hole, or where it stopped."""
+    if result.degenerate_start:
+        return "degenerate start"
+    delta = task.delta_i if result.pose == "i" else task.delta_e
+    (cx, cy), (ox, oy) = cfg.pivot_c, cfg.pivot_o
+    bx = cx + design.l_bc * math.cos(delta - cfg.effector_offset)
+    by = cy + design.l_bc * math.sin(delta - cfg.effector_offset)
+    px, py = result.o_prime_init
+    s_o = math.hypot(ox - px, oy - py)
+    ux, uy = (ox - px) / s_o, (oy - py) / s_o
+    closest = (bx - px) * ux + (by - py) * uy  # along the slide, from O'
+    miss = abs((px - bx) * uy - (py - by) * ux)  # of the slide's line from B
+    r_in = abs(design.l_ab - design.l_oa)
+    if 0.0 < closest < s_o and abs(miss - r_in) <= 0.01 * r_in:
+        return "slide tangent to the hole within 1%"
+    if result.value > 0.0:
+        return "slide stops short of O"
+    return "slide capped past O" if result.value == -cfg.overshoot_cap else "slide exits past O"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mechanism=mechanisms(),
+    factors=st.lists(st.tuples(*[st.floats(-0.1, 0.1)] * 3), min_size=1, max_size=3),
+)
+def test_static_gap_matches_marching_oracle_on_random_mechanisms(mechanism, factors):
+    # the canon test above, on drawn mechanisms and designs near their baseline
+    cfg, task = mechanism
+    for lengths in (np.exp(np.array(factors)) * cfg.baseline.as_tuple()).tolist():
+        design = DesignParams(*lengths)
+        for pose in ("i", "e"):
+            fast = static_gap(design, cfg, task, pose)
+            assert abs(fast.value - brute_static_gap(design, cfg, task, pose)) < 2e-6
+            event(slide_event(fast, design, cfg, task))
+
+
 def test_theta_sweep_agrees_with_transform(canon_cfg, canon_task):
     defective = DesignParams(0.244710222, 0.133037882, 0.166103598)
     wrapped = DesignParams(0.18574091600846127, 0.3327444862266863, 0.2095751370653121)
@@ -62,6 +103,25 @@ def test_theta_sweep_agrees_with_transform(canon_cfg, canon_task):
             assert delta == pytest.approx(s_delta, abs=1e-12)
             # the sweep reports angles in (-pi, pi]; the stroke continues them
             assert math.remainder(theta - s_theta, math.tau) == pytest.approx(0.0, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mechanism=mechanisms())
+def test_theta_sweep_agrees_with_transform_on_random_mechanisms(mechanism):
+    # the canon test above, on the baseline of drawn mechanisms
+    cfg, task = mechanism
+    task = dataclasses.replace(task, n_samples=51)
+    stroke = kinematic_transform(cfg.baseline, cfg, task)
+    swept = brute_theta_sweep(cfg.baseline, cfg, task, n=task.n_samples)
+    for s_theta, (_, _, theta) in zip(stroke.theta.tolist(), swept):
+        assert math.remainder(theta - s_theta, math.tau) == pytest.approx(0.0, abs=1e-9)
+    event(f"crank {'wraps past pi' if np.abs(stroke.theta).max() > math.pi else 'within (-pi, pi]'}")
+    # sin of the crank-coupler angle at each stroke end: cross(A - O, B - A) / (l_oa l_ab)
+    (ax, ay), (bx, by) = stroke.point_a[::50].T, stroke.point_b[::50].T
+    (ox, oy), design = cfg.pivot_o, cfg.baseline
+    sin_alpha = ((ax - ox) * (by - ay) - (ay - oy) * (bx - ax)) / (design.l_oa * design.l_ab)
+    near = np.abs(sin_alpha).min() < math.sin(0.1)
+    event(f"a stroke end {'within' if near else 'beyond'} 0.1 rad of a dead point")
 
 
 def test_grid_sweep_layout_and_gating(canon_cfg, canon_task):
