@@ -2,13 +2,17 @@
 
 Exact GP regression with a Matern-5/2 ARD kernel.  Inputs are min-max
 normalized to the unit cube using the search bounds (not the data), targets
-are standardized; hyperparameters (signal variance, per-dimension
-lengthscales, noise variance) maximize the log marginal likelihood by
-multi-start L-BFGS-B in log-space with analytic gradients.  A cold fit runs
-8 starts (a fixed default and 7 seeded random points).  A warm fit, given
-the kernel of the same surrogate's previous fit, runs 2: that kernel, then
-the default.  The winner is the start whose returned point scores the
-lowest NLML, ties going to the earlier start.
+are standardized; hyperparameters (signal variance s2, per-dimension
+lengthscales, noise variance) maximize the log marginal likelihood.  The
+signal variance is profiled out, as in the concentrated likelihood of
+Jones, Schonlau & Welch (1998) and DiceKriging (Roustant et al., 2012):
+with K = s2 (C + g I), for given lengthscales and noise ratio g its best
+value is y'(C + g I)^-1 y / n, clipped to a box.  So a multi-start L-BFGS-B
+with analytic gradients searches only log(lengthscales) and log(g).  A cold
+fit runs 8 starts (a fixed default and 7 seeded random points).  A warm
+fit, given the kernel of the same surrogate's previous fit, runs 2: that
+kernel, then the default.  The winner is the start whose returned point
+scores the lowest NLML, ties going to the earlier start.
 
 The fit is dominated by call overhead, not arithmetic: training sets are
 small (tens of points) and L-BFGS-B evaluates the likelihood dozens of
@@ -17,15 +21,11 @@ fixed across one fit (the per-dimension squared differences flattened to
 (d, n^2), the identity, the diagonal view, reused (n, n) buffers).  It owns
 the fit's one training kernel matrix: it fills K in place from natural
 parameters and factors it through ``lapack.dpotrf``/``dpotrs`` with
-escalating jitter.  The likelihood gradient is GPML eq. 5.9, with K^-1
-from ``dpotrs`` against the identity.  The fitted model factors that same
-K, at the values the search scored at its optimum or at a fixed kernel's
-own values, and prediction is one cross-covariance block, two row-wise
-sums and one ``dtrtrs``, so that a point's prediction does not depend on
-its batch.  ``minimize`` drives scipy's compiled L-BFGS-B iteration,
-``_lbfgsb.setulb`` (Byrd, Lu, Nocedal & Zhu 1995), directly: scipy's
-``minimize`` wrapper around it cost about as much per evaluation as the
-likelihood itself.
+escalating jitter.  The likelihood gradient is GPML eq. 5.9, with R^-1
+from ``dpotrs`` against the identity.  The fitted model factors its kernel
+as a fixed kernel is factored, s2 C + (s2 g) I, and prediction is one
+cross-covariance block, two row-wise sums and one ``dtrtrs``, so that a
+point's prediction does not depend on its batch.
 
 Invariant: these shortcuts change only call overhead.  Every elementwise
 operation and every reduction runs in the same order and over the same
@@ -33,8 +33,7 @@ memory layout as the plain expressions they replace (for instance each
 gradient sum is a pairwise sum over the n^2 elements of a C-ordered
 (n, n) block, as ``.sum()`` of that block is), so for a given
 seed the likelihood, the fitted factors and the predictions are bit-for-bit
-what the straightforward scipy.linalg code gives, and each search stops at
-the point, after the evaluations, that ``scipy.optimize.minimize`` reaches.
+what the straightforward scipy.linalg code gives.
 Deterministic: a seeded RNG draws a cold fit's random starts, and a warm
 fit draws none, so it does not depend on the seed.
 """
@@ -45,8 +44,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 from scipy.linalg import LinAlgError, lapack
-from scipy.optimize import _lbfgsb
 
 __all__ = ["KernelParams", "GpModel", "gp_fit", "gp_predict"]
 
@@ -54,28 +53,21 @@ _SQRT5 = math.sqrt(5.0)
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 _COLD_RANDOM_STARTS = 7  # besides the default start
 
-# log-space box for the hyperparameter search (standardized targets,
-# unit-cube inputs), order: signal variance, lengthscales..., noise variance
-_LOG_BOUNDS_SIGNAL = (math.log(1e-4), math.log(1e4))
+# the box of the profiled signal variance (standardized targets)
+_SIGNAL_BOUNDS = (1e-4, 1e4)
+# log-space box for the hyperparameter search (unit-cube inputs), order:
+# lengthscales..., noise ratio g = noise variance / signal variance
 _LOG_BOUNDS_LENGTH = (math.log(1e-2), math.log(1e2))
-_LOG_BOUNDS_NOISE = (math.log(1e-10), math.log(1e1))
-
-# L-BFGS-B settings of every search: scipy's defaults for L-BFGS-B but
-# maxiter 200 and gtol 1e-6; factr is scipy's ftol in units of eps
-_LBFGSB_M = 10  # stored correction pairs
-_LBFGSB_FACTR = 2.220446049250313e-09 / np.finfo(float).eps
-_LBFGSB_PGTOL = 1e-6
-_LBFGSB_MAXLS = 20
-_LBFGSB_MAXITER = 200
-_LBFGSB_MAXFUN = 15000
-# setulb's task codes: task[0] is what it asks for next, task[1] the reason
-_TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
-_STOP_MAXFUN, _STOP_MAXITER = 502, 504
+_LOG_BOUNDS_RATIO = (math.log(1e-10), math.log(1e1))
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Matern-5/2 ARD hyperparameters in normalized/standardized space."""
+    """Matern-5/2 ARD hyperparameters in normalized/standardized space.
+
+    A searched fit's noise variance is s2 times a noise ratio g in
+    [1e-10, 10], and its signal variance lies in [1e-4, 1e4].
+    """
 
     signal_variance: float
     lengthscales: tuple[float, ...]
@@ -137,11 +129,13 @@ class _LmlWorkspace:
     """The training kernel matrix of one fit, its likelihood and gradient.
 
     Built once from the unit-cube inputs and standardized targets.
-    ``factor`` fills K from natural parameters and factors it; calling the
-    workspace with log(signal variance, lengthscales..., noise variance)
-    returns (NLML, gradient), the pair ``minimize`` descends.  A kernel
-    matrix that no jitter rung can factor scores 1e25 with a zero gradient,
-    which steers L-BFGS-B away.
+    ``factor`` fills K from natural parameters and factors it.  Calling the
+    workspace with log(lengthscales..., noise ratio g) returns (NLML,
+    gradient), the pair ``minimize`` descends, with the signal variance
+    profiled out: for R = K / s2 = C + g I it factors R, sets s2 to the
+    likelihood's best, y'R^-1 y / n, clipped to its box, and scores
+    K = s2 R.  A kernel matrix that no jitter rung can factor scores 1e25
+    with a zero gradient, which steers L-BFGS-B away.
     """
 
     def __init__(self, x_unit: np.ndarray, y: np.ndarray) -> None:
@@ -161,36 +155,37 @@ class _LmlWorkspace:
         self.onec = np.empty((n, n))  # 1 + c, then the lengthscale factor
         self.tmp = np.empty((n, n))
         self.tmp_d = np.empty((d, n, n))
-        self.k_signal = np.empty((n, n))
         self.k = np.empty((n, n))
         self.k_diag = self.k.reshape(n * n)[:: n + 1]
         self.w = np.empty((n, n))
 
-    def natural(self, log_params: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """(signal variance, 1 / lengthscales^2, noise variance) of a search point."""
-        d = self.d
-        return math.exp(log_params[0]), np.exp(-2.0 * log_params[1 : 1 + d]), math.exp(log_params[1 + d])
+    def natural(self, log_params: np.ndarray) -> tuple[np.ndarray, float]:
+        """(1 / lengthscales^2, noise ratio g) of a search point."""
+        return np.exp(-2.0 * log_params[: self.d]), math.exp(log_params[self.d])
+
+    def signal_variance(self, alpha: np.ndarray) -> float:
+        """The likelihood's best s2 given alpha = R^-1 y: y'R^-1 y / n, clipped to its box."""
+        return min(max(float(self.y @ alpha) / self.n, _SIGNAL_BOUNDS[0]), _SIGNAL_BOUNDS[1])
 
     def factor(self, s2: float, inv_l2: np.ndarray, noise: float) -> tuple[np.ndarray, np.ndarray]:
         """Fill K, then Cholesky with escalating jitter: (L, alpha = K^-1 y)."""
         n = self.n
-        c, expc, onec, tmp, ks = self.c, self.expc, self.onec, self.tmp, self.k_signal
+        c, expc, onec, tmp, k = self.c, self.expc, self.onec, self.tmp, self.k
         r2 = np.dot(inv_l2[None, :], self.flat).reshape(n, n)  # >= 0: needs no clamp
         np.sqrt(r2, out=c)
         np.multiply(c, _SQRT5, out=c)
         np.negative(c, out=expc)
         np.exp(expc, out=expc)
-        # k_signal = s2 * (1 + c + 5 r^2 / 3) * exp(-c), left to right
+        # K = s2 * (1 + c + 5 r^2 / 3) * exp(-c) + noise I, left to right
         np.add(c, 1.0, out=onec)
         np.multiply(r2, 5.0, out=tmp)
         np.divide(tmp, 3.0, out=tmp)
-        np.add(onec, tmp, out=ks)
-        np.multiply(ks, s2, out=ks)
-        np.multiply(ks, expc, out=ks)
-        np.copyto(self.k, ks)
+        np.add(onec, tmp, out=k)
+        np.multiply(k, s2, out=k)
+        np.multiply(k, expc, out=k)
         np.add(self.k_diag, noise, out=self.k_diag)
         for jitter in _JITTERS:
-            kj = self.k if jitter == 0.0 else self.k + jitter * self.eye
+            kj = k if jitter == 0.0 else k + jitter * self.eye
             low, info = lapack.dpotrf(kj, lower=1)
             if info == 0:
                 alpha, _ = lapack.dpotrs(low, self.y, lower=1)
@@ -199,93 +194,42 @@ class _LmlWorkspace:
 
     def __call__(self, log_params: np.ndarray) -> tuple[float, np.ndarray]:
         d = self.d
-        expc, onec, tmp, ks, w = self.expc, self.onec, self.tmp, self.k_signal, self.w
-        s2, inv_l2, noise = self.natural(log_params)
+        expc, onec, w = self.expc, self.onec, self.w
+        inv_l2, g = self.natural(log_params)
         try:
-            low, alpha = self.factor(s2, inv_l2, noise)
+            low, alpha = self.factor(1.0, inv_l2, g)  # R and R^-1 y
         except LinAlgError:
             return 1e25, np.zeros_like(log_params)
 
-        nlml = 0.5 * float(self.y @ alpha) + float(np.log(low.diagonal()).sum()) + self.const
+        s2 = self.signal_variance(alpha)
+        nlml = 0.5 * float(self.y @ alpha) / s2 + 0.5 * self.n * math.log(s2)
+        nlml += float(np.log(low.diagonal()).sum()) + self.const
 
-        k_inv, _ = lapack.dpotrs(low, self.eye, lower=1)
-        np.multiply(alpha[:, None], alpha[None, :], out=w)
-        np.subtract(w, k_inv, out=w)  # dLML/dK = 0.5 * W
+        # GPML eq. 5.9 at fixed s2, which is the whole gradient both where s2
+        # is the likelihood's best (it is stationary in s2) and where it is
+        # clipped (constant): dLML/dR = 0.5 * W
+        r_inv, _ = lapack.dpotrs(low, self.eye, lower=1)
+        np.multiply((alpha / s2)[:, None], alpha[None, :], out=w)
+        np.subtract(w, r_inv, out=w)
 
         grad = np.empty_like(log_params)
-        grad[0] = -0.5 * float(np.multiply(w, ks, out=tmp).sum())  # d/dlog s2 (negated for NLML)
-        np.multiply(onec, s2 * (5.0 / 3.0), out=onec)
+        np.multiply(onec, 5.0 / 3.0, out=onec)
         np.multiply(onec, expc, out=onec)
         np.multiply(w, onec, out=onec)
         # one (n, n) sum per lengthscale, over the last two axes of a C-ordered array
-        grad[1 : 1 + d] = -0.5 * inv_l2 * np.multiply(onec, self.raw_sq, out=self.tmp_d).sum(axis=(1, 2))
-        grad[1 + d] = -0.5 * noise * float(w.trace())
+        grad[:d] = -0.5 * inv_l2 * np.multiply(onec, self.raw_sq, out=self.tmp_d).sum(axis=(1, 2))
+        grad[d] = -0.5 * g * float(w.trace())
         return nlml, grad
 
 
-@dataclass(frozen=True, slots=True)
-class SearchResult:
-    """Where one L-BFGS-B search stopped: its point, ``fun`` and evaluation count.
-
-    ``fun`` is the value of the last evaluation, which after an abnormal
-    line-search exit need not be the value at ``x``.
-    """
-
-    x: np.ndarray
-    fun: float
-    nfev: int
-
-
-def minimize(fun, x0: np.ndarray, bounds: list[tuple[float, float]]) -> SearchResult:
+def minimize(fun, x0: np.ndarray, bounds: list[tuple[float, float]]) -> scipy.optimize.OptimizeResult:
     """L-BFGS-B from ``x0`` inside a finite box; ``fun(x)`` returns (value, gradient).
 
-    The same search, bit for bit, as ``scipy.optimize.minimize(fun, x0,
-    jac=True, method="L-BFGS-B", bounds=bounds, options={"maxiter": 200,
-    "gtol": 1e-6})``: x0 is clipped to the box and evaluated first; an
-    evaluation is reused while ``setulb`` asks again at an equal x; the
-    search stops after 200 iterations or once more than 15000 evaluations
-    have run, and ``nfev`` counts evaluations as scipy does.
+    scipy's L-BFGS-B with maxiter 200 and gtol 1e-6.  ``gp_fit`` looks it
+    up as a module attribute, so a wrapper here sees every search.
     """
-    lower = np.array([b[0] for b in bounds], dtype=float)
-    upper = np.array([b[1] for b in bounds], dtype=float)
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    n = x.size
-    nbd = np.full(n, 2, dtype=np.int32)  # every variable bounded on both sides
-    wa = np.zeros(2 * _LBFGSB_M * n + 5 * n + 11 * _LBFGSB_M * _LBFGSB_M + 8 * _LBFGSB_M)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task = np.zeros(2, dtype=np.int32)
-    ln_task = np.zeros(2, dtype=np.int32)
-    lsave = np.zeros(4, dtype=np.int32)
-    isave = np.zeros(44, dtype=np.int32)
-    dsave = np.zeros(29)
-
-    seen_x = x.tolist()
-    seen_f, seen_g = fun(x.copy())
-    nfev = 1
-    f, g = np.array(0.0), np.zeros(n)
-    iterations = 0
-    while True:
-        _lbfgsb.setulb(
-            _LBFGSB_M, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
-            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
-        )
-        if task[0] == _TASK_FG:
-            # float equality, as scipy's np.array_equal, but on lists: cheaper
-            now = x.tolist()
-            if now != seen_x:
-                seen_x = now
-                seen_f, seen_g = fun(x.copy())
-                nfev += 1
-            # setulb gets its own copy of the gradient, as under scipy
-            f, g = seen_f, seen_g.copy()
-        elif task[0] == _TASK_NEW_X:
-            iterations += 1
-            if iterations >= _LBFGSB_MAXITER:
-                task[:] = (_TASK_STOP, _STOP_MAXITER)
-            elif nfev > _LBFGSB_MAXFUN:
-                task[:] = (_TASK_STOP, _STOP_MAXFUN)
-        else:
-            return SearchResult(x, f, nfev)
+    options = {"maxiter": 200, "gtol": 1e-6}
+    return scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
 
 
 def _check_kernel(name: str, k: KernelParams, d: int, positive_noise: bool) -> None:
@@ -317,26 +261,30 @@ def gp_fit(
     flagged constant model (zero signal variance, zero predictive variance)
     instead of failing.
 
-    Otherwise the hyperparameters maximize the log marginal likelihood, and
-    the model factors the very kernel matrix whose likelihood the search
-    scored best.  Each start is one ``minimize`` search, the module's own
-    L-BFGS-B loop (maxiter 200, gtol 1e-6), equal step for step to
-    scipy's.  Without ``start`` the search is cold: 8 starts, the fixed
-    default and 7 seeded random points.  ``start``, such as the same
-    surrogate's fit on one point fewer, makes it warm: log(start), then the
+    Otherwise the hyperparameters maximize the log marginal likelihood.
+    Each start is one ``minimize`` search, scipy's L-BFGS-B (maxiter 200,
+    gtol 1e-6), over log(lengthscales) in [1e-2, 1e2] and log of the noise
+    ratio g = noise / s2 in [1e-10, 10]; the signal variance s2 is the
+    likelihood's best for them, clipped to [1e-4, 1e4].  Without ``start``
+    the search is cold: 8 starts, the fixed default and 7 seeded random
+    points.  ``start``, such as the same surrogate's fit on one point
+    fewer, makes it warm: log(lengthscales), log(noise / s2), then the
     default; a warm fit draws no random start and ignores ``seed``.
     The winner is the start whose returned point the workspace scores
     lowest, the earliest on a tie (L-BFGS-B's ``fun`` after an abnormal
-    line-search exit need not be the value at that point).
+    line-search exit need not be the value at that point).  The model is
+    ``KernelParams(s2, lengthscales, s2 g)`` at that point, factored as a
+    fixed kernel is.
 
     Pass ``kernel`` to skip the search and condition on fixed values (used
     by tests and diagnostics); its kernel matrix comes from the same
     workspace.  ``start`` and ``kernel`` need d lengthscales, and finite,
     positive variances and lengthscales, else ``ValueError`` names the
     field; only a fixed kernel's noise variance may be zero (it is added
-    to K's diagonal as given).  Raises ``LinAlgError`` when no jitter rung
-    can factor the kernel matrix.  The search is deterministic for a given
-    seed and start.
+    to K's diagonal as given).  Each ``bounds[k]`` must be finite with
+    lo < hi, else ``ValueError`` names it.  Raises ``LinAlgError`` when no
+    jitter rung can factor the kernel matrix.  The search is deterministic
+    for a given seed and start.
     """
     if len(points) < 2:
         raise ValueError("gp_fit needs at least 2 observations")
@@ -347,6 +295,9 @@ def gp_fit(
     n, d = x.shape
     if len(bounds) != d:
         raise ValueError("bounds dimension does not match inputs")
+    for k, (lo, hi) in enumerate(bounds):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"bounds[{k}] must be finite with lo < hi, got {(lo, hi)!r}")
     if start is not None:
         _check_kernel("start", start, d, positive_noise=True)
     if kernel is not None:
@@ -371,30 +322,28 @@ def gp_fit(
 
     lml = _LmlWorkspace(x_unit, y_std)
     if kernel is None:
-        default = np.array([0.0] + [math.log(0.5)] * d + [math.log(1e-4)])
+        default = np.array([math.log(0.5)] * d + [math.log(1e-4)])
         if start is not None:
-            starts = [np.log([start.signal_variance, *start.lengthscales, start.noise_variance]), default]
+            starts = [np.log([*start.lengthscales, start.noise_variance / start.signal_variance]), default]
         else:
             rng = np.random.default_rng(seed)
             starts = [default]
             for _ in range(_COLD_RANDOM_STARTS):
                 s = np.concatenate(
-                    [
-                        rng.uniform(math.log(0.1), math.log(10.0), 1),
-                        rng.uniform(math.log(0.05), math.log(2.0), d),
-                        rng.uniform(math.log(1e-8), math.log(1e-2), 1),
-                    ]
+                    [rng.uniform(math.log(0.05), math.log(2.0), d), rng.uniform(math.log(1e-8), math.log(1e-2), 1)]
                 )
                 starts.append(s)
-        box = [_LOG_BOUNDS_SIGNAL] + [_LOG_BOUNDS_LENGTH] * d + [_LOG_BOUNDS_NOISE]
+        box = [_LOG_BOUNDS_LENGTH] * d + [_LOG_BOUNDS_RATIO]
         best_x, best_nlml = None, math.inf
         for s in starts:
-            res = minimize(lml, s, box)
-            nlml = lml(res.x)[0]
+            point = minimize(lml, s, box).x
+            nlml = lml(point)[0]
             if best_x is None or nlml < best_nlml:
-                best_x, best_nlml = res.x, nlml
-        s2, inv_l2, noise = lml.natural(best_x)
-        ls = np.exp(best_x[1 : 1 + d])
+                best_x, best_nlml = point, nlml
+        inv_l2, g = lml.natural(best_x)
+        s2 = lml.signal_variance(lml.factor(1.0, inv_l2, g)[1])
+        noise = s2 * g
+        ls = np.exp(best_x[:d])
         kernel = KernelParams(s2, tuple(ls.tolist()), noise)
     else:
         s2, noise = kernel.signal_variance, kernel.noise_variance

@@ -486,6 +486,9 @@ def load_config_dict(data: dict, degrees: bool = False) -> tuple[MechanismConfig
     """
     if not isinstance(data, dict):
         raise ParseError("top level must be a JSON object")
+    for name in data:
+        if name not in _SECTIONS:
+            raise ParseError(f"{name}: unknown key")
     objects = []
     for name, (cls, table) in _SECTIONS.items():
         if name not in data:

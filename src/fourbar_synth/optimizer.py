@@ -17,7 +17,8 @@ probability of feasibility, is then evaluated only where the mask passes.
 Each surrogate's hyperparameter search is warm-started from its own fit
 one iteration earlier (2 L-BFGS-B starts: that kernel, then the default); a
 surrogate's first fit, and a fit after a constant-data (degenerate) one, is
-cold (8 starts).  The starts run in ``gp``'s own L-BFGS-B loop.
+cold (8 starts).  Each start is one scipy L-BFGS-B search over the
+lengthscales and the noise ratio; ``gp`` profiles the signal variance out.
 
 A proposal maximizes the acquisition by seeded uniform probes and then a
 pattern descent from the best of them (Hooke & Jeeves, J. ACM 1961).  All

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from fourbar_synth import gp
@@ -57,11 +56,12 @@ def test_posterior_matches_dense_solve():
 
 
 def test_lml_matches_dense_formula():
+    # the signal variance is profiled out: the likelihood's best, y'R^-1 y / n
     xs, pts = make_points(6)
-    kernel = KernelParams(signal_variance=0.8, lengthscales=(0.3, 0.6), noise_variance=1e-3)
     y_std = standardized(pts)
-    nlml, _ = _LmlWorkspace(xs, y_std)(np.log([0.8, 0.3, 0.6, 1e-3]))
-    k = matern52_dense(xs, xs, kernel) + 1e-3 * np.eye(len(xs))
+    nlml, _ = _LmlWorkspace(xs, y_std)(np.log([0.3, 0.6, 1e-3]))
+    r = matern52_dense(xs, xs, KernelParams(1.0, (0.3, 0.6), 0.0)) + 1e-3 * np.eye(len(xs))
+    k = y_std @ np.linalg.solve(r, y_std) / len(xs) * r
     _, logdet = np.linalg.slogdet(k)
     expected = (
         -0.5 * y_std @ np.linalg.solve(k, y_std)
@@ -161,6 +161,15 @@ def test_rejects_degenerate_inputs():
         gp_fit([((0.1,), 1.0), ((0.3,), 2.0)], BOUNDS)
 
 
+@pytest.mark.parametrize("box", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (0.0, 0.0), (1.0, 0.0)])
+def test_fit_rejects_bounds_that_are_not_a_box_naming_the_axis(box):
+    # an infinite width scales every input of the axis to 0, a NaN one makes
+    # every prediction NaN, a zero one divides by zero
+    _, pts = make_points(5)
+    with pytest.raises(ValueError, match=r"^bounds\[1\] must be finite with lo < hi"):
+        gp_fit(pts, ((0.0, 1.0), box))
+
+
 def test_prediction_does_not_depend_on_the_batch():
     # the same points predicted in one batch, behind other points, in
     # uneven pieces and one at a time give the same bits
@@ -219,15 +228,6 @@ def search_optimum(results, lml):
     return min(results, key=lambda res: lml(res.x)[0])
 
 
-def model_nlml(model, y_std):
-    """The NLML of a fitted model, from its own factors."""
-    return (
-        0.5 * float(y_std @ model.alpha)
-        + float(np.log(model.chol.diagonal()).sum())
-        + 0.5 * len(y_std) * math.log(2.0 * math.pi)
-    )
-
-
 def test_lml_workspace_value_matches_fitted_model(monkeypatch):
     # a fixed kernel is factored by the workspace at its own values
     xs, pts = make_points(7)
@@ -239,33 +239,45 @@ def test_lml_workspace_value_matches_fitted_model(monkeypatch):
     assert np.array_equal(model.chol, low)
     assert np.array_equal(model.alpha, alpha)
 
-    # a searched model factors the matrix the workspace scores at the
-    # winning start's point (not its ``fun``, which after an abnormal
-    # line-search exit need not be the value at that point)
+    # a searched model's kernel is the winning start's point, with the
+    # signal variance the workspace profiles there (the winner is picked by
+    # its point's score, not by its ``fun``, which after an abnormal
+    # line-search exit need not be the value at that point).  The model
+    # factors that kernel as a fixed kernel is factored, s2 C + (s2 g) I
     results = capture_minimize(monkeypatch)
     model = gp_fit(pts, BOUNDS, seed=5)
     lml = _LmlWorkspace(xs, y_std)
-    assert model_nlml(model, y_std) == lml(search_optimum(results, lml).x)[0]
+    best = search_optimum(results, lml).x
+    inv_l2, g = lml.natural(best)
+    s2 = lml.signal_variance(lml.factor(1.0, inv_l2, g)[1])
+    assert model.kernel == KernelParams(s2, tuple(np.exp(best[:2]).tolist()), s2 * g)
+    low, alpha = lml.factor(s2, inv_l2, s2 * g)
+    assert np.array_equal(model.chol, low)
+    assert np.array_equal(model.alpha, alpha)
 
 
 def test_fit_picks_the_start_whose_point_scores_lowest(monkeypatch):
-    # some starts end on an abnormal line-search exit, where L-BFGS-B's
-    # ``fun`` is not the NLML at its ``x``; at seed 5 the lowest ``fun``
+    # many starts end on an abnormal line-search exit, where L-BFGS-B's
+    # ``fun`` is not the NLML at its ``x``; at some seeds the lowest ``fun``
     # belongs to a start whose point scores worse than another start's
     xs, pts = make_points(7)
-    y_std = standardized(pts)
-    lml = _LmlWorkspace(xs, y_std)
+    lml = _LmlWorkspace(xs, standardized(pts))
     results = capture_minimize(monkeypatch)
 
     def starts_run(**fit_args):
         results.clear()
         model = gp_fit(pts, BOUNDS, **fit_args)
-        assert model_nlml(model, y_std) == min(lml(res.x)[0] for res in results)
-        return len(results)
+        scores = [lml(res.x)[0] for res in results]
+        winner = scores.index(min(scores))
+        assert model.kernel.lengthscales == tuple(np.exp(results[winner].x[:2]).tolist())
+        abnormal = any(res.message.startswith("ABNORMAL") for res in results)
+        return len(results), abnormal, winner != int(np.argmin([res.fun for res in results]))
 
     warm = KernelParams(0.9, (0.6, 1.4), 1e-5)
-    assert [starts_run(seed=seed) for seed in range(8)] == [8] * 8
-    assert [starts_run(seed=seed, start=warm) for seed in range(8)] == [2] * 8
+    cold_runs = [starts_run(seed=seed) for seed in range(8)]
+    assert [count for count, _, _ in cold_runs] == [8] * 8
+    assert any(abnormal and fooled for _, abnormal, fooled in cold_runs)
+    assert [starts_run(seed=seed, start=warm)[0] for seed in range(8)] == [2] * 8
 
 
 def same_model(a, b):
@@ -317,16 +329,23 @@ def test_fit_rejects_an_unusable_kernel_naming_its_field(field, params, named):
 
 
 def test_lml_workspace_gradient_matches_central_differences():
+    # at standardized targets the profiled signal variance lies inside its
+    # box; targets scaled by 1e3 or 1e-3 put it above or below, where the
+    # clip binds and s2 is constant
     xs, pts = make_points(9, seed=4)
-    lml = _LmlWorkspace(xs, standardized(pts))
-    log_params = np.log([1.3, 0.4, 0.6, 1e-2])
-    _, grad = lml(log_params)
-    h = 1e-5
-    for i in range(log_params.size):  # signal variance, each lengthscale, noise
-        step = np.zeros_like(log_params)
-        step[i] = h
-        fd = (lml(log_params + step)[0] - lml(log_params - step)[0]) / (2.0 * h)
-        assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    log_params = np.log([0.4, 0.6, 1e-2])
+    low_s2, high_s2 = gp._SIGNAL_BOUNDS
+    for scale, clipped in ((1.0, None), (1e3, high_s2), (1e-3, low_s2)):
+        lml = _LmlWorkspace(xs, scale * standardized(pts))
+        s2 = lml.signal_variance(lml.factor(1.0, *lml.natural(log_params))[1])
+        assert s2 == clipped if clipped else low_s2 < s2 < high_s2
+        _, grad = lml(log_params)
+        h = 1e-5
+        for i in range(log_params.size):  # each lengthscale, the noise ratio
+            step = np.zeros_like(log_params)
+            step[i] = h
+            fd = (lml(log_params + step)[0] - lml(log_params - step)[0]) / (2.0 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_lml_workspace_survives_singular_kernel():
@@ -335,7 +354,7 @@ def test_lml_workspace_survives_singular_kernel():
     xs, pts = make_points(5)
     xs = np.vstack([xs, xs[:2]])
     pts = pts + pts[:2]
-    log_params = np.array([0.0, math.log(0.3), math.log(0.3), math.log(1e-300)])
+    log_params = np.array([math.log(0.3), math.log(0.3), math.log(1e-300)])
     kernel = KernelParams(1.0, (0.3, 0.3), 1e-300)
     k = matern52_dense(xs, xs, kernel) + 1e-300 * np.eye(len(xs))
     with pytest.raises(np.linalg.LinAlgError):
@@ -370,90 +389,6 @@ def test_fixed_kernel_no_jitter_can_factor_raises():
         gp_fit(pts, BOUNDS, kernel=KernelParams(1e12, (0.3, 0.3), 0.0))
 
 
-def scipy_lbfgsb(fun, x0, bounds):
-    """The reference search: scipy's L-BFGS-B wrapper with the fit's options."""
-    return scipy.optimize.minimize(
-        fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options={"maxiter": 200, "gtol": 1e-6}
-    )
-
-
-def same_search(res, ref):
-    """Equal points, equal evaluation counts and equal last values."""
-    return np.array_equal(res.x, ref.x) and res.nfev == ref.nfev and res.fun == ref.fun
-
-
-def log_box(d):
-    return [gp._LOG_BOUNDS_SIGNAL] + [gp._LOG_BOUNDS_LENGTH] * d + [gp._LOG_BOUNDS_NOISE]
-
-
-@pytest.mark.parametrize("n, d", [(4, 1), (12, 3), (30, 3)])
-def test_minimize_is_scipy_lbfgsb_on_likelihood_workspaces(n, d):
-    rng = np.random.default_rng(200 + n)
-    y = rng.normal(size=n)
-    lml = _LmlWorkspace(rng.uniform(0.0, 1.0, size=(n, d)), (y - y.mean()) / y.std())
-    for _ in range(6):
-        # some starts lie outside the box and are clipped into it
-        x0 = np.concatenate([rng.uniform(-3.0, 3.0, 1), rng.uniform(-6.0, 6.0, d), rng.uniform(-26.0, 3.0, 1)])
-        assert same_search(gp.minimize(lml, x0, log_box(d)), scipy_lbfgsb(lml, x0, log_box(d)))
-
-
-def test_minimize_is_scipy_lbfgsb_on_abnormal_exits_and_the_noise_floor(monkeypatch):
-    searches = []
-    real = gp.minimize
-
-    def checked(fun, x0, bounds):
-        res = real(fun, x0, bounds)
-        searches.append((res, scipy_lbfgsb(fun, x0, bounds)))
-        return res
-
-    monkeypatch.setattr(gp, "minimize", checked)
-    _, pts = make_points(7)
-    gp_fit(pts, BOUNDS, seed=5)
-    assert len(searches) == 8
-    assert all(same_search(res, ref) for res, ref in searches)
-    # seed 5 has starts that end on an abnormal line-search exit, and
-    # starts whose noise variance ends at its 1e-10 floor
-    assert any(ref.message.startswith("ABNORMAL") for _, ref in searches)
-    assert any(ref.x[-1] == gp._LOG_BOUNDS_NOISE[0] for _, ref in searches)
-
-
-def test_minimize_is_scipy_lbfgsb_at_the_iteration_limit():
-    scale = np.logspace(0.0, 8.0, 10)  # ill-conditioned: 200 iterations do not converge
-
-    def quadratic(x):
-        return float(0.5 * (scale * x * x).sum()), scale * x
-
-    x0 = np.where(np.arange(10) % 2 == 0, -1.2, 1.5)
-    ref = scipy_lbfgsb(quadratic, x0, [(-2.0, 2.0)] * 10)
-    assert ref.nit == 200
-    assert same_search(gp.minimize(quadratic, x0, [(-2.0, 2.0)] * 10), ref)
-
-
-def test_minimize_evaluates_the_clipped_start_first_and_never_twice_in_a_row():
-    _, pts = make_points(6)
-    xs = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    lml = _LmlWorkspace(xs, (y - y.mean()) / y.std())
-    seen = []
-
-    def recording(x):
-        seen.append(x.copy())
-        return lml(x)
-
-    x0 = np.array([12.0, math.log(0.5), math.log(0.5), math.log(1e-4)])  # signal variance above its box
-    res = gp.minimize(recording, x0, log_box(2))
-    assert np.array_equal(seen[0], np.clip(x0, *np.array(log_box(2)).T))
-    assert res.nfev == len(seen) > 1
-    assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
-
-
-def test_setulb_has_the_signature_minimize_drives():
-    # the compiled L-BFGS-B step that gp.minimize calls; scipy's own wrapper
-    # has called it this way since its L-BFGS-B moved from Fortran to C
-    signature = scipy.optimize._lbfgsb.setulb.__doc__.splitlines()[0]
-    assert signature == "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
-
-
 def test_fit_reaches_minimize_through_module_global(monkeypatch):
     # the benchmark counts likelihood evaluations by wrapping gp.minimize
     results = capture_minimize(monkeypatch)
@@ -466,41 +401,48 @@ def test_fit_reaches_minimize_through_module_global(monkeypatch):
 # Straightforward scipy.linalg versions of the fit's likelihood, the fit's
 # factorization and the prediction.  The module computes the same
 # expressions through reused buffers and direct LAPACK calls; its results
-# must equal these bit for bit.  The likelihood and the fitted model share
-# one kernel matrix, ``plain_gram``.
+# must equal these bit for bit.  The likelihood, with R = C + g I, and the
+# fitted model, with K = s2 C + (s2 g) I, build their matrices through one
+# ``plain_gram``.
 
 
 def plain_natural(log_params, d):
-    return math.exp(log_params[0]), np.exp(-2.0 * log_params[1 : 1 + d]), math.exp(log_params[1 + d])
+    return np.exp(-2.0 * log_params[:d]), math.exp(log_params[d])
 
 
 def plain_gram(x_unit, s2, inv_l2, noise):
-    """Squared differences, sqrt(5) r, exp(-sqrt(5) r), the signal part of K, and K."""
+    """Squared differences, sqrt(5) r, exp(-sqrt(5) r) and K."""
     diff = x_unit.T[:, :, None] - x_unit.T[:, None, :]
     raw_sq = diff * diff
     r2 = np.tensordot(inv_l2, raw_sq, axes=1)
     c = math.sqrt(5.0) * np.sqrt(np.maximum(r2, 0.0))
     expc = np.exp(-c)
-    k_signal = s2 * (1.0 + c + 5.0 * r2 / 3.0) * expc
-    k = k_signal.copy()
+    k = s2 * (1.0 + c + 5.0 * r2 / 3.0) * expc
     k[np.diag_indices(len(x_unit))] += noise
-    return raw_sq, c, expc, k_signal, k
+    return raw_sq, c, expc, k
+
+
+def plain_profile(x_unit, y, inv_l2, g):
+    """Gram terms of R = C + g I, its Cholesky factor, R^-1 y and the clipped best s2."""
+    raw_sq, c, expc, r = plain_gram(x_unit, 1.0, inv_l2, g)
+    low = cholesky(r, lower=True)
+    alpha = cho_solve((low, True), y)
+    s2 = min(max(float(y @ alpha) / len(y), 1e-4), 1e4)
+    return raw_sq, c, expc, low, alpha, s2
 
 
 def plain_neg_lml_and_grad(log_params, x_unit, y):
     n, d = x_unit.shape
-    s2, inv_l2, noise = plain_natural(log_params, d)
-    raw_sq, c, expc, k_signal, k = plain_gram(x_unit, s2, inv_l2, noise)
-    low = cholesky(k, lower=True)
-    alpha = cho_solve((low, True), y)
-    nlml = 0.5 * float(y @ alpha) + float(np.log(np.diag(low)).sum()) + 0.5 * n * math.log(2.0 * math.pi)
-    w = np.outer(alpha, alpha) - cho_solve((low, True), np.eye(n))
+    inv_l2, g = plain_natural(log_params, d)
+    raw_sq, c, expc, low, alpha, s2 = plain_profile(x_unit, y, inv_l2, g)
+    nlml = 0.5 * float(y @ alpha) / s2 + 0.5 * n * math.log(s2)
+    nlml += float(np.log(np.diag(low)).sum()) + 0.5 * n * math.log(2.0 * math.pi)
+    w = np.outer(alpha / s2, alpha) - cho_solve((low, True), np.eye(n))
     grad = np.empty_like(log_params)
-    grad[0] = -0.5 * float((w * k_signal).sum())
-    wb = w * (s2 * (5.0 / 3.0) * (1.0 + c) * expc)
+    wb = w * ((5.0 / 3.0) * (1.0 + c) * expc)
     for j in range(d):
-        grad[1 + j] = -0.5 * inv_l2[j] * float((wb * raw_sq[j]).sum())
-    grad[1 + d] = -0.5 * noise * float(np.trace(w))
+        grad[j] = -0.5 * inv_l2[j] * float((wb * raw_sq[j]).sum())
+    grad[d] = -0.5 * g * float(np.trace(w))
     return nlml, grad
 
 
@@ -535,9 +477,7 @@ def test_lml_workspace_is_bit_identical_to_plain_expressions(n, d):
     y = rng.normal(size=n)
     lml = _LmlWorkspace(x_unit, y)
     for _ in range(20):
-        log_params = np.concatenate(
-            [rng.uniform(-2.0, 2.0, 1), rng.uniform(-2.5, 1.0, d), rng.uniform(-9.0, -2.0, 1)]
-        )
+        log_params = np.concatenate([rng.uniform(-2.5, 1.0, d), rng.uniform(-9.0, -2.0, 1)])
         nlml, grad = lml(log_params)
         ref_nlml, ref_grad = plain_neg_lml_and_grad(log_params, x_unit, y)
         assert nlml == ref_nlml
@@ -555,13 +495,18 @@ def test_fit_and_predict_are_bit_identical_to_plain_expressions(n, d, monkeypatc
     pts = [(tuple(x), float(v)) for x, v in zip(xs, rng.normal(size=n))]
     model = gp_fit(pts, bounds, seed=n)
 
-    # the model factors the search's kernel matrix at the winning start
+    # the model factors K = s2 C + (s2 g) I at the winning start's point,
+    # with the signal variance profiled there
     x_unit = (xs - lo) / width
-    lml = _LmlWorkspace(x_unit, standardized(pts))
-    *_, k = plain_gram(x_unit, *plain_natural(search_optimum(results, lml).x, d))
+    y_std = standardized(pts)
+    best = search_optimum(results, _LmlWorkspace(x_unit, y_std)).x
+    inv_l2, g = plain_natural(best, d)
+    s2 = plain_profile(x_unit, y_std, inv_l2, g)[-1]
+    assert model.kernel == KernelParams(s2, tuple(np.exp(best[:d]).tolist()), s2 * g)
+    *_, k = plain_gram(x_unit, s2, inv_l2, s2 * g)
     low = cholesky(k, lower=True)
     assert np.array_equal(model.chol, low)
-    assert np.array_equal(model.alpha, cho_solve((low, True), standardized(pts)))
+    assert np.array_equal(model.alpha, cho_solve((low, True), y_std))
 
     for m in (1, 7, 300):
         q = lo + rng.uniform(-0.1, 1.1, size=(m, d)) * width

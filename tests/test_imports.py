@@ -1,8 +1,9 @@
 """Every imported name in the package and its tests is used, every private
 module-level name of the package is used by the package, the package
 exports every public name of its modules, only the GP stack and the
-optimizer load scipy, only the GP stack loads scipy.optimize, and only the
-``grid`` command loads the oracle."""
+optimizer load scipy, only the GP stack loads scipy.optimize, no module
+imports a private module or name of another library, and only the ``grid``
+command loads the oracle."""
 import ast
 import importlib
 import json
@@ -127,6 +128,17 @@ def imported_modules(tree: ast.AST, package: str, module_level: bool = False) ->
     return found
 
 
+def private_import_paths(tree: ast.AST) -> list[str]:
+    """Absolute import paths, a ``from`` import's names included, with a component that starts with ``_``."""
+    paths = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
+            paths.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return [path for path in paths if any(part.startswith("_") for part in path.split("."))]
+
+
 def test_only_the_gp_stack_imports_scipy_and_the_cli_loads_it_lazily():
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -143,7 +155,9 @@ def test_only_the_gp_stack_imports_scipy_and_the_cli_loads_it_lazily():
         for stem, tree in trees.items()
         if any(m.split(".")[:2] == ["scipy", "optimize"] for m in imported_modules(tree, "fourbar_synth"))
     }
-    assert optimize_users == {"gp"}  # its own L-BFGS-B loop
+    assert optimize_users == {"gp"}
+    # no private module or name of scipy (or of any other library)
+    assert {stem: private_import_paths(tree) for stem, tree in trees.items()} == {stem: [] for stem in trees}
     at_cli_import = imported_modules(trees["cli"], "fourbar_synth", module_level=True)
     assert {"fourbar_synth.gp", "fourbar_synth.optimizer"}.isdisjoint(at_cli_import)
 
@@ -161,7 +175,7 @@ codes = [
 ]
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 from fourbar_synth import gp_fit
-after = "scipy.optimize._lbfgsb" in sys.modules
+after = "scipy.optimize" in sys.modules
 print(json.dumps({"codes": codes, "before": before, "after": after}))
 """
 

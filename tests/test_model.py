@@ -264,6 +264,7 @@ def test_load_config_dict_rejects_even_sample_count():
         ("task", "t_hold"),
         ("optimizer", "budget"),
         ("optimizer", "bounds", "l_ad"),
+        ("optimiser",),
     ],
 )
 def test_load_config_dict_rejects_unknown_keys(path):

@@ -283,8 +283,8 @@ def test_bo_minimize_warm_starts_each_surrogate_from_its_previous_fit(monkeypatc
                 kind = "warm"
                 assert len(x0s) == 2
                 k = pred.kernel
-                assert np.array_equal(x0s[0], np.log([k.signal_variance, *k.lengthscales, k.noise_variance]))
-                assert np.array_equal(x0s[1], [0.0, math.log(0.5), math.log(0.5), math.log(1e-4)])
+                assert np.array_equal(x0s[0], np.log([*k.lengthscales, k.noise_variance / k.signal_variance]))
+                assert np.array_equal(x0s[1], [math.log(0.5), math.log(0.5), math.log(1e-4)])
             seen.append((name, kind))
         previous = models
 

@@ -7,7 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fourbar_synth import oracle
-from fourbar_synth.constraints import evaluate_designs, static_gap
+from fourbar_synth.constraints import assembles, evaluate_designs, static_gap, static_gaps
 from fourbar_synth.kinematics import kinematic_transform, solve_ik
 from fourbar_synth.model import DesignParams, MechanismConfig
 from fourbar_synth.oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep
@@ -52,11 +52,13 @@ def test_static_gap_matches_marching_oracle(canon_cfg, canon_task):
     assert worst < 2e-6  # marching step is 1e-6
 
 
-def slide_event(result, design, cfg, task) -> str:
-    """How a ``static_gap`` slide went: a degenerate start, a slide that passes
-    within 1% of tangency to the inner hole, or where it stopped."""
-    if result.degenerate_start:
-        return "degenerate start"
+def slide_geometry(result, design, cfg, task) -> tuple[float, float, float, float]:
+    """Where a ``static_gap`` slide passes B: (s_o, closest, miss, r_in).
+
+    s_o is the slide's length from O' to O, closest the distance along it
+    from O' to the point nearest B, miss the distance of the slide's line
+    from B and r_in the radius of the inner hole.
+    """
     delta = task.delta_i if result.pose == "i" else task.delta_e
     (cx, cy), (ox, oy) = cfg.pivot_c, cfg.pivot_o
     bx = cx + design.l_bc * math.cos(delta - cfg.effector_offset)
@@ -64,9 +66,17 @@ def slide_event(result, design, cfg, task) -> str:
     px, py = result.o_prime_init
     s_o = math.hypot(ox - px, oy - py)
     ux, uy = (ox - px) / s_o, (oy - py) / s_o
-    closest = (bx - px) * ux + (by - py) * uy  # along the slide, from O'
-    miss = abs((px - bx) * uy - (py - by) * ux)  # of the slide's line from B
-    r_in = abs(design.l_ab - design.l_oa)
+    closest = (bx - px) * ux + (by - py) * uy
+    miss = abs((px - bx) * uy - (py - by) * ux)
+    return s_o, closest, miss, abs(design.l_ab - design.l_oa)
+
+
+def slide_event(result, design, cfg, task) -> str:
+    """How a ``static_gap`` slide went: a degenerate start, a slide that passes
+    within 1% of tangency to the inner hole, or where it stopped."""
+    if result.degenerate_start:
+        return "degenerate start"
+    s_o, closest, miss, r_in = slide_geometry(result, design, cfg, task)
     if 0.0 < closest < s_o and abs(miss - r_in) <= 0.01 * r_in:
         return "slide tangent to the hole within 1%"
     if result.value > 0.0:
@@ -88,6 +98,59 @@ def test_static_gap_matches_marching_oracle_on_random_mechanisms(mechanism, fact
             fast = static_gap(design, cfg, task, pose)
             assert abs(fast.value - brute_static_gap(design, cfg, task, pose)) < 2e-6
             event(slide_event(fast, design, cfg, task))
+
+
+def tangent_l_ab(l_oa, l_bc, cfg, task, pose) -> float | None:
+    """An l_ab, within e^+-1.5 of the baseline's, whose slide touches the inner
+    hole strictly between O' and O, or None.
+
+    The miss of the slide's line from B less r_in changes sign between two
+    lengths of a 61-point scan whose closest approach falls inside the slide;
+    bisection narrows them to adjacent floats and keeps the nearer.
+    """
+
+    def touch(l_ab):  # (miss - r_in, whether the closest approach is inside the slide)
+        design = DesignParams(l_oa, l_ab, l_bc)
+        result = static_gap(design, cfg, task, pose)
+        if result.degenerate_start:
+            return math.nan, False
+        s_o, closest, miss, r_in = slide_geometry(result, design, cfg, task)
+        return miss - r_in, 0.0 < closest < s_o
+
+    scan = (cfg.baseline.l_ab * np.exp(np.linspace(-1.5, 1.5, 61))).tolist()
+    for a, b in zip(scan, scan[1:]):
+        (fa, inside_a), (fb, inside_b) = touch(a), touch(b)
+        if inside_a and inside_b and fa * fb < 0.0:
+            break
+    else:
+        return None
+    while a < 0.5 * (a + b) < b:
+        mid = 0.5 * (a + b)
+        fm = touch(mid)[0]
+        a, fa, b, fb = (mid, fm, b, fb) if fm * fa > 0.0 else (a, fa, mid, fm)
+    l_ab = a if abs(fa) <= abs(fb) else b
+    return l_ab if touch(l_ab)[1] else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(mechanism=mechanisms(), factors=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_static_gap_passes_a_tangent_inner_hole_on_random_mechanisms(mechanism, factors):
+    # l_ab solved, per pose, so that the slide grazes the inner hole at a
+    # point strictly inside it: the slide passes, as the marching oracle
+    # does, and the mask agrees with the signs of the gaps
+    cfg, task = mechanism
+    l_oa, l_bc = (math.exp(f) * v for f, v in zip(factors, (cfg.baseline.l_oa, cfg.baseline.l_bc)))
+    tangent = 0
+    for pose in ("i", "e"):
+        l_ab = tangent_l_ab(l_oa, l_bc, cfg, task, pose)
+        if l_ab is None:
+            continue
+        tangent += 1
+        design = DesignParams(l_oa, l_ab, l_bc)
+        assert abs(static_gap(design, cfg, task, pose).value - brute_static_gap(design, cfg, task, pose)) < 2e-6
+        rows = np.array([design.as_tuple()])
+        assert np.array_equal(assembles(rows, cfg, task), (static_gaps(rows, cfg, task) <= 0.0).all(axis=0))
+    event(f"slides tangent to the hole inside them, of 2: {tangent}")
 
 
 def test_theta_sweep_agrees_with_transform(canon_cfg, canon_task):
