@@ -20,9 +20,9 @@ _EXPORTS = {
     "model": (
         "MechanismError", "ParseError", "ValidationError", "BaselineInfeasible",
         "BaselineDefective", "NotAssemblable", "SingularPosture", "TransformUnsolvable",
-        "SingularState", "EmptyTrajectory", "Branch", "DesignParams", "MechanismConfig",
-        "MotionTask", "OptimizerConfig", "ConstraintBundle", "EvaluationRecord",
-        "load_config", "load_config_dict",
+        "CrankIndeterminate", "SingularState", "EmptyTrajectory", "Branch", "DesignParams",
+        "MechanismConfig", "MotionTask", "OptimizerConfig", "ConstraintBundle",
+        "EvaluationRecord", "load_config", "load_config_dict",
     ),
     "kinematics": (
         "Posture", "KinematicCoefficients", "Stroke", "solve_ik", "solve_fk",

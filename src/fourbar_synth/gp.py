@@ -10,9 +10,10 @@ with K = s2 (C + g I), for given lengthscales and noise ratio g its best
 value is y'(C + g I)^-1 y / n, clipped to a box.  So a multi-start L-BFGS-B
 with analytic gradients searches only log(lengthscales) and log(g).  A cold
 fit runs 8 starts (a fixed default and 7 seeded random points).  A warm
-fit, given the kernel of the same surrogate's previous fit, runs 2: that
-kernel, then the default.  The winner is the start whose returned point
-scores the lowest NLML, ties going to the earlier start.
+fit, given the kernel of the same surrogate's previous fit, runs that
+kernel alone, or, with ``restart``, that kernel and then the default.
+Among several starts the winner is the one whose returned point scores
+the lowest NLML, ties going to the earlier start.
 
 The fit is dominated by call overhead, not arithmetic: training sets are
 small (tens of points) and L-BFGS-B evaluates the likelihood dozens of
@@ -253,6 +254,7 @@ def gp_fit(
     seed: int = 0,
     kernel: KernelParams | None = None,
     start: KernelParams | None = None,
+    restart: bool = True,
 ) -> GpModel:
     """Fit a GP to (input, target) pairs inside the given box.
 
@@ -268,13 +270,15 @@ def gp_fit(
     likelihood's best for them, clipped to [1e-4, 1e4].  Without ``start``
     the search is cold: 8 starts, the fixed default and 7 seeded random
     points.  ``start``, such as the same surrogate's fit on one point
-    fewer, makes it warm: log(lengthscales), log(noise / s2), then the
-    default; a warm fit draws no random start and ignores ``seed``.
-    The winner is the start whose returned point the workspace scores
-    lowest, the earliest on a tie (L-BFGS-B's ``fun`` after an abnormal
-    line-search exit need not be the value at that point).  The model is
-    ``KernelParams(s2, lengthscales, s2 g)`` at that point, factored as a
-    fixed kernel is.
+    fewer, makes it warm: one start at log(lengthscales), log(noise / s2),
+    followed by the default only if ``restart``; a warm fit draws no
+    random start and ignores ``seed``, and a cold fit ignores ``restart``.
+    Of several starts the winner is the one whose returned point the
+    workspace scores lowest, the earliest on a tie (L-BFGS-B's ``fun``
+    after an abnormal line-search exit need not be the value at that
+    point); a lone start's point is not scored again.  The model is
+    ``KernelParams(s2, lengthscales, s2 g)`` at the winning point,
+    factored as a fixed kernel is.
 
     Pass ``kernel`` to skip the search and condition on fixed values (used
     by tests and diagnostics); its kernel matrix comes from the same
@@ -324,7 +328,9 @@ def gp_fit(
     if kernel is None:
         default = np.array([math.log(0.5)] * d + [math.log(1e-4)])
         if start is not None:
-            starts = [np.log([*start.lengthscales, start.noise_variance / start.signal_variance]), default]
+            starts = [np.log([*start.lengthscales, start.noise_variance / start.signal_variance])]
+            if restart:
+                starts.append(default)
         else:
             rng = np.random.default_rng(seed)
             starts = [default]
@@ -334,12 +340,9 @@ def gp_fit(
                 )
                 starts.append(s)
         box = [_LOG_BOUNDS_LENGTH] * d + [_LOG_BOUNDS_RATIO]
-        best_x, best_nlml = None, math.inf
-        for s in starts:
-            point = minimize(lml, s, box).x
-            nlml = lml(point)[0]
-            if best_x is None or nlml < best_nlml:
-                best_x, best_nlml = point, nlml
+        found = [minimize(lml, s, box).x for s in starts]
+        # min keeps the first of equal scores
+        best_x = found[0] if len(found) == 1 else min(found, key=lambda point: lml(point)[0])
         inv_l2, g = lml.natural(best_x)
         s2 = lml.signal_variance(lml.factor(1.0, inv_l2, g)[1])
         noise = s2 * g

@@ -15,7 +15,9 @@ places where they coincide (h^2 = 0), and there A lies on the line O-B,
 which is a crank-coupler dead point.  A dead point inside the stroke ends
 the walk, so a stroke that completes never changes label.  There is one
 failure rule: the first sample in walk order that does not assemble or
-meets an interior dead point raises ``TransformUnsolvable``.  The walk
+meets an interior dead point raises ``TransformUnsolvable``, or its
+subclass ``CrankIndeterminate`` where B sits on O with l_ab == l_oa, so
+that the crank and coupler circles coincide and no label picks A.  The walk
 returns a ``Stroke``, a struct of arrays whose joint columns the dynamics
 reads as they are, and ``validate_baseline`` checks the baseline on that
 same walk.  Its kernels are elementwise, so the same walk runs one design
@@ -41,6 +43,7 @@ from .model import (
     MotionTask,
     BaselineDefective,
     BaselineInfeasible,
+    CrankIndeterminate,
     NotAssemblable,
     SingularPosture,
     TransformUnsolvable,
@@ -65,6 +68,10 @@ _TANGENT_TOL = 1e-12
 # Threshold scale for the crank-coupler dead point test in the coefficient
 # formula denominator.
 _SINGULAR_TOL = 1e-12
+
+# Relative tolerance, on the crank length, for "the crank and coupler
+# circles coincide": B within it of O and |l_ab - l_oa| within it too.
+_COINCIDENT_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,6 +258,22 @@ def _joint_geometry(cfg: MechanismConfig, ax, ay, bx, by):
     return rax, ray, rbx, rby, bax, bay, vax, den, num
 
 
+def _pin_undetermined(design: DesignParams | _Lengths, cfg: MechanismConfig, bx, by):
+    """Where both |B - O| and |l_ab - l_oa| are at most 1e-9 l_oa, elementwise over B.
+
+    There the crank and coupler circles coincide, so the side of A that
+    ``_intersect`` picks follows the rounding of B - O (about 1e-16 of the
+    frame, far below the tolerance).  None, without looking at B, when no
+    design's lengths match: the walk's common case, about 1 us.
+    """
+    tol = _COINCIDENT_TOL * design.l_oa
+    equal = abs(design.l_ab - design.l_oa) <= tol
+    if not np.count_nonzero(equal):
+        return None
+    ox, oy = cfg.pivot_o
+    return equal & (np.hypot(bx - ox, by - oy) <= tol)
+
+
 def _crank_coefficients(
     design: DesignParams | _Lengths, geometry: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,9 +360,9 @@ def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, columns: tuple[
     gives them.  Returns (ax, ay, bx, by, theta_dot, theta_ddot, assembles,
     failed, geometry): (n, k) arrays, k = 1 for one design, and the joints'
     ``_joint_geometry``, which the crank angle and the torque read too.
-    ``failed`` marks the samples that do not assemble or meet a
-    crank-coupler dead point inside the stroke; a design with a failed
-    sample has no meaningful rates.
+    ``failed`` marks the samples that do not assemble, meet a
+    crank-coupler dead point inside the stroke or leave the crank pin
+    undetermined; a design with a failed sample has no meaningful rates.
     """
     delta_dot, delta_ddot, *direction = columns
     ox, oy = cfg.pivot_o
@@ -354,6 +377,9 @@ def _walk(design: DesignParams | _Lengths, cfg: MechanismConfig, columns: tuple[
         theta_ddot = accel * delta_dot * delta_dot + ratio * delta_ddot
     failed = ~assembles
     failed[1:-1] |= dead[1:-1]
+    undetermined = _pin_undetermined(design, cfg, bx, by)
+    if undetermined is not None:
+        failed |= undetermined
     if dead.any():
         # a walk that does not fail meets dead points only at the stroke
         # ends, where the quintic brings the effector, and so the crank, to rest
@@ -390,10 +416,12 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
     A crank-coupler dead point at a stroke end sets that end's crank rates
     to zero: the quintic brings the effector to rest there.
 
-    A sample fails when it does not assemble or meets a crank-coupler dead
-    point inside the stroke.  Raises TransformUnsolvable with the delta of
-    the first failing sample in walk order (the mid-stroke sample up to the
-    last, then down to the first) and whether it failed at a dead point.
+    A sample fails when it does not assemble, meets a crank-coupler dead
+    point inside the stroke, or puts B on O with l_ab == l_oa (both within
+    1e-9 l_oa), where A is not determined.  Raises TransformUnsolvable with
+    the delta of the first failing sample in walk order (the mid-stroke
+    sample up to the last, then down to the first) and whether it failed at
+    a dead point, or CrankIndeterminate, its subclass, for an undetermined A.
     """
     t, delta, delta_dot, delta_ddot = _motion_law(task)
     *walked, (rax, ray, *_) = _walk(design, cfg, _walk_columns(cfg, task))
@@ -402,6 +430,8 @@ def kinematic_transform(design: DesignParams, cfg: MechanismConfig, task: Motion
         mid = task.n_samples // 2
         upper = np.flatnonzero(failed[mid:])
         k = mid + upper[0] if upper.size else np.flatnonzero(failed[:mid])[-1]
+        if _pin_undetermined(design, cfg, bx[k], by[k]):
+            raise CrankIndeterminate(float(delta[k]))
         raise TransformUnsolvable(float(delta[k]), dead_point=bool(assembles[k]))
     theta = _crank_angle(rax[:, 0], ray[:, 0])
 
@@ -420,11 +450,14 @@ def validate_baseline(cfg: MechanismConfig, task: MotionTask) -> Stroke:
     every sample, meet no crank-coupler dead point inside the stroke, and
     its crank angle must be strictly monotonic along the stroke.
 
-    Raises BaselineInfeasible (naming the first failing delta and its
-    cause) or BaselineDefective.
+    Raises BaselineInfeasible (naming the first failing delta and its cause,
+    an undetermined crank pin included, and raised from the walk's error) or
+    BaselineDefective.
     """
     try:
         stroke = kinematic_transform(cfg.baseline, cfg, task)
+    except CrankIndeterminate as exc:
+        raise BaselineInfeasible(exc.delta, cause="leaves the crank pin undetermined") from exc
     except TransformUnsolvable as exc:
         raise BaselineInfeasible(exc.delta, exc.dead_point) from exc
 

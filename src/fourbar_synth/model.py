@@ -40,6 +40,7 @@ __all__ = [
     "NotAssemblable",
     "SingularPosture",
     "TransformUnsolvable",
+    "CrankIndeterminate",
     "SingularState",
     "EmptyTrajectory",
     "load_config",
@@ -76,10 +77,11 @@ class ValidationError(MechanismError):
 
 
 class BaselineInfeasible(MechanismError):
-    """Baseline design does not assemble, or meets an interior dead point, in the stroke."""
+    """Baseline design does not assemble, meets an interior dead point or leaves A undetermined."""
 
-    def __init__(self, delta: float, dead_point: bool = False):
-        cause = "meets a crank-coupler dead point" if dead_point else "not assemblable"
+    def __init__(self, delta: float, dead_point: bool = False, cause: str | None = None):
+        if cause is None:
+            cause = "meets a crank-coupler dead point" if dead_point else "not assemblable"
         super().__init__(f"baseline {cause} at delta={delta!r}")
         self.delta = delta
         self.dead_point = dead_point
@@ -106,6 +108,15 @@ class TransformUnsolvable(MechanismError):
         super().__init__(f"{cause} at delta={delta!r} {where}")
         self.delta = delta
         self.dead_point = dead_point
+
+
+class CrankIndeterminate(TransformUnsolvable):
+    """At a stroke sample B lies on pivot O with l_ab == l_oa: the crank pin A is not determined."""
+
+    def __init__(self, delta: float):
+        MechanismError.__init__(self, f"crank pin not determined at delta={delta!r}: B on pivot O with l_ab == l_oa")
+        self.delta = delta
+        self.dead_point = False
 
 
 class SingularState(MechanismError):

@@ -15,10 +15,13 @@ motion defect.  The Gardner et al. (ICML 2014) acquisition, EI times the
 probability of feasibility, is then evaluated only where the mask passes.
 
 Each surrogate's hyperparameter search is warm-started from its own fit
-one iteration earlier (2 L-BFGS-B starts: that kernel, then the default); a
-surrogate's first fit, and a fit after a constant-data (degenerate) one, is
-cold (8 starts).  Each start is one scipy L-BFGS-B search over the
-lengthscales and the noise ratio; ``gp`` profiles the signal variance out.
+one iteration earlier: one L-BFGS-B start from that kernel, joined by the
+default start at every fourth iteration (when the evaluation count is a
+multiple of ``_RESTART_EVERY``), which lets a fit leave a local optimum
+the warm start keeps it in.  A surrogate's first fit, and a fit after a
+constant-data (degenerate) one, is cold (8 starts).  Each start is one
+scipy L-BFGS-B search over the lengthscales and the noise ratio; ``gp``
+profiles the signal variance out.
 
 A proposal maximizes the acquisition by seeded uniform probes and then a
 pattern descent from the best of them (Hooke & Jeeves, J. ACM 1961).  All
@@ -69,6 +72,8 @@ __all__ = [
 ]
 
 _LOG_FLOOR = 1e-300  # guards log() of a zero-torque objective
+# a warm fit adds the default start when the evaluation count is a multiple of this
+_RESTART_EVERY = 4
 # the step fractions a descent sweep tries, as multiples of a start's
 # fraction f: every axis move at f and at f/4, in one acquisition call
 _SWEEP_STEPS = np.array([1.0, 0.25])
@@ -329,11 +334,13 @@ def fit_surrogates(
 
     Without ``previous`` every fit is a cold 8-start search.  With it, each
     model whose counterpart in ``previous`` (the objective model, or the
-    constraint model of the same name) is non-degenerate is a warm 2-start
-    search from that counterpart's kernel and the default.
+    constraint model of the same name) is non-degenerate is a warm search
+    from that counterpart's kernel: one start, and a second from the
+    default when ``len(steps)`` is a multiple of ``_RESTART_EVERY``.
     """
     bounds = opt_cfg.bounds
     iteration = len(steps)
+    restart = iteration % _RESTART_EVERY == 0
     prev = previous if previous is not None else SurrogateSet(None, (), (), None)
     prev_constraints = dict(zip(prev.constraint_names, prev.constraints))
 
@@ -344,7 +351,9 @@ def fit_surrogates(
     objective_model = None
     f_best = None
     if len(obj_pts) >= 2:
-        objective_model = gp_fit(obj_pts, bounds, seed=model_seed(0), start=_warm_start(prev.objective))
+        objective_model = gp_fit(
+            obj_pts, bounds, seed=model_seed(0), start=_warm_start(prev.objective), restart=restart
+        )
         # improvement is measured against the best *feasible* observation;
         # infeasible points may carry better objectives but do not count
         feasible_objs = [
@@ -362,7 +371,8 @@ def fit_surrogates(
         pts = [(s.x, s.constraints[name]) for s in steps if s.constraints[name] is not None]
         if len(pts) >= 2:
             start = _warm_start(prev_constraints.get(name))
-            constraint_models.append(gp_fit(pts, bounds, seed=model_seed(k + 1), start=start))
+            model = gp_fit(pts, bounds, seed=model_seed(k + 1), start=start, restart=restart)
+            constraint_models.append(model)
             kept_names.append(name)
     return SurrogateSet(objective_model, tuple(constraint_models), tuple(kept_names), f_best)
 

@@ -48,6 +48,8 @@ _SWEEP_POINTS = 3600
 _RESIDUAL_TOL = 1e-12  # m, Newton stopping residual
 _DEDUPE_TOL = 1e-6  # rad, root merging radius
 _EXTREMUM_BAND = 1e-4  # m-ish, sweep cells worth probing for tangency
+_CONTINUATION_STEP = 0.1  # rad, largest crank step the sweep takes without halving its time step
+_CONTINUATION_HALVINGS = 8
 
 
 def _closure_residual(
@@ -304,9 +306,13 @@ def brute_theta_sweep(
     """Dense (t, delta, theta) sweep of the stroke via the sweep solver.
 
     Seeds at mid-stroke on the configured branch and walks outward in time,
-    at each step taking the root nearest the previous crank angle.  Raises
-    TransformUnsolvable with the delta of the first sample in walk order
-    (mid-stroke included) that does not assemble, like the main transform.
+    at each step taking the root nearest the previous crank angle.  Where
+    that root is more than 0.1 rad away, the crank may be moving fast past
+    the other branch's root, so the step is reached through two half steps,
+    up to 8 halvings deep; a half step that does not assemble is skipped.
+    Raises TransformUnsolvable with the delta of the first sample in walk
+    order (mid-stroke included) that does not assemble, like the main
+    transform.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and at least 3")
@@ -325,23 +331,30 @@ def brute_theta_sweep(
     matching = [p for p in seed_roots if p.elbow == cfg.branch]
     seed = matching[0] if matching else seed_roots[0]
 
+    def gap(theta: float, prev: float) -> float:
+        d = abs(theta - prev)
+        return min(d, 2.0 * math.pi - d)
+
+    def follow(prev: float, t0: float, t1: float, depth: int = 0) -> float | None:
+        """The crank angle at t1 continued from ``prev`` at t0; None where t1 does not assemble."""
+        roots = brute_ik(design, cfg, delta_at(t1))
+        theta = min((p.theta for p in roots), key=lambda root: gap(root, prev), default=None)
+        if theta is None or gap(theta, prev) <= _CONTINUATION_STEP or depth == _CONTINUATION_HALVINGS:
+            return theta
+        t_half = 0.5 * (t0 + t1)
+        via = follow(prev, t0, t_half, depth + 1)
+        return theta if via is None else follow(via, t_half, t1, depth + 1)
+
     thetas: list[float | None] = [None] * n
     thetas[mid] = seed.theta
     for order in (range(mid + 1, n), range(mid - 1, -1, -1)):
-        prev = seed.theta
+        prev, t_prev = seed.theta, times[mid]
         for k in order:
-            delta = delta_at(times[k])
-            roots = brute_ik(design, cfg, delta)
-            if not roots:
-                raise TransformUnsolvable(delta)
-
-            def gap(p: Posture) -> float:
-                d = abs(p.theta - prev)
-                return min(d, 2.0 * math.pi - d)
-
-            best = min(roots, key=gap)
-            thetas[k] = best.theta
-            prev = best.theta
+            theta = follow(prev, t_prev, times[k])
+            if theta is None:
+                raise TransformUnsolvable(delta_at(times[k]))
+            thetas[k] = prev = theta
+            t_prev = times[k]
     return [(times[k], delta_at(times[k]), thetas[k]) for k in range(n)]
 
 

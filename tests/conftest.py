@@ -16,6 +16,7 @@ from fourbar_synth import (
     MotionTask,
     OptimizerConfig,
     Stroke,
+    motion_profile,
     validate_baseline,
 )
 
@@ -66,7 +67,9 @@ def mechanisms(draw) -> tuple[MechanismConfig, MotionTask]:
     rad either way from any angle; the masses are canon's.  The baseline's
     crank and coupler are drawn to reach every point B of the stroke's arc,
     sampled at 61 angles, from O; about a quarter of the draws still have a
-    crank that turns back along the stroke, and are rejected.
+    crank that turns back along the stroke, and are rejected, as are the
+    draws whose rocker tip passes through O with l_ab == l_oa (see
+    ``crank_pivot_pass``).
     """
     angle = st.floats(-math.pi, math.pi)
     ox, oy = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
@@ -100,6 +103,36 @@ def mechanisms(draw) -> tuple[MechanismConfig, MotionTask]:
     except (BaselineInfeasible, BaselineDefective):
         assume(False)
     return cfg, task
+
+
+def crank_pivot_pass() -> tuple[MechanismConfig, MotionTask]:
+    """A (cfg, task) pair whose baseline's rocker tip B starts on pivot O with l_ab == l_oa.
+
+    ``mechanisms`` once drew it: O at (0, -0.006475), C 0.15 m from O at
+    heading -pi, l_bc 0.15 and the stroke from delta 0, so that B starts
+    1.8e-17 m from O (sin(-pi) rounds to -1.2e-16), and l_ab is one ulp
+    shorter than l_oa.  The crank and coupler circles coincide there, so
+    the crank pin A is not determined.
+    """
+    ox, oy = 0.0, -0.006475
+    cfg = MechanismConfig(
+        pivot_c=(ox + 0.15 * math.cos(-math.pi), oy + 0.15 * math.sin(-math.pi)),
+        pivot_o=(ox, oy),
+        baseline=DesignParams(0.081315, math.nextafter(0.081315, 0.0), 0.15),
+        branch="plus",
+    )
+    return cfg, MotionTask(delta_i=0.5, delta_e=0.0, t_move=0.5)
+
+
+def rocker_tip_meets_crank_pivot(cfg: MechanismConfig, task: MotionTask) -> bool:
+    """Whether B comes within 1e-9 l_oa of O at a sample while |l_ab - l_oa| is within 1e-9 l_oa."""
+    design = cfg.baseline
+    _, s, _, _ = motion_profile(task)
+    rocker = task.delta_e + s * (task.delta_i - task.delta_e) - cfg.effector_offset
+    bx = cfg.pivot_c[0] + design.l_bc * np.cos(rocker) - cfg.pivot_o[0]
+    by = cfg.pivot_c[1] + design.l_bc * np.sin(rocker) - cfg.pivot_o[1]
+    tol = 1e-9 * design.l_oa
+    return abs(design.l_ab - design.l_oa) <= tol and float(np.hypot(bx, by).min()) <= tol
 
 
 def make_canon_task(n_samples: int = 201) -> MotionTask:

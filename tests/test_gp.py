@@ -280,6 +280,36 @@ def test_fit_picks_the_start_whose_point_scores_lowest(monkeypatch):
     assert [starts_run(seed=seed, start=warm)[0] for seed in range(8)] == [2] * 8
 
 
+def test_warm_fit_adds_the_default_start_only_on_restart(monkeypatch):
+    # a warm fit searches from its start kernel alone unless ``restart``
+    # adds the default start; a lone start's point is not scored again,
+    # while each of several starts is scored once to pick the winner.  A
+    # cold fit runs its 8 starts either way
+    _, pts = make_points(7)
+    warm = KernelParams(0.9, (0.6, 1.4), 1e-5)
+    results = capture_minimize(monkeypatch)
+    calls = []
+    workspace_call = _LmlWorkspace.__call__
+
+    def counting_call(self, log_params):
+        calls.append(log_params)
+        return workspace_call(self, log_params)
+
+    monkeypatch.setattr(_LmlWorkspace, "__call__", counting_call)
+
+    def searches_and_rescores(**fit_args):
+        results.clear()
+        calls.clear()
+        gp_fit(pts, BOUNDS, **fit_args)
+        return len(results), len(calls) - sum(res.nfev for res in results)
+
+    assert searches_and_rescores(start=warm, restart=False) == (1, 0)
+    assert searches_and_rescores(start=warm, restart=True) == (2, 2)
+    assert searches_and_rescores(start=warm) == (2, 2)
+    assert searches_and_rescores(seed=3, restart=False) == (8, 8)
+    assert searches_and_rescores(seed=3) == (8, 8)
+
+
 def same_model(a, b):
     """Every field of two fitted models equal, arrays elementwise."""
     return all(

@@ -20,6 +20,7 @@ from fourbar_synth.kinematics import (
 from fourbar_synth.model import (
     BaselineDefective,
     BaselineInfeasible,
+    CrankIndeterminate,
     DesignParams,
     MechanismConfig,
     NotAssemblable,
@@ -27,7 +28,7 @@ from fourbar_synth.model import (
     TransformUnsolvable,
 )
 
-from conftest import make_canon_cfg, make_canon_task
+from conftest import crank_pivot_pass, make_canon_cfg, make_canon_task
 
 
 def fk_elbow(posture, cfg):
@@ -480,3 +481,23 @@ def test_array_walk_equals_the_continuation(canon_cfg, canon_task):
             assert got == want, design
             kinds.add("fails at mid" if want == mid_delta else "unsolvable")
     assert kinds == {"walkable", "defective", "wrapped", "fails at mid", "unsolvable"}
+
+
+def test_a_rocker_tip_on_the_crank_pivot_with_equal_crank_and_coupler_is_refused():
+    # B starts on O and l_ab == l_oa: the walk took the side of A that the
+    # rounding of B - O set, and its crank angle jumped from 5.21 to 3.14 rad
+    # between the first two samples, with no error
+    cfg, task = crank_pivot_pass()
+    with pytest.raises(BaselineInfeasible, match="crank pin undetermined") as exc:
+        validate_baseline(cfg, task)
+    assert exc.value.delta == 0.0 and isinstance(exc.value.__cause__, CrankIndeterminate)
+    with pytest.raises(CrankIndeterminate):
+        kinematic_transform(cfg.baseline, cfg, task)
+    # scored as a design, it is unsolvable, as every failed walk is
+    record = evaluate_design(cfg.baseline, cfg, task)
+    assert record.constraints.c_dyn is None and record.objective is None
+    # a coupler 2e-9 shorter than the crank misses the crank circle there
+    shorter = dataclasses.replace(cfg.baseline, l_ab=cfg.baseline.l_oa * (1.0 - 2e-9))
+    with pytest.raises(TransformUnsolvable) as exc:
+        kinematic_transform(shorter, cfg, task)
+    assert type(exc.value) is TransformUnsolvable and exc.value.delta == 0.0

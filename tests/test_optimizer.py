@@ -267,7 +267,7 @@ def test_bo_minimize_warm_starts_each_surrogate_from_its_previous_fit(monkeypatc
 
     seen = []
     previous = optimizer.SurrogateSet(None, (), (), None)
-    for models in sets:
+    for iteration, models in enumerate(sets, start=4):  # n_init = 4
         before = dict(zip(previous.constraint_names, previous.constraints))
         pairs = [("objective", models.objective, previous.objective)]
         pairs += [(name, m, before.get(name)) for name, m in zip(models.constraint_names, models.constraints)]
@@ -280,22 +280,31 @@ def test_bo_minimize_warm_starts_each_surrogate_from_its_previous_fit(monkeypatc
                 kind = "cold" if pred is None else "cold after degenerate"
                 assert len(x0s) == 8
             else:
-                kind = "warm"
-                assert len(x0s) == 2
+                # the default start joins a warm fit when the evaluation count is a multiple of 4
+                kind = "warm, restart" if iteration % 4 == 0 else "warm"
+                assert len(x0s) == (2 if iteration % 4 == 0 else 1)
                 k = pred.kernel
                 assert np.array_equal(x0s[0], np.log([*k.lengthscales, k.noise_variance / k.signal_variance]))
-                assert np.array_equal(x0s[1], [math.log(0.5), math.log(0.5), math.log(1e-4)])
-            seen.append((name, kind))
+                assert np.array_equal(x0s[1:], [[math.log(0.5), math.log(0.5), math.log(1e-4)]] * (len(x0s) - 1))
+            seen.append((name, kind, iteration))
         previous = models
 
-    assert len(sets) == 6
-    assert seen.count(("objective", "cold")) == 1
-    assert seen.count(("objective", "warm")) == 5
-    assert seen.count(("c_late", "degenerate")) == 3
-    assert seen.count(("c_late", "cold after degenerate")) == 1
-    assert seen.count(("c_late", "warm")) == 2
-    assert seen.count(("c_sparse", "cold")) == 1
-    assert seen.count(("c_sparse", "warm")) == 1
+    assert seen == [
+        ("objective", "cold", 4),
+        ("c_late", "degenerate", 4),
+        ("objective", "warm", 5),
+        ("c_late", "degenerate", 5),
+        ("objective", "warm", 6),
+        ("c_late", "degenerate", 6),
+        ("objective", "warm", 7),
+        ("c_late", "cold after degenerate", 7),
+        ("objective", "warm, restart", 8),
+        ("c_late", "warm, restart", 8),
+        ("c_sparse", "cold", 8),
+        ("objective", "warm", 9),
+        ("c_late", "warm", 9),
+        ("c_sparse", "warm", 9),
+    ]
 
 
 def ball_testbed(x):

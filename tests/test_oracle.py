@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fourbar_synth import oracle
 from fourbar_synth.constraints import assembles, evaluate_designs, static_gap, static_gaps
 from fourbar_synth.kinematics import kinematic_transform, solve_ik
-from fourbar_synth.model import DesignParams, MechanismConfig
+from fourbar_synth.model import DesignParams, MechanismConfig, MotionTask
 from fourbar_synth.oracle import brute_ik, brute_static_gap, brute_theta_sweep, grid_sweep
 
 from conftest import make_canon_task, mechanisms
@@ -168,8 +168,25 @@ def test_theta_sweep_agrees_with_transform(canon_cfg, canon_task):
             assert math.remainder(theta - s_theta, math.tau) == pytest.approx(0.0, abs=1e-9)
 
 
+# a drawn mechanism whose crank turns 0.92 rad in one of the 50 steps, past the
+# other branch's root, which lies nearer the previous angle than its own does
+FAST_CRANK = (
+    MechanismConfig(
+        pivot_c=(-0.3046455582670764, 0.00505534216362944),
+        baseline=DesignParams(0.2004433673642055, 0.19428474252654415, 0.296875),
+        branch="minus",
+        effector_offset=1.0,
+        link_density=(2.0, 2.0, 2.0),
+        payload_mass=0.5,
+        effector_tip_length=0.25,
+    ),
+    MotionTask(delta_i=1.125, delta_e=0.0, t_move=0.5),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(mechanism=mechanisms())
+@example(mechanism=FAST_CRANK)
 def test_theta_sweep_agrees_with_transform_on_random_mechanisms(mechanism):
     # the canon test above, on the baseline of drawn mechanisms
     cfg, task = mechanism
