@@ -193,6 +193,7 @@ def _trace_csv(trace) -> str:
 
 
 def _gp_dump(trace, opt_cfg) -> dict:
+    """Surrogates refitted cold (8 starts) on all n_max records, not the run's last fits (warm, on n_max - 1)."""
     from .optimizer import fit_surrogates, step_from_record
 
     models = fit_surrogates([step_from_record(r) for r in trace.records], opt_cfg)
@@ -208,14 +209,13 @@ def _gp_dump(trace, opt_cfg) -> dict:
             "n_train": int(len(model.train_y)),
         }
 
-    payload = {
+    return {
         "objective": model_dict(models.objective) if models.objective else None,
         "constraints": {
             name: model_dict(m) for name, m in zip(models.constraint_names, models.constraints)
         },
         "f_best_log": models.f_best,
     }
-    return payload
 
 
 def _cmd_optimize(args) -> int:

@@ -164,7 +164,7 @@ def _slide_frame(
     ucbx, ucby = float(np.cos(ang)), float(np.sin(ang))
 
     # chain: A' = B + l_ab * R(beta0) u(B->C); O' = A' + l_oa * R(alpha0) u(A'->B)
-    ubcx, ubcy = -math.cos(ang), -math.sin(ang)
+    ubcx, ubcy = -ucbx, -ucby
     cb, sb = math.cos(beta0), math.sin(beta0)
     ubax = cb * ubcx - sb * ubcy
     ubay = sb * ubcx + cb * ubcy

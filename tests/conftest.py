@@ -16,6 +16,7 @@ from fourbar_synth import (
     MotionTask,
     OptimizerConfig,
     Stroke,
+    load_config_dict,
     motion_profile,
     validate_baseline,
 )
@@ -57,9 +58,8 @@ def mass_variants(cfg: MechanismConfig) -> list[MechanismConfig]:
     ]
 
 
-@st.composite
-def mechanisms(draw) -> tuple[MechanismConfig, MotionTask]:
-    """A random (cfg, task) pair whose baseline ``validate_baseline`` accepts.
+def draw_mechanism(uniform, choice) -> dict:
+    """A random mechanism as a config dict, from ``uniform(lo, hi)`` floats and ``choice(seq)`` picks in this order.
 
     Pivot O within 0.1 m of the origin per axis, C 0.15-0.4 m from O in any
     direction, either branch, the effector offset within 1 rad, a tip force
@@ -67,42 +67,59 @@ def mechanisms(draw) -> tuple[MechanismConfig, MotionTask]:
     rad either way from any angle; the masses are canon's.  The baseline's
     crank and coupler are drawn to reach every point B of the stroke's arc,
     sampled at 61 angles, from O; about a quarter of the draws still have a
-    crank that turns back along the stroke, and are rejected, as are the
-    draws whose rocker tip passes through O with l_ab == l_oa (see
-    ``crank_pivot_pass``).
+    crank that turns back along the stroke, and ``read_accepted`` refuses
+    them, as it does the draws whose rocker tip passes through O with
+    l_ab == l_oa (see ``crank_pivot_pass``).  The search box is the baseline
+    lengths times e^-0.5 and e^0.5, with the default budget.
     """
-    angle = st.floats(-math.pi, math.pi)
-    ox, oy = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
-    ground, heading = draw(st.floats(0.15, 0.4)), draw(angle)
+    ox, oy = uniform(-0.1, 0.1), uniform(-0.1, 0.1)
+    ground, heading = uniform(0.15, 0.4), uniform(-math.pi, math.pi)
     cx, cy = ox + ground * math.cos(heading), oy + ground * math.sin(heading)
-    offset = draw(st.floats(-1.0, 1.0))
-    delta_e, stroke = draw(angle), draw(st.floats(0.3, 1.2)) * draw(st.sampled_from([1.0, -1.0]))
-    l_bc = draw(st.floats(0.05, 0.3))
+    offset = uniform(-1.0, 1.0)
+    delta_e, stroke = uniform(-math.pi, math.pi), uniform(0.3, 1.2) * choice([1.0, -1.0])
+    l_bc = uniform(0.05, 0.3)
     rocker = np.linspace(delta_e, delta_e + stroke, 61) - offset
     reach = np.hypot(cx + l_bc * np.cos(rocker) - ox, cy + l_bc * np.sin(rocker) - oy)
     near, far = float(reach.min()), float(reach.max())
     # |l_ab - l_oa| < near and l_ab + l_oa > far, with room to spare on both sides
-    l_oa = 0.5 * (far - near) + draw(st.floats(0.005, 0.1))
+    l_oa = 0.5 * (far - near) + uniform(0.005, 0.1)
     shortest = max(far - l_oa, l_oa - near)
-    l_ab = shortest + draw(st.floats(0.1, 0.9)) * (near + l_oa - shortest)
-    cfg = MechanismConfig(
-        pivot_c=(cx, cy),
-        pivot_o=(ox, oy),
-        baseline=DesignParams(l_oa, l_ab, l_bc),
-        branch=draw(st.sampled_from(["plus", "minus"])),
-        effector_offset=offset,
-        link_density=(2.0, 2.0, 2.0),
-        payload_mass=0.5,
-        effector_tip_length=0.25,
-        tip_force=(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))),
-    )
-    dwell = draw(st.sampled_from([0.0, 0.1]))
-    task = MotionTask(delta_i=delta_e + stroke, delta_e=delta_e, t_move=0.5, t_dwell=dwell)
+    l_ab = shortest + uniform(0.1, 0.9) * (near + l_oa - shortest)
+    baseline = {"l_oa": l_oa, "l_ab": l_ab, "l_bc": l_bc}
+    return {
+        "mechanism": {
+            "pivot_o": [ox, oy],
+            "pivot_c": [cx, cy],
+            "baseline": baseline,
+            "branch": choice(["plus", "minus"]),
+            "effector_offset": offset,
+            "link_density": [2.0, 2.0, 2.0],
+            "payload_mass": 0.5,
+            "effector_tip_length": 0.25,
+            "tip_force": [uniform(-3.0, 3.0), uniform(-3.0, 3.0)],
+        },
+        "task": {"delta_i": delta_e + stroke, "delta_e": delta_e, "t_move": 0.5, "t_dwell": choice([0.0, 0.1])},
+        "optimizer": {"bounds": {key: [v * math.exp(-0.5), v * math.exp(0.5)] for key, v in baseline.items()}},
+    }
+
+
+def read_accepted(config: dict) -> tuple[MechanismConfig, MotionTask] | None:
+    """The config's (cfg, task), or None where ``validate_baseline`` refuses its baseline."""
+    cfg, task, _ = load_config_dict(config)
     try:
         validate_baseline(cfg, task)
     except (BaselineInfeasible, BaselineDefective):
-        assume(False)
+        return None
     return cfg, task
+
+
+@st.composite
+def mechanisms(draw) -> tuple[MechanismConfig, MotionTask]:
+    """A random (cfg, task) pair by ``draw_mechanism`` that ``read_accepted`` accepts."""
+    config = draw_mechanism(lambda lo, hi: draw(st.floats(lo, hi)), lambda seq: draw(st.sampled_from(seq)))
+    pair = read_accepted(config)
+    assume(pair is not None)
+    return pair
 
 
 def crank_pivot_pass() -> tuple[MechanismConfig, MotionTask]:

@@ -1,6 +1,6 @@
-"""Every imported name in the package and its tests is used, every private
-module-level name of the package is used by the package, the package
-exports every public name of its modules, only the GP stack and the
+"""Every imported name in the package, its tests and its tools is used,
+every private module-level name of the package is used by the package, the
+package exports every public name of its modules, only the GP stack and the
 optimizer load scipy, only the GP stack loads scipy.optimize, no module
 imports a private module or name of another library, and only the ``grid``
 command loads the oracle."""
@@ -39,7 +39,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 def test_no_unused_imports():
     found = {}
-    for path in sorted([*REPO_ROOT.glob("src/**/*.py"), *REPO_ROOT.glob("tests/*.py")]):
+    for path in sorted(path for glob in ("src/**/*.py", "tests/*.py", "tools/*.py") for path in REPO_ROOT.glob(glob)):
         names = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         if names:
             found[str(path.relative_to(REPO_ROOT))] = names

@@ -1,0 +1,18 @@
+"""The mechanisms of ``tools/regret_suite.py``: fixed by their seed, read as configs, accepted."""
+import runpy
+
+from fourbar_synth import DesignParams, load_config_dict, validate_baseline
+
+from conftest import REPO_ROOT
+
+
+def test_the_suite_draws_six_fixed_mechanisms_that_read_and_validate():
+    draw_mechanisms = runpy.run_path(str(REPO_ROOT / "tools" / "regret_suite.py"))["draw_mechanisms"]
+    configs = draw_mechanisms(6)
+    assert configs == draw_mechanisms(6)
+    for config in configs:
+        validate_baseline(*load_config_dict(config)[:2])
+    # the first draw, so that a change to the shared rule shows
+    cfg, _, _ = load_config_dict(configs[0])
+    assert cfg.baseline == DesignParams(0.08139318184066398, 0.3902792382270713, 0.24926735718801157)
+    assert cfg.branch == "minus"

@@ -7,29 +7,29 @@ Run from the root of a checkout:
     python3 tools/regret_suite.py --src ../parent/src --src src --seeds 41000-41009 --seeds 41010-41019
     python3 tools/regret_suite.py --mechanisms 0 --seeds 41000-41039
 
-The suite is canon plus the first ``--mechanisms`` (6) mechanisms that a
-numpy port of ``tests/conftest.py::mechanisms`` draws from
-``numpy.random.default_rng(7)`` and that this checkout's
-``validate_baseline`` accepts; ``--mechanisms 0`` runs canon alone.  A
-drawn mechanism is optimized inside the box of its baseline lengths times
-e^-0.5 and e^0.5, with canon's optimizer settings otherwise.  Each run is
-one ``run_optimization`` at one optimizer seed, in one of ``JOBS`` worker
-processes that import the package from the ``--src`` tree
-(default: this checkout's ``src``).
+The suite is ``configs/canon.json`` plus the first ``--mechanisms`` (6)
+mechanisms that ``tests/conftest.py::draw_mechanism``, the rule
+``conftest.mechanisms`` draws by, draws from ``numpy.random.default_rng(7)``
+and ``conftest.read_accepted`` accepts; ``--mechanisms 0`` runs canon
+alone.  Every mechanism is a config dict in the package's schema; a drawn
+one searches the box of its baseline lengths times e^-0.5 and e^0.5.  Each
+run is one ``run_optimization`` of a config at one optimizer seed, in one of
+``JOBS`` worker processes that import the package from the ``--src`` tree
+(default: this checkout's ``src``) and read the config with
+``load_config_dict``.
 
 Regret is (best - reference) / reference.  Canon's reference is 0.630887,
 its optimum derived by a 61^3 grid and zoom grids on the static mask's
 vertex; each other mechanism's is the best result of any run in this
-invocation.  Per mechanism, tree and ``--seeds`` set it prints the median
-and the worst regret; with two trees also how many seeds the second tree
-beats, ties and loses to the first.  A run that finds nothing feasible has
-infinite regret.
+invocation.  Per mechanism, tree and ``--seeds`` set it prints the median,
+the 90th percentile (nearest rank) and the worst regret; with two trees
+also how many seeds the second tree beats, ties and loses to the first.  A
+run that finds nothing feasible has infinite regret.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -48,72 +48,30 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def draw_mechanisms(count: int) -> list[dict]:
-    """The first ``count`` accepted draws, as constructor keywords of (cfg, task).
+    """The first ``count`` accepted draws of ``draw_mechanism``, as config dicts.
 
-    The draws follow ``tests/conftest.py::mechanisms`` in order, with each
-    hypothesis float a uniform draw and each choice an index draw.
+    Each of the rule's floats is a uniform draw and each choice an index
+    draw; ``tests`` and this checkout's ``src`` must be on ``sys.path``.
     """
     import numpy as np
 
-    from fourbar_synth import DesignParams, MechanismConfig, MechanismError, MotionTask, validate_baseline
+    from conftest import draw_mechanism, read_accepted
 
     rng = np.random.default_rng(DRAW_SEED)
     out = []
     while len(out) < count:
-        ox, oy = rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)
-        ground, heading = rng.uniform(0.15, 0.4), rng.uniform(-math.pi, math.pi)
-        cx, cy = ox + ground * math.cos(heading), oy + ground * math.sin(heading)
-        offset = rng.uniform(-1.0, 1.0)
-        delta_e = rng.uniform(-math.pi, math.pi)
-        stroke = rng.uniform(0.3, 1.2) * (1.0, -1.0)[rng.integers(2)]
-        l_bc = rng.uniform(0.05, 0.3)
-        rocker = np.linspace(delta_e, delta_e + stroke, 61) - offset
-        reach = np.hypot(cx + l_bc * np.cos(rocker) - ox, cy + l_bc * np.sin(rocker) - oy)
-        near, far = float(reach.min()), float(reach.max())
-        l_oa = 0.5 * (far - near) + rng.uniform(0.005, 0.1)
-        shortest = max(far - l_oa, l_oa - near)
-        l_ab = shortest + rng.uniform(0.1, 0.9) * (near + l_oa - shortest)
-        cfg = dict(
-            pivot_c=(cx, cy),
-            pivot_o=(float(ox), float(oy)),
-            baseline=(float(l_oa), float(l_ab), float(l_bc)),
-            branch=("plus", "minus")[rng.integers(2)],
-            effector_offset=float(offset),
-            link_density=(2.0, 2.0, 2.0),
-            payload_mass=0.5,
-            effector_tip_length=0.25,
-            tip_force=(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))),
-        )
-        task = dict(delta_i=float(delta_e + stroke), delta_e=float(delta_e), t_move=0.5,
-                    t_dwell=(0.0, 0.1)[rng.integers(2)])
-        try:
-            validate_baseline(MechanismConfig(**{**cfg, "baseline": DesignParams(*cfg["baseline"])}), MotionTask(**task))
-        except MechanismError:
-            continue
-        out.append({"cfg": cfg, "task": task})
+        config = draw_mechanism(rng.uniform, lambda seq: seq[rng.integers(len(seq))])
+        if read_accepted(config) is not None:
+            out.append(config)
     return out
 
 
-def run_jobs(jobs: list[dict]) -> list[float | None]:
-    """Worker: each job's best feasible t_rms, or None; the package comes from sys.path."""
-    from fourbar_synth import DesignParams, MechanismConfig, MotionTask, load_config, run_optimization
+def run_jobs(configs: list[dict]) -> list[float | None]:
+    """Worker: each config's best feasible t_rms, or None; the package comes from sys.path."""
+    from fourbar_synth import load_config_dict, run_optimization
 
-    canon_cfg, canon_task, canon_opt = load_config(str(CANON_CONFIG))
-    bests = []
-    for job in jobs:
-        mechanism = job["mechanism"]
-        if mechanism is None:
-            cfg, task, opt = canon_cfg, canon_task, dataclasses.replace(canon_opt, seed=job["seed"])
-        else:
-            # JSON gives lists; the configs hash their fields, so pairs are tuples again
-            kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in mechanism["cfg"].items()}
-            cfg = MechanismConfig(**{**kwargs, "baseline": DesignParams(*kwargs["baseline"])})
-            task = MotionTask(**mechanism["task"])
-            bounds = tuple((v * math.exp(-0.5), v * math.exp(0.5)) for v in kwargs["baseline"])
-            opt = dataclasses.replace(canon_opt, bounds=bounds, seed=job["seed"])
-        best = run_optimization(cfg, task, opt).best_feasible
-        bests.append(None if best is None else best[1])
-    return bests
+    runs = [run_optimization(*load_config_dict(config)).best_feasible for config in configs]
+    return [None if best is None else best[1] for best in runs]
 
 
 def run_tree(src: str, jobs: list[dict]) -> list[float | None]:
@@ -149,25 +107,26 @@ def main(argv: list[str] | None = None) -> int:
     if len(trees) > 2:
         p.error("at most two --src trees")
 
-    sys.path.insert(0, str(ROOT / "src"))
-    suite = [None, *draw_mechanisms(args.mechanisms)]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    suite = [json.loads(CANON_CONFIG.read_text()), *draw_mechanisms(args.mechanisms)]
     seeds = sorted({s for group in args.seeds for s in group})
-    chunks = [(tree, [{"mechanism": m, "seed": s} for m in suite for s in seeds[k::JOBS]])
+    chunks = [(tree, [(m, s) for m in range(len(suite)) for s in seeds[k::JOBS]])
               for tree in trees for k in range(JOBS)]
+
+    def run_chunk(tree: str, keys: list[tuple[int, int]]) -> list[float | None]:
+        return run_tree(tree, [{**suite[m], "optimizer": {**suite[m]["optimizer"], "seed": s}} for m, s in keys])
+
     with ThreadPoolExecutor(JOBS) as pool:
-        results = list(pool.map(lambda chunk: run_tree(*chunk), chunks))
-    best: dict[tuple[str, int, int], float | None] = {}
-    for (tree, jobs), bests in zip(chunks, results):
-        for job, value in zip(jobs, bests):
-            best[tree, suite.index(job["mechanism"]), job["seed"]] = value
+        results = list(pool.map(lambda chunk: run_chunk(*chunk), chunks))
+    best = {(tree, m, s): value for (tree, keys), bests in zip(chunks, results) for (m, s), value in zip(keys, bests)}
 
     if args.json:
         rows = [{"src": t, "mechanism": m, "seed": s, "best": v} for (t, m, s), v in sorted(best.items())]
         Path(args.json).write_text(json.dumps({"suite": suite, "runs": rows}, indent=1) + "\n")
-    for m, mechanism in enumerate(suite):
+    for m in range(len(suite)):
         found = [v for (_, mm, _), v in best.items() if mm == m and v is not None]
-        ref = CANON_OPTIMUM if mechanism is None else min(found, default=math.nan)
-        print(f"mechanism {m} ({'canon' if mechanism is None else 'drawn'}), reference {ref:.6f}")
+        ref = min(found, default=math.nan) if m else CANON_OPTIMUM
+        print(f"mechanism {m} ({'drawn' if m else 'canon'}), reference {ref:.6f}")
 
         def regret(tree: str, seed: int) -> float:
             value = best[tree, m, seed]
@@ -177,7 +136,9 @@ def main(argv: list[str] | None = None) -> int:
             line = f"  seeds {group[0]}-{group[-1]}:"
             for t, tree in enumerate(trees):
                 regrets = [regret(tree, s) for s in group]
-                line += f"  tree {t} median {percent(statistics.median(regrets))} worst {percent(max(regrets))}"
+                p90 = sorted(regrets)[(9 * len(regrets) - 1) // 10]
+                line += (f"  tree {t} median {percent(statistics.median(regrets))} p90 {percent(p90)}"
+                         f" worst {percent(max(regrets))}")
             if len(trees) == 2:
                 pairs = [(best[trees[0], m, s], best[trees[1], m, s]) for s in group]
                 pairs = [(math.inf if a is None else a, math.inf if b is None else b) for a, b in pairs]
