@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-from .constraints import evaluate_design, static_gap
-from .dynamics import torque_profile
 from .kinematics import kinematic_transform, validate_baseline
 from .model import (
     BaselineDefective,
@@ -116,6 +114,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # validate scores no design, so only the scoring commands load constraints and dynamics
+    from .constraints import evaluate_design, static_gap
+
     cfg, task, _opt = load_config(args.config, degrees=args.degrees)
     design = args.design if args.design is not None else cfg.baseline
 
@@ -146,6 +147,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .dynamics import torque_profile
+
     cfg, task, _opt = load_config(args.config, degrees=args.degrees)
     design = args.design if args.design is not None else cfg.baseline
     stroke = kinematic_transform(design, cfg, task)

@@ -8,10 +8,12 @@ the crank angle as the single generalized coordinate:
 
 where I_eq is the equivalent (reflected) inertia seen by the motor, G the
 gravity torque dV/dtheta, and Q_ext the generalized torque of the external
-tip force.  I_eq and G follow analytically from per-link velocity
-coefficients at unit crank rate, and I_eq' from their theta-derivatives,
-which solve the same velocity closure with the centripetal terms as its
-right-hand side.
+tip force.  All follow in closed form from the joints at unit crank rate:
+the rocker rate omega_r from the velocity closure, I_eq from a uniform
+rod's kinetic energy m/6 (v_A^2 + v_A . v_B + v_B^2) on the coupler, I_eq'
+from omega_r' and the turning of A - O and B - C, and G and Q_ext as
+per-design scalars times the components of v_A and omega_r (B - C) (see
+``_dyn_terms``).
 
 Links are uniform slender rods of mass m = rho L, each described about
 its inner joint (O for the crank, A for the coupler, C for the rocker) by
@@ -104,6 +106,11 @@ def mass_model(design: DesignParams | _Lengths, cfg: MechanismConfig) -> MassMod
 
     Elementwise: for a ``_Lengths`` of k designs each field broadcasts to
     (k,), and its entries are ``==`` those of each design's own call.
+
+    Crank and coupler are uniform rods, and ``_dyn_terms`` relies on it:
+    it places both weights at their bars' midpoints and builds the
+    coupler's kinetic energy from its mass alone (the m_ab/3 and m_ab/6
+    coefficients), so another shape for either changes both functions.
     """
     rho_oa, rho_ab, rho_bc = cfg.link_density
     m, s, i = _rod(rho_oa, design.l_oa)
@@ -133,77 +140,70 @@ def _dyn_terms(
     Elementwise over scalars, stroke columns, or (n, k) arrays with the
     lengths of k designs as (k,) arrays, which also give the link masses.
 
-    Velocity coefficients are taken at unit crank rate: v_A = perp(A - O),
-    and the coupler/rocker rates solve the rigid-body velocity closure
-    v_A + omega_ab perp(B - A) = omega_r perp(B - C).  Differentiating the
-    closure over theta gives the same 2x2 system for (omega_ab', omega_r')
-    with v_A replaced by -(A - O) - omega_ab^2 (B - A) + omega_r^2 (B - C).
-    The crank's and the rocker's inertias about their pivots are constants
-    of the design, so
-    I_eq'/2 = m_ab v_G . a_G + I_ab omega_ab omega_ab' + I_C omega_r omega_r'.
-    Q_ext is the float 0.0 without a tip force.
+    With a = A - O, b = B - C and d = B - A, at unit crank rate
+    v_A = perp(a) and v_B = omega_r perp(b), where the rocker rate
+    omega_r = (v_A . d) / cross(b, d) keeps |d| fixed.  A uniform rod's
+    kinetic energy is m/6 (v_A^2 + v_A . v_B + v_B^2), so
+        I_eq = I_O + m_ab/3 (l_oa^2 + omega_r a . b + omega_r^2 l_bc^2)
+               + I_C omega_r^2
+    with I_O and I_C the crank's and the rocker's inertias about their
+    pivots.  Over theta a turns by perp(a) and b by omega_r perp(b), so
+    (a . b)' = (1 - omega_r) cross(a, b), and
+        I_eq'/2 = m_ab/6 (omega_r' a . b + omega_r (1 - omega_r) cross(a, b))
+                  + (m_ab l_bc^2 / 3 + I_C) omega_r omega_r'
+    where differentiating v_B . d = v_A . d once more gives
+        omega_r' = [omega_r (2 a . b + omega_r (b . d - l_bc^2))
+                    - (l_oa^2 + a . d)] / cross(b, d).
+    The crank's and the coupler's weights sit at the midpoints of O-A and
+    A-B, the rocker's first moment turns with b, and the tip force acts at
+    the beam's end, which turns with b too; so G is per-design scalars
+    times (vax, rax) and omega_r (rbx, rby), and Q_ext per-design scalars
+    times omega_r (rbx, rby), or the float 0.0 without a tip force.
 
     ``singular`` marks where coupler and rocker are collinear: the closure
     has no solution there (the crank cannot drive through), and the terms
     there are finite but meaningless.
     """
-    # v_A = perp(A - O) = (vax, vay) at crank rate 1; den = v_A . (B - A), the
-    # rocker rate's numerator, and num = cross(B - C, B - A), ~ sin(beta), the
-    # determinant of the velocity closure
-    rax, ray, rbx, rby, bax, bay, vax, den, num = geometry
-    vay = rax
-    nrax = -rax  # -(A - O) = (nrax, vax)
-
+    rax, _, rbx, rby, _, _, vax, ad, ab, bd, den, num = geometry
     singular = np.abs(num) < _SINGULAR_TOL * design.l_bc * design.l_ab
     if singular.any():
         num = np.where(singular, np.inf, num)  # no division by zero
     omega_r = den / num
-    omega_ab = (vax * rbx + vay * rby) / num
-    omega_ab2 = omega_ab * omega_ab
-    omega_r2 = omega_r * omega_r
-    wx = nrax - omega_ab2 * bax + omega_r2 * rbx
-    wy = vax - omega_ab2 * bay + omega_r2 * rby
-    omega_r_d = (wx * bax + wy * bay) / num
-    omega_ab_d = (wx * rbx + wy * rby) / num
+    l_oa2 = design.l_oa * design.l_oa
+    l_bc2 = design.l_bc * design.l_bc
+    omega_r_d = (omega_r * (2.0 * ab + omega_r * (bd - l_bc2)) - (l_oa2 + ad)) / num
 
     mm = mass_model(design, cfg)
+    m_ab = mm.coupler.mass
+    # I_eq = I_O + m_ab/3 l_oa^2 + omega_r (coupled + rocking)
+    coupled = m_ab / 3.0 * ab
+    rocking = (m_ab / 3.0 * l_bc2 + mm.rocker.inertia) * omega_r
+    i_eq = (mm.crank.inertia + m_ab / 3.0 * l_oa2) + omega_r * (coupled + rocking)
+    i_half_d = omega_r_d * (0.5 * coupled + rocking) + m_ab / 6.0 * (omega_r * (1.0 - omega_r)) * (
+        rax * rby + vax * rbx  # cross(a, b)
+    )
+
+    # gravity: G = -(the sum of m g . v over the parts).  The crank's centroid
+    # moves at v_A / 2 and the coupler's at (v_A + v_B) / 2; the rocker's
+    # first moment turns by (rbx, rby) / l_bc into the world frame
     gx, gy = cfg.gravity
-
-    # crank: rotation about O, its weight at the bar midpoint
-    g_sum = -mm.crank.mass * (gx * (0.5 * vax) + gy * (0.5 * vay))
-
-    # coupler: general plane motion about its midpoint, where a uniform rod's
-    # inertia is a quarter of that about its end
-    i_mid = 0.25 * mm.coupler.inertia
-    vgx = vax + omega_ab * (-0.5 * bay)
-    vgy = vay + omega_ab * (0.5 * bax)
-    i_eq = mm.crank.inertia + mm.coupler.mass * (vgx * vgx + vgy * vgy) + i_mid * omega_ab2
-    agx = nrax - 0.5 * (omega_ab_d * bay + omega_ab2 * bax)
-    agy = vax + 0.5 * (omega_ab_d * bax - omega_ab2 * bay)
-    i_half_d = mm.coupler.mass * (vgx * agx + vgy * agy) + i_mid * omega_ab * omega_ab_d
-    g_sum -= mm.coupler.mass * (gx * vgx + gy * vgy)
-
-    # rocker: rotation about C; its local x-axis along C->B at angle phi, so
-    # its first moment turns by (cos phi, sin phi) into the world frame
-    cphi = rbx / design.l_bc
-    sphi = rby / design.l_bc
     sx, sy = mm.rocker.first_moment
-    i_eq += mm.rocker.inertia * omega_r2
-    i_half_d += mm.rocker.inertia * omega_r * omega_r_d
-    g_sum -= omega_r * (gy * (sx * cphi - sy * sphi) - gx * (sx * sphi + sy * cphi))
+    on_a = -0.5 * (mm.crank.mass + m_ab)
+    kx = -0.5 * m_ab * gy - (gy * sx - gx * sy) / design.l_bc
+    ky = 0.5 * m_ab * gx + (gx * sx + gy * sy) / design.l_bc
+    g_tau = on_a * gx * vax + on_a * gy * rax + omega_r * (kx * rbx + ky * rby)
 
-    # external tip force acting at the end of the effector beam
+    # external tip force F . v_tip, the tip at the effector offset from b,
+    # effector_tip_length / l_bc times as far from C
     fx, fy = cfg.tip_force
     q_ext = 0.0
     if fx != 0.0 or fy != 0.0:
-        lt = cfg.effector_tip_length
+        reach = cfg.effector_tip_length / design.l_bc
         co = math.cos(cfg.effector_offset)
         so = math.sin(cfg.effector_offset)
-        tx = lt * (cphi * co - sphi * so)  # tip offset from C, world frame
-        ty = lt * (sphi * co + cphi * so)
-        q_ext = fx * (omega_r * -ty) + fy * (omega_r * tx)
+        q_ext = omega_r * (reach * (fy * co - fx * so) * rbx - reach * (fx * co + fy * so) * rby)
 
-    return i_eq, i_half_d, g_sum, q_ext, singular
+    return i_eq, i_half_d, g_tau, q_ext, singular
 
 
 def posture_terms(

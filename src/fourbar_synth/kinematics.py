@@ -230,16 +230,17 @@ def kinematic_coefficients(
 
 
 def _joint_geometry(cfg: MechanismConfig, ax, ay, bx, by):
-    """The joint differences and cross products that the walk and the torque share.
+    """The joint differences and products that the walk and the torque share.
 
     Elementwise over scalars, sample columns or (n, k) arrays.  Returns
-    (rax, ray, rbx, rby, bax, bay, vax, den, num): A - O, B - C, d = B - A,
-    vax of the crank's perpendicular A_theta = perp(A - O) = (vax, rax), and
-    the cross products den = d . A_theta and num = d . B_delta =
-    cross(B - C, B - A) of ``kinematic_coefficients``.  The torque takes
-    A_theta as the crank pin's velocity at unit rate, num as the
-    determinant of its velocity closure and den as the rocker rate's
-    numerator.
+    (rax, ray, rbx, rby, bax, bay, vax, ad, ab, bd, den, num): a = A - O,
+    b = B - C, d = B - A, vax of the crank's perpendicular A_theta =
+    perp(a) = (vax, rax), the dot products a . d, a . b and b . d, and the
+    cross products den = d . A_theta and num = d . B_delta = cross(b, d) of
+    ``kinematic_coefficients``.  The torque takes A_theta as the crank
+    pin's velocity at unit rate, num as the determinant of its velocity
+    closure, den as the rocker rate's numerator, and the dot products for
+    the rocker rate's derivative and the coupler's kinetic energy.
     """
     ox, oy = cfg.pivot_o
     cx, cy = cfg.pivot_c
@@ -250,12 +251,15 @@ def _joint_geometry(cfg: MechanismConfig, ax, ay, bx, by):
     bax = bx - ax
     bay = by - ay
     vax = -ray
+    ad = bax * rax + bay * ray
+    ab = ray * rby + rax * rbx  # A_theta . B_delta too
+    bd = bax * rbx + bay * rby
     den = vax * bax + rax * bay  # zero at a crank-coupler dead point
     # zero at a transmission singularity; the negation of (A - B) . B_delta
     # rather than rbx * bay - rby * bax, so that an exact zero is -0.0 and
     # the zero ratio num / den has the sign it has with A - B on both sides
     num = -(rby * bax - rbx * bay)
-    return rax, ray, rbx, rby, bax, bay, vax, den, num
+    return rax, ray, rbx, rby, bax, bay, vax, ad, ab, bd, den, num
 
 
 def _pin_undetermined(design: DesignParams | _Lengths, cfg: MechanismConfig, bx, by):
@@ -283,14 +287,14 @@ def _crank_coefficients(
     result) the two ratios are not finite, and the caller's ``np.errstate``
     silences the division.
     """
-    rax, ray, rbx, rby, bax, bay, _, den, num = geometry
+    *_, ad, ab, bd, den, num = geometry
     singular = np.abs(den) < _SINGULAR_TOL * design.l_oa * design.l_ab
     ratio = num / den
     curvature = (
-        (design.l_oa * design.l_oa + (bax * rax + bay * ray)) * ratio * ratio
-        - 2.0 * (ray * rby + rax * rbx) * ratio  # A_theta . B_delta
+        (design.l_oa * design.l_oa + ad) * ratio * ratio
+        - 2.0 * ab * ratio
         + design.l_bc * design.l_bc
-        - (bax * rbx + bay * rby)
+        - bd
     )
     return ratio, curvature / den, singular
 

@@ -5,9 +5,9 @@ angles come from a dense sweep with Newton polish instead of circle
 intersection, and the assembly gap comes from marching the slide ray in
 micrometre steps instead of geometric clipping.  Slowness is fine; these
 exist so the fast paths have something independent to disagree with.  The
-mechanical energy sums the potential of each part at its own centroid, and
-of the tip force at the tip, instead of integrating the gravity and tip
-torques.
+mechanical energy sums each part's kinetic energy from the velocity closure
+and its potential at its own centroid, and the tip force's at the tip,
+instead of the reflected inertia and the gravity and tip torques.
 
 ``grid_sweep`` is the exception: it runs the main path itself, batched over
 every cell of a grid, as the exhaustive ground truth for the optimizer.
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import constraints
 from .constraints import _pose_delta, evaluate_designs
-from .dynamics import posture_terms
 from .kinematics import Posture
 from .model import (
     BaselineInfeasible,
@@ -363,26 +362,38 @@ def mechanical_energy(
 ) -> float:
     """Kinetic plus potential energy at a state (J).
 
-    The potential sums each part's weight at its own centroid, placed from
-    the joints, and the tip force's -F . (tip position); it shares nothing
-    with G or Q_ext, so that the energy balance can check them.
+    Each part counts on its own: its kinetic energy from its centroid's
+    velocity and its rate, with the coupler's and the rocker's rates solved
+    from the velocity closure as a 2x2 linear system, and its weight at its
+    centroid, placed from the joints, with the tip force's -F . (tip
+    position).  It shares nothing with I_eq, G or Q_ext, so that the energy
+    balance and difference quotients of the energy can check them.
+    Raises numpy's LinAlgError where coupler and rocker are collinear.
     """
-    i_eq = posture_terms(design, cfg, posture)[0]
     (ox, oy), (cx, cy), (gx, gy), (fx, fy) = cfg.pivot_o, cfg.pivot_c, cfg.gravity, cfg.tip_force
     (ax, ay), (bx, by) = posture.point_a, posture.point_b
     rho_oa, rho_ab, rho_bc = cfg.link_density
     lt = cfg.effector_tip_length
     phi = math.atan2(by - cy, bx - cx) + cfg.effector_offset  # the beam's angle at C
     tx, ty = cx + lt * math.cos(phi), cy + lt * math.sin(phi)
-    parts = [  # (mass, centroid) of the three bars, the beam and the payload
-        (rho_oa * design.l_oa, 0.5 * (ox + ax), 0.5 * (oy + ay)),
-        (rho_ab * design.l_ab, 0.5 * (ax + bx), 0.5 * (ay + by)),
-        (rho_bc * design.l_bc, 0.5 * (cx + bx), 0.5 * (cy + by)),
-        (rho_bc * lt, 0.5 * (cx + tx), 0.5 * (cy + ty)),
-        (cfg.payload_mass, tx, ty),
+    # v_A + omega_ab perp(B - A) = omega_r perp(B - C), with v_A = theta_dot perp(A - O)
+    vax, vay = -theta_dot * (ay - oy), theta_dot * (ax - ox)
+    closure = [[ay - by, by - cy], [bx - ax, cx - bx]]
+    w_ab, w_r = np.linalg.solve(closure, [-vax, -vay]).tolist()
+    parts = [  # (mass, centroid, its velocity, rate, length) of the three bars, the beam and the payload
+        (rho_oa * design.l_oa, 0.5 * (ox + ax), 0.5 * (oy + ay), 0.5 * vax, 0.5 * vay, theta_dot, design.l_oa),
+        (rho_ab * design.l_ab, 0.5 * (ax + bx), 0.5 * (ay + by),
+         vax - 0.5 * w_ab * (by - ay), vay + 0.5 * w_ab * (bx - ax), w_ab, design.l_ab),
+        (rho_bc * design.l_bc, 0.5 * (cx + bx), 0.5 * (cy + by), -0.5 * w_r * (by - cy), 0.5 * w_r * (bx - cx),
+         w_r, design.l_bc),
+        (rho_bc * lt, 0.5 * (cx + tx), 0.5 * (cy + ty), -0.5 * w_r * (ty - cy), 0.5 * w_r * (tx - cx), w_r, lt),
+        (cfg.payload_mass, tx, ty, -w_r * (ty - cy), w_r * (tx - cx), w_r, 0.0),
     ]
-    v_pot = -sum(m * (gx * x + gy * y) for m, x, y in parts) - (fx * tx + fy * ty)
-    return 0.5 * i_eq * theta_dot * theta_dot + v_pot
+    # a uniform rod turns about its centroid with inertia m L^2 / 12
+    kinetic = sum(0.5 * m * (vx * vx + vy * vy) + m * length * length * rate * rate / 24.0
+                  for m, _, _, vx, vy, rate, length in parts)
+    v_pot = -sum(m * (gx * x + gy * y) for m, x, y, *_ in parts) - (fx * tx + fy * ty)
+    return kinetic + v_pot
 
 
 def grid_sweep(

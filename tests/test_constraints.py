@@ -676,6 +676,8 @@ def int_bits(values) -> list[int]:
 def test_the_walk_and_the_torque_share_one_joint_geometry():
     # the torque reads the walk's geometry: its terms equal those built from
     # each sample's joints alone and its forward torque equals torque_profile's.
+    # The three shared dot products, which the crank's curvature and the
+    # torque both read, equal their expressions from the joints bit for bit.
     # The two shared cross products equal the torque's expressions and the
     # crank's with e = A - B, negated, written here from the joints; each is
     # bit for bit the one whose sign of an exact zero reaches a result
@@ -694,7 +696,11 @@ def test_the_walk_and_the_torque_share_one_joint_geometry():
         (ox, oy), (cx, cy) = cfg.pivot_o, cfg.pivot_c
         rax, ray, rbx, rby = ax - ox, ay - oy, bx - cx, by - cy
         bax, bay, ex, ey = bx - ax, by - ay, ax - bx, ay - by
-        *_, den, num = geometry
+        _, _, _, _, _, _, vax, ad, ab, bd, den, num = geometry
+        assert int_bits(vax[solved]) == int_bits(-ray[solved])
+        assert int_bits((bax * rax + bay * ray)[solved]) == int_bits(ad[solved])  # (B - A) . (A - O)
+        assert int_bits((ray * rby + rax * rbx)[solved]) == int_bits(ab[solved])  # (A - O) . (B - C)
+        assert int_bits((bax * rbx + bay * rby)[solved]) == int_bits(bd[solved])  # (B - A) . (B - C)
         assert int_bits((-ray * bax + rax * bay)[solved]) == int_bits(den[solved])  # v_A . (B - A)
         assert ((rbx * bay - rby * bax) == num)[solved].all()  # cross(B - C, B - A)
         assert int_bits(-(ex * -rby + ey * rbx)[solved]) == int_bits(num[solved])  # e . perp(B - C)

@@ -2,8 +2,9 @@
 every private module-level name of the package is used by the package, the
 package exports every public name of its modules, only the GP stack and the
 optimizer load scipy, only the GP stack loads scipy.optimize, no module
-imports a private module or name of another library, and only the ``grid``
-command loads the oracle."""
+imports a private module or name of another library, only the ``grid``
+command loads the oracle, and ``validate`` loads neither ``constraints`` nor
+``dynamics``."""
 import ast
 import importlib
 import json
@@ -217,3 +218,19 @@ print(json.dumps({"codes": codes, "oracle": "fourbar_synth.oracle" in sys.module
 def test_cli_commands_other_than_grid_never_import_the_oracle(tmp_path):
     # a cold ``validate`` is the benchmark's set-up; the oracle serves only ``grid``
     assert run_fresh(CLI_WITHOUT_ORACLE, tmp_path) == {"codes": [0, 0, 0], "oracle": False}
+
+
+CLI_VALIDATE_ALONE = """
+import json, sys
+from fourbar_synth.cli import main
+
+code = main(["validate", "--config", sys.argv[1]])
+loaded = sorted(m for m in ("fourbar_synth.constraints", "fourbar_synth.dynamics") if m in sys.modules)
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def test_cli_validate_imports_neither_constraints_nor_dynamics(tmp_path):
+    # validate walks the baseline and scores nothing, so a cold validate, the
+    # benchmark's set-up, loads neither the scoring nor the torque module
+    assert run_fresh(CLI_VALIDATE_ALONE, tmp_path) == {"code": 0, "loaded": []}
