@@ -28,10 +28,7 @@ _EXPORTS = {
         "Posture", "KinematicCoefficients", "Stroke", "solve_ik", "solve_fk",
         "kinematic_coefficients", "motion_profile", "kinematic_transform", "validate_baseline",
     ),
-    "dynamics": (
-        "LinkInertia", "MassModel", "TorqueProfile", "mass_model", "posture_terms",
-        "torque_profile",
-    ),
+    "dynamics": ("TorqueProfile", "posture_terms", "torque_profile"),
     "constraints": (
         "Pose", "StaticGapResult", "DynamicConstraintResult", "baseline_posture", "static_gap",
         "static_gaps", "assembles", "dynamic_constraint", "evaluate_design", "evaluate_designs",

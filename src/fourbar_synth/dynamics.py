@@ -15,16 +15,17 @@ from omega_r' and the turning of A - O and B - C, and G and Q_ext as
 per-design scalars times the components of v_A and omega_r (B - C) (see
 ``_dyn_terms``).
 
-Links are uniform slender rods of mass m = rho L, each described about
-its inner joint (O for the crank, A for the coupler, C for the rocker) by
-its mass, first moment and inertia: (rho L, rho L^2/2, rho L^3/3).  The
-rocker link is the rigid union of bar B-C, the effector beam of length
+Links are uniform slender rods of mass m = rho L; about one end a rod's
+first moment is m L/2 and its inertia m L^2/3.  The rocker link is the
+rigid union of bar B-C, the effector beam of length
 ``effector_tip_length`` at the effector offset angle, and the payload as a
-point mass at the beam tip; it turns about the fixed pivot C, so its three
-quantities are sums over the three parts.
+point mass at the beam tip; it turns about the fixed pivot C, so its
+inertia and first moment about C are sums over the three parts.
 
-The masses follow from the bar lengths, so each kernel derives them itself;
-all are elementwise over one design or the (k,) lengths of k designs.  The
+The mass constants follow from the bar lengths and the config, and
+``_dyn_terms`` computes the five it reads (the crank's mass and inertia
+about O, the coupler's mass, the rocker's inertia and first moment about
+C), elementwise over one design or the (k,) lengths of k designs.  The
 torque pass reads the walk's joint geometry and the task's cached steps,
 and sums the whole cycle over the forward stroke (see ``TorqueProfile``).
 """
@@ -46,38 +47,10 @@ from .model import (
     SingularState,
 )
 
-__all__ = [
-    "LinkInertia",
-    "MassModel",
-    "TorqueProfile",
-    "mass_model",
-    "posture_terms",
-    "torque_profile",
-]
+__all__ = ["TorqueProfile", "posture_terms", "torque_profile"]
 
 _SINGULAR_TOL = 1e-12
 _COLLINEAR = "transmission singularity: coupler and rocker collinear"
-
-
-@dataclass(frozen=True, slots=True)
-class LinkInertia:
-    """Mass, first moment and inertia of one link about its inner joint.
-
-    The inner joint is O for the crank, A for the coupler and C for the
-    rocker; the first moment is taken in the link's local frame, anchored
-    there with x along the bar, and the inertia is about that joint.
-    """
-
-    mass: float
-    first_moment: tuple[float, float]
-    inertia: float
-
-
-@dataclass(frozen=True, slots=True)
-class MassModel:
-    crank: LinkInertia
-    coupler: LinkInertia
-    rocker: LinkInertia
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -95,50 +68,14 @@ class TorqueProfile:
     t_rms: float
 
 
-def _rod(density: float, length: float) -> tuple[float, float, float]:
-    """(mass, first moment, inertia) of a uniform rod about one end."""
-    mass = density * length
-    return mass, 0.5 * mass * length, mass * length * length / 3.0
-
-
-def mass_model(design: DesignParams | _Lengths, cfg: MechanismConfig) -> MassModel:
-    """Per-link mass, first moment and inertia about the inner joint.
-
-    Elementwise: for a ``_Lengths`` of k designs each field broadcasts to
-    (k,), and its entries are ``==`` those of each design's own call.
-
-    Crank and coupler are uniform rods, and ``_dyn_terms`` relies on it:
-    it places both weights at their bars' midpoints and builds the
-    coupler's kinetic energy from its mass alone (the m_ab/3 and m_ab/6
-    coefficients), so another shape for either changes both functions.
-    """
-    rho_oa, rho_ab, rho_bc = cfg.link_density
-    m, s, i = _rod(rho_oa, design.l_oa)
-    crank = LinkInertia(m, (s, 0.0), i)
-    m, s, i = _rod(rho_ab, design.l_ab)
-    coupler = LinkInertia(m, (s, 0.0), i)
-
-    # Rocker: bar C-B, effector beam and point payload at the beam's tip,
-    # summed part by part.  The beam leaves C at the effector offset angle
-    # from the bar and shares the bar's linear density
-    lt = cfg.effector_tip_length
-    cx, sx = math.cos(cfg.effector_offset), math.sin(cfg.effector_offset)
-    m_bar, s_bar, i_bar = _rod(rho_bc, design.l_bc)
-    m_beam, s_beam, i_beam = _rod(rho_bc, lt)
-    m_tip = cfg.payload_mass
-    s_tip = m_tip * lt
-    moment = (s_bar + s_beam * cx + s_tip * cx, s_beam * sx + s_tip * sx)
-    rocker = LinkInertia(m_bar + m_beam + m_tip, moment, i_bar + i_beam + s_tip * lt)
-    return MassModel(crank, coupler, rocker)
-
-
 def _dyn_terms(
     design: DesignParams | _Lengths, cfg: MechanismConfig, geometry: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(I_eq, I_eq'/2, G, Q_ext, singular) at the joints ``_joint_geometry`` describes.
 
     Elementwise over scalars, stroke columns, or (n, k) arrays with the
-    lengths of k designs as (k,) arrays, which also give the link masses.
+    lengths of k designs as (k,) arrays, which also give the per-design
+    mass constants, computed here from the lengths and ``cfg``.
 
     With a = A - O, b = B - C and d = B - A, at unit crank rate
     v_A = perp(a) and v_B = omega_r perp(b), where the rocker rate
@@ -173,12 +110,28 @@ def _dyn_terms(
     l_bc2 = design.l_bc * design.l_bc
     omega_r_d = (omega_r * (2.0 * ab + omega_r * (bd - l_bc2)) - (l_oa2 + ad)) / num
 
-    mm = mass_model(design, cfg)
-    m_ab = mm.coupler.mass
+    # the per-design mass constants: the crank's mass m_oa and inertia i_o
+    # about O, the coupler's mass m_ab, and the rocker's inertia i_c about C
+    # and first moment (sx, sy) in its frame, x along C -> B, each summed
+    # over bar, beam (the bar's density) and payload
+    rho_oa, rho_ab, rho_bc = cfg.link_density
+    lt = cfg.effector_tip_length
+    co, so = math.cos(cfg.effector_offset), math.sin(cfg.effector_offset)
+    m_oa = rho_oa * design.l_oa
+    i_o = m_oa * design.l_oa * design.l_oa / 3.0
+    m_ab = rho_ab * design.l_ab
+    m_bc = rho_bc * design.l_bc
+    m_beam = rho_bc * lt
+    s_beam = 0.5 * m_beam * lt
+    s_tip = cfg.payload_mass * lt
+    i_c = m_bc * design.l_bc * design.l_bc / 3.0 + m_beam * lt * lt / 3.0 + s_tip * lt
+    sx = 0.5 * m_bc * design.l_bc + s_beam * co + s_tip * co
+    sy = s_beam * so + s_tip * so
+
     # I_eq = I_O + m_ab/3 l_oa^2 + omega_r (coupled + rocking)
     coupled = m_ab / 3.0 * ab
-    rocking = (m_ab / 3.0 * l_bc2 + mm.rocker.inertia) * omega_r
-    i_eq = (mm.crank.inertia + m_ab / 3.0 * l_oa2) + omega_r * (coupled + rocking)
+    rocking = (m_ab / 3.0 * l_bc2 + i_c) * omega_r
+    i_eq = (i_o + m_ab / 3.0 * l_oa2) + omega_r * (coupled + rocking)
     i_half_d = omega_r_d * (0.5 * coupled + rocking) + m_ab / 6.0 * (omega_r * (1.0 - omega_r)) * (
         rax * rby + vax * rbx  # cross(a, b)
     )
@@ -187,8 +140,7 @@ def _dyn_terms(
     # moves at v_A / 2 and the coupler's at (v_A + v_B) / 2; the rocker's
     # first moment turns by (rbx, rby) / l_bc into the world frame
     gx, gy = cfg.gravity
-    sx, sy = mm.rocker.first_moment
-    on_a = -0.5 * (mm.crank.mass + m_ab)
+    on_a = -0.5 * (m_oa + m_ab)
     kx = -0.5 * m_ab * gy - (gy * sx - gx * sy) / design.l_bc
     ky = 0.5 * m_ab * gx + (gx * sx + gy * sy) / design.l_bc
     g_tau = on_a * gx * vax + on_a * gy * rax + omega_r * (kx * rbx + ky * rby)
@@ -198,9 +150,7 @@ def _dyn_terms(
     fx, fy = cfg.tip_force
     q_ext = 0.0
     if fx != 0.0 or fy != 0.0:
-        reach = cfg.effector_tip_length / design.l_bc
-        co = math.cos(cfg.effector_offset)
-        so = math.sin(cfg.effector_offset)
+        reach = lt / design.l_bc
         q_ext = omega_r * (reach * (fy * co - fx * so) * rbx - reach * (fx * co + fy * so) * rby)
 
     return i_eq, i_half_d, g_tau, q_ext, singular

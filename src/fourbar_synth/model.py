@@ -384,7 +384,10 @@ _Reader = Callable[[Any, str, bool], Any]
 def _number(raw: Any, name: str, degrees: bool = False) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{name}: expected a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError as exc:
+        raise ParseError(f"{name}: integer too large for a float") from exc
 
 
 def _integer(raw: Any, name: str, degrees: bool) -> int:
@@ -526,15 +529,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def load_config(path: str, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
     """Load and validate a JSON config file.
 
-    Raises ParseError for malformed JSON, a key given twice in one object, or
-    a malformed, missing or unknown key, ValidationError (naming the field)
-    for value-level violations.
+    Raises ParseError for a file that is not UTF-8, malformed JSON, a key
+    given twice in one object, or a malformed, missing or unknown key,
+    ValidationError (naming the field) for value-level violations.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path!r} is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
     return load_config_dict(data, degrees=degrees)

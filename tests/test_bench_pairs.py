@@ -1,4 +1,4 @@
-"""The claim rule of ``tools/bench_pairs.py`` on fixed runs."""
+"""The claim and no-regression rules of ``tools/bench_pairs.py`` on fixed runs."""
 import runpy
 
 import pytest
@@ -6,7 +6,13 @@ import pytest
 from conftest import REPO_ROOT
 
 TOOL = runpy.run_path(str(REPO_ROOT / "tools" / "bench_pairs.py"))
-verdict, quartiles = TOOL["verdict"], TOOL["quartiles"]
+quartiles = TOOL["quartiles"]
+BOUND = 0.25  # BENCHMARK.json's bound on each end-to-end metric
+
+
+def verdict(parent, change, better, bound=BOUND):
+    return TOOL["verdict"](parent, change, better, bound)
+
 
 # ten parent runs with quartiles 0.22225 and 0.22775 (IQR 0.0055) and median 0.225
 PARENT = [0.22, 0.221, 0.222, 0.223, 0.224, 0.226, 0.227, 0.228, 0.229, 0.23]
@@ -49,9 +55,49 @@ def test_fewer_than_ten_pairs_never_gain():
 def test_the_table_has_one_line_per_workload_and_metric():
     runs = {("grid-sweep", "parent"): [{"call_p50_ms": p, "eval_per_s": 1.0 / p} for p in PARENT],
             ("grid-sweep", "change"): [{"call_p50_ms": p - 0.02, "eval_per_s": 1.0 / (p - 0.02)} for p in PARENT]}
-    metrics = [{"name": "call_p50_ms", "better": "lower"}, {"name": "eval_per_s", "better": "higher"}]
+    metrics = [{"name": "call_p50_ms", "better": "lower", "bound": BOUND},
+               {"name": "eval_per_s", "better": "higher", "bound": BOUND}]
     header, *rows = TOOL["table"](runs, ["grid-sweep"], metrics)
     assert header.split()[:2] == ["workload", "metric"]
     assert rows[0].split() == ["grid-sweep", "call_p50_ms", "0.225", "[0.22225,", "0.22775]",
                                "0.205", "[0.20225,", "0.20775]", "10/10", "gain"]
     assert rows[1].split()[1] == "eval_per_s" and rows[1].split()[-2:] == ["10/10", "gain"]
+
+
+def test_a_median_worse_by_more_than_the_bound_reads_worse():
+    # the bound is a fraction of the parent's median: 0.25 of 0.225 here
+    assert verdict(PARENT, [p * 1.2 for p in PARENT], "lower")["verdict"] == "no gain"
+    assert verdict(PARENT, [p * 1.3 for p in PARENT], "lower")["verdict"] == "worse"
+    assert verdict(PARENT, [p * 0.7 for p in PARENT], "higher")["verdict"] == "worse"
+    assert verdict(PARENT, [p * 0.7 for p in PARENT], "lower")["verdict"] == "gain"
+    runs = {("grid-sweep", "parent"): [{"call_p50_ms": p} for p in PARENT],
+            ("grid-sweep", "change"): [{"call_p50_ms": p * 1.3} for p in PARENT]}
+    _, row = TOOL["table"](runs, ["grid-sweep"], [{"name": "call_p50_ms", "better": "lower", "bound": BOUND}])
+    assert row.split()[-2:] == ["0/10", "worse"]
+
+
+# ten parent runs with median 5.5 and IQR 4.5, over 0.25 of the median
+WIDE = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    assert verdict(WIDE, WIDE[::-1], "lower")["verdict"] == "unresolved"
+    assert verdict(PARENT, PARENT[::-1], "lower")["verdict"] == "no gain"
+    # unless every change run beats every parent run (nine pairs never gain)
+    assert verdict(WIDE[:9], [0.9] * 9, "lower")["verdict"] == "no gain"
+    assert verdict(WIDE[:9], [1.0] + [0.9] * 8, "lower")["verdict"] == "unresolved"
+    # a median worse by more than the bound still reads worse
+    assert verdict(WIDE, [w + 3.0 for w in WIDE], "lower")["verdict"] == "worse"
+
+
+def test_seed_ranges_run_from_lo_to_hi():
+    assert TOOL["seed_list"]("90101-90110") == list(range(90101, 90111))
+    assert TOOL["seed_list"]("7") == [7]
+
+
+@pytest.mark.parametrize("seeds", ["90110-90101", "a-b", "5-", ""])
+def test_an_empty_reversed_or_non_numeric_seed_range_is_a_usage_error(seeds, capsys):
+    with pytest.raises(SystemExit) as stop:
+        TOOL["main"](["--parent", "HEAD", "--change", "HEAD", "--seeds", seeds])
+    assert stop.value.code == 2
+    assert "--seeds" in capsys.readouterr().err

@@ -57,6 +57,17 @@ def test_malformed_config_is_a_validation_failure(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "payload", [b"9" * 400, b"9" * 5000, "0.5é".encode("latin-1")], ids=["400-digit", "5000-digit", "not-utf8"]
+)
+def test_unreadable_number_or_encoding_is_a_validation_failure(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(CANON_CONFIG.read_bytes().replace(b'"payload_mass": 0.5', b'"payload_mass": ' + payload))
+    code, _, err = run_cli(capsys, "validate", "--config", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_infeasible_baseline_fails_validation(capsys, tmp_path):
     data = json.loads(CANON_CONFIG.read_text())
     data["mechanism"]["baseline"] = {"l_oa": 0.02, "l_ab": 0.05, "l_bc": 0.15}

@@ -7,10 +7,9 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from fourbar_synth.dynamics import mass_model, posture_terms, torque_profile
+from fourbar_synth.dynamics import posture_terms, torque_profile
 from fourbar_synth.kinematics import (
     Posture,
-    _Lengths,
     kinematic_transform,
     solve_fk,
     solve_ik,
@@ -29,9 +28,7 @@ from fourbar_synth.oracle import mechanical_energy
 from conftest import (
     crank_pivot_pass,
     fake_stroke,
-    make_canon_cfg,
     make_canon_task,
-    mass_variants,
     mechanisms,
     rocker_tip_meets_crank_pivot,
 )
@@ -72,104 +69,10 @@ def postures(stroke, branch="plus"):
     ]
 
 
-def test_rod_links(canon_cfg):
-    # a rod about its inner joint: (rho L, rho L^2/2 along the bar, rho L^3/3)
-    mm = mass_model(canon_cfg.baseline, canon_cfg)
-    assert mm.crank.mass == pytest.approx(0.2, abs=1e-15)
-    assert mm.crank.first_moment == pytest.approx((0.2 * 0.05, 0.0), abs=1e-15)
-    assert mm.crank.inertia == pytest.approx(0.2 * 0.10**2 / 3.0, abs=1e-18)
-    assert mm.coupler.mass == pytest.approx(0.5, abs=1e-15)
-    assert mm.coupler.first_moment == pytest.approx((0.5 * 0.125, 0.0), abs=1e-15)
-    assert mm.coupler.inertia == pytest.approx(0.5 * 0.25**2 / 3.0, abs=1e-18)
-
-
-def test_rocker_composite(canon_cfg):
-    # bar + effector beam + point payload, each about C, along the bar
-    parts = [
-        (0.3, 0.3 * 0.075, 0.3 * 0.15**2 / 3.0),
-        (0.5, 0.5 * 0.125, 0.5 * 0.25**2 / 3.0),
-        (0.5, 0.5 * 0.25, 0.5 * 0.25**2),
-    ]
-    mm = mass_model(canon_cfg.baseline, canon_cfg)
-    assert mm.rocker.mass == pytest.approx(sum(m for m, _, _ in parts), abs=1e-15)
-    assert mm.rocker.first_moment == pytest.approx((sum(s for _, s, _ in parts), 0.0), abs=1e-15)
-    assert mm.rocker.inertia == pytest.approx(sum(i for _, _, i in parts), abs=1e-15)
-    assert mm.rocker.mass == pytest.approx(1.3, abs=1e-12)
-    assert mm.rocker.first_moment[0] == pytest.approx(0.21, abs=1e-15)
-    # by the parallel axis theorem, the central inertia of the composite
-    central = mm.rocker.inertia - mm.rocker.first_moment[0] ** 2 / mm.rocker.mass
-    assert central == pytest.approx(0.009993589743589743, abs=1e-15)
-
-
-def test_rocker_composite_offset_beam(canon_cfg):
-    # a perpendicular effector beam turns its and the payload's first moments
-    # off the bar axis; the inertia about C stays
-    cfg = dataclasses.replace(canon_cfg, effector_offset=math.pi / 2)
-    mm = mass_model(cfg.baseline, cfg)
-    assert mm.rocker.mass == pytest.approx(1.3, abs=1e-15)
-    assert mm.rocker.first_moment[0] == pytest.approx(0.3 * 0.075, abs=1e-15)
-    assert mm.rocker.first_moment[1] == pytest.approx(0.5 * 0.125 + 0.5 * 0.25, abs=1e-15)
-    assert mm.rocker.inertia == mass_model(canon_cfg.baseline, canon_cfg).rocker.inertia
-
-
-def rod_reference(density, length):
-    """(mass, first moment, inertia) of a rod about one end, along its axis."""
-    mass = density * length
-    return mass, 0.5 * mass * length, mass * length * length / 3.0
-
-
-def mass_reference(cfg):
-    """Design -> (mass, moment_x, moment_y, inertia) of crank, coupler and rocker, in Python floats.
-
-    The rocker as a list of parts about C, summed one part at a time.
-    """
-    rho_oa, rho_ab, rho_bc = cfg.link_density
-    lt, off = cfg.effector_tip_length, cfg.effector_offset
-    cx, sx = math.cos(off), math.sin(off)
-    m_beam, s_beam, i_beam = rod_reference(rho_bc, lt)
-    m_tip = cfg.payload_mass
-    attached = [(m_beam, s_beam * cx, s_beam * sx, i_beam), (m_tip, m_tip * lt * cx, m_tip * lt * sx, m_tip * lt * lt)]
-
-    def link(mass, moment, inertia):
-        return mass, moment, 0.0, inertia
-
-    def reference(l_oa, l_ab, l_bc):
-        parts = [link(*rod_reference(rho_bc, l_bc)), *attached]
-        rocker = [sum(part[q] for part in parts) for q in range(4)]
-        return (*link(*rod_reference(rho_oa, l_oa)), *link(*rod_reference(rho_ab, l_ab)), *rocker)
-
-    return reference
-
-
-def mass_fields(mm):
-    return [v for link in (mm.crank, mm.coupler, mm.rocker) for v in (link.mass, *link.first_moment, link.inertia)]
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [make_canon_cfg(), *mass_variants(make_canon_cfg())],
-    ids=["canon", "no-beam", "beam-across", "massless-rocker", "massless"],
-)
-def test_mass_model_is_elementwise(cfg):
-    # 200,000 designs at once equal the plain-float composite and each
-    # design's own call, field by field
-    rng = np.random.default_rng(7)
-    lengths = _Lengths(*(0.02 + 0.58 * rng.random((3, 200_000))))
-    batch = [np.broadcast_to(field, lengths.l_oa.shape) for field in mass_fields(mass_model(lengths, cfg))]
-    reference = mass_reference(cfg)
-    rows = np.transpose(lengths).tolist()
-    want = np.array([reference(*row) for row in rows]).T
-    assert all(np.array_equal(got, field) for got, field in zip(batch, want))
-    for j in range(0, len(rows), 97):
-        assert mass_fields(mass_model(DesignParams(*rows[j]), cfg)) == [field[j] for field in batch]
-
-
 def test_massless_links_give_zero_torque(canon_cfg):
     cfg = dataclasses.replace(
         canon_cfg, link_density=(0.0, 0.0, 0.0), payload_mass=0.0
     )
-    mm = mass_model(cfg.baseline, cfg)
-    assert mm.crank.mass == 0.0 and mm.coupler.mass == 0.0 and mm.rocker.mass == 0.0
     p = solve_ik(cfg.baseline, cfg, math.radians(110.0), "plus")
     assert motor_torque(cfg.baseline, cfg, p, 3.0, -7.0) == 0.0
     assert posture_terms(cfg.baseline, cfg, p)[0] == 0.0
@@ -255,15 +158,19 @@ def assembles(design, cfg, theta, elbow):
     mechanism=mechanisms(),
     force=st.tuples(*[st.floats(-3.0, 3.0)] * 2),
     heading=st.floats(-math.pi, math.pi),
+    densities=st.tuples(*[st.floats(0.0, 5.0)] * 3),
+    payload=st.floats(0.0, 1.0),
+    tip_length=st.floats(0.0, 0.4),
     theta=st.floats(-math.pi, math.pi),
     fold_gap=st.one_of(st.none(), st.floats(-7.0, -2.0)),
     elbow=st.sampled_from(["plus", "minus"]),
 )
 def test_posture_terms_are_the_energys_difference_quotients_on_random_mechanisms(
-    mechanism, force, heading, theta, fold_gap, elbow
+    mechanism, force, heading, densities, payload, tip_length, theta, fold_gap, elbow
 ):
-    # at solve_fk postures, under a drawn tip force and gravity direction,
-    # against the oracle's energy, which sums each part from the velocity
+    # at solve_fk postures, under drawn link densities, payload, effector
+    # tip length, tip force and gravity direction, against the oracle's
+    # energy, which derives each part's mass and sums it from the velocity
     # closure and the joints:
     #   I_eq = 2 (E(theta_dot = 1) - E(0)),
     #   I_eq' = the central difference of I_eq over theta,
@@ -275,11 +182,14 @@ def test_posture_terms_are_the_energys_difference_quotients_on_random_mechanisms
     # Relative to I_eq + |E(0)|, |I_eq'| + I_eq / d and |G| + |Q_ext| +
     # |E(0)| / d (d at most 1), the errors times sin(beta) = |cross(B - C,
     # B - A)| / (l_bc l_ab), beta the transmission angle, were at most
-    # 2.9e-16, 9.4e-10 and 2.4e-11 in 3,000 draws: solve_fk and the closure
+    # 4.0e-16, 8.9e-10 and 1.9e-11 in 3,000 draws: solve_fk and the closure
     # lose about 1 / sin(beta) of their digits as a fold nears.  The bounds
     # are 1e-15, 1e-8 and 1e-10 over sin(beta)
     gravity = (9.81 * math.cos(heading), 9.81 * math.sin(heading))
-    cfg = dataclasses.replace(mechanism[0], tip_force=force, gravity=gravity)
+    cfg = dataclasses.replace(
+        mechanism[0], tip_force=force, gravity=gravity, link_density=densities, payload_mass=payload,
+        effector_tip_length=tip_length,
+    )
     design = cfg.baseline
     folds = list(fold_angles(design, cfg))
 
@@ -449,7 +359,10 @@ def test_motor_work_equals_energy_change_on_random_mechanisms(mechanism, heading
     # cancels and its error falls as h^4: under 1.1e-11 of the scale (the
     # absolute work plus both energies) over 10,000 draws at 2,001 samples,
     # 16x less at 4,001.  A term missing from the torque or the energy moves
-    # the balance by its share of the work, far above the 1e-9 bound
+    # the balance by its share of the work, far above the 1e-9 bound.  The
+    # kinetic energy is 0 at both ends, so an inertia error that I_eq and
+    # I_eq' share cancels from the balance; the difference quotients of the
+    # energy above check the inertias
     cfg, task = mechanism
     gravity = (9.81 * math.cos(heading), 9.81 * math.sin(heading))
     cfg = dataclasses.replace(

@@ -318,6 +318,40 @@ def test_load_config_malformed_json_is_parse_error(tmp_path):
         load_config(str(p))
 
 
+def canon_with_payload(tmp_path, digits: str) -> str:
+    """The canon config file with ``payload_mass`` written as ``digits``."""
+    text = CANON_CONFIG.read_text(encoding="utf-8")
+    head, tail = re.match(r'(?s)(.*?"payload_mass":)\s*[0-9.eE+-]+(.*)', text).groups()
+    p = tmp_path / "payload.json"
+    p.write_text(f"{head} {digits}{tail}", encoding="utf-8")
+    return str(p)
+
+
+def test_load_config_rejects_an_integer_too_large_for_a_float(tmp_path):
+    with pytest.raises(ParseError, match=r"mechanism\.payload_mass: integer too large"):
+        load_config(canon_with_payload(tmp_path, "9" * 400))
+    data = json.loads(CANON_CONFIG.read_text(encoding="utf-8"))
+    data["mechanism"]["pivot_c"] = [10**400, 0.0]
+    with pytest.raises(ParseError, match=r"mechanism\.pivot_c: integer too large"):
+        load_config_dict(data)
+
+
+def test_load_config_rejects_an_integer_past_the_digit_limit(tmp_path):
+    # json.load raises a bare ValueError for an integer of over 4,300 digits
+    path = canon_with_payload(tmp_path, "9" * 5000)
+    with pytest.raises(ParseError, match="invalid JSON in") as err:
+        load_config(path)
+    assert path in str(err.value)
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(CANON_CONFIG.read_text(encoding="utf-8").replace('"plus"', '"plusé"').encode("latin-1"))
+    with pytest.raises(ParseError, match="is not UTF-8") as err:
+        load_config(str(p))
+    assert str(p) in str(err.value)
+
+
 @pytest.mark.parametrize("key, value", [("t_move", "5.0"), ("l_oa", "0.2"), ("units", '"rad"')])
 def test_load_config_rejects_a_key_given_twice(tmp_path, key, value):
     # json keeps the last of two equal keys; the loader names the key instead.

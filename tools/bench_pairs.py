@@ -19,11 +19,15 @@ metric is compared, not only the one a gain is claimed on.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` it
 prints both sides' median and quartiles, how many pairs the change wins
-(ties count for neither), and the verdict of the choosing-metrics rule: a
-gain when there are at least ten pairs, the change wins at least nine
-tenths of them, and its median is better than the parent's by more than
-the parent's interquartile range.  A run that fails or reports a failed
-operation stops the script.
+(ties count for neither), and a verdict.  It reads ``gain`` by the
+choosing-metrics rule: there are at least ten pairs, the change wins at
+least nine tenths of them, and its median is better than the parent's by
+more than the parent's interquartile range.  Otherwise it reads ``worse``
+when the change's median is worse than the parent's by more than the
+metric's ``bound``, a fraction of the parent's median; ``unresolved`` when
+the parent's interquartile range exceeds that bound and not every change
+run beats every parent run; and ``no gain`` else.  A run that fails or
+reports a failed operation stops the script.
 """
 
 from __future__ import annotations
@@ -49,19 +53,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(parent: list[float], change: list[float], better: str) -> dict:
-    """The claim rule on one metric's runs, pair k being (parent[k], change[k])."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The claim and no-regression rules on one metric's runs, pair k being (parent[k], change[k]).
+
+    ``bound`` is the metric's ``BENCHMARK.json`` bound, a fraction of the
+    parent's median; the module docstring gives the verdict's readings.
+    """
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change, strict=True))
     p_q1, p_median, p_q3 = quartiles(parent)
     c_q1, c_median, c_q3 = quartiles(change)
     gain = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and sign * (p_median - c_median) > p_q3 - p_q1
+    allowed = bound * abs(p_median)
+    if gain:
+        reading = "gain"
+    elif sign * (c_median - p_median) > allowed:
+        reading = "worse"
+    elif p_q3 - p_q1 > allowed and max(sign * c for c in change) >= min(sign * p for p in parent):
+        reading = "unresolved"
+    else:
+        reading = "no gain"
     return {
         "parent": (p_q1, p_median, p_q3),
         "change": (c_q1, c_median, c_q3),
         "wins": wins,
         "pairs": len(parent),
         "gain": gain,
+        "verdict": reading,
     }
 
 
@@ -75,16 +93,20 @@ def table(runs: dict, workloads: list[str], metrics: list[dict]) -> list[str]:
     for workload in workloads:
         for metric in metrics:
             name = metric["name"]
-            row = verdict(*([r[name] for r in runs[workload, side]] for side in ("parent", "change")), metric["better"])
+            row = verdict(*([r[name] for r in runs[workload, side]] for side in ("parent", "change")),
+                          metric["better"], metric["bound"])
             sides = " ".join(f"{f'{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]':34s}" for q in (row["parent"], row["change"]))
-            lines.append(f"{workload:16s} {name:12s} {sides} {row['wins']:2d}/{row['pairs']:<2d}  "
-                         f"{'gain' if row['gain'] else 'no gain'}")
+            lines.append(f"{workload:16s} {name:12s} {sides} {row['wins']:2d}/{row['pairs']:<2d}  {row['verdict']}")
     return lines
 
 
 def seed_list(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """The seeds LO-HI, or the one seed N; an argparse usage error when none."""
+    lo, dash, hi = text.partition("-")
+    seeds = list(range(int(lo), int(hi if dash else lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} is an empty range: LO exceeds HI")
+    return seeds
 
 
 def archive(rev: str, into: Path) -> Path:

@@ -87,8 +87,12 @@ def run_tree(src: str, jobs: list[dict]) -> list[float | None]:
 
 
 def seed_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    """The seeds LO-HI, or the one seed N; an argparse usage error when none."""
+    lo, dash, hi = text.partition("-")
+    seeds = list(range(int(lo), int(hi if dash else lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} is an empty range: LO exceeds HI")
+    return seeds
 
 
 def percent(regret: float) -> str:
