@@ -33,6 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, repeat
 from typing import Iterable, Literal
 
 import numpy as np
@@ -435,18 +436,24 @@ def _crank_reversal(theta: np.ndarray, rates: np.ndarray) -> DynamicConstraintRe
     return DynamicConstraintResult(float(values.max() - values.min()), reference_sign)
 
 
-def _walk_and_cost(blocks: Iterable, gaps: list, cfg: MechanismConfig, task: MotionTask):
-    """(bundle, t_rms or None) of each design past the static gate, block by block.
+def _walk_and_cost(blocks: Iterable, gap_i: Iterable, gap_e: Iterable, cfg: MechanismConfig,
+                   task: MotionTask):
+    """The bundles and the t_rms (or None) of the designs past the static gate, as two lists.
 
-    A block is one design or a ``_Lengths``; ``gaps`` holds the gap pairs in
-    block order.  Only a reversing crank's angle is taken, and exactly the
-    feasible designs are costed, none with a singular sample, on their
-    columns of the walk's rates and joint geometry.  Raises ValueError, as
-    ``torque_profile`` does, for joints off the coupler.
+    A block is one design or a ``_Lengths``.  ``gap_i`` and ``gap_e`` hold
+    the gaps at the two poses in block order and are consumed in that
+    order, each block taking as many as it has designs; a block's bundles
+    are mapped over those gaps and its ``c_dyn`` column.  Only a reversing
+    crank's angle is taken, and exactly the feasible designs are costed,
+    none with a singular sample, on their columns of the walk's rates and
+    joint geometry.  Raises ValueError, as ``torque_profile`` does, for
+    joints off the coupler.
     """
     columns = _walk_columns(cfg, task)
     steps = _task_steps(task)
-    scored: list[tuple[ConstraintBundle, float | None]] = []
+    gap_i, gap_e = iter(gap_i), iter(gap_e)
+    bundles: list[ConstraintBundle] = []
+    objective: list[float | None] = []
     # one loop keeps a block's arrays alive until the next block's replace them: freed
     # at each return, the heap was trimmed and regrown, and a 13^3 sweep took 10% longer
     for design in blocks:
@@ -457,19 +464,21 @@ def _walk_and_cost(blocks: Iterable, gaps: list, cfg: MechanismConfig, task: Mot
         c_dyn = [0.0 if ok else None for ok in solved.tolist()]
         for j in np.flatnonzero(solved & ~_keeps_sign(theta_dot)).tolist():
             c_dyn[j] = _crank_reversal(_crank_angle(rax[:, j], ray[:, j]), theta_dot[:, j]).value
-        bundles = [ConstraintBundle(*gap, c) for gap, c in zip(gaps[len(scored) :], c_dyn)]
-        objective: list[float | None] = [None] * len(bundles)
-        costed = [j for j, bundle in enumerate(bundles) if bundle.feasible]
+        size = len(c_dyn)
+        block = list(map(ConstraintBundle, islice(gap_i, size), islice(gap_e, size), c_dyn))
+        t_rms: list[float | None] = [None] * size
+        costed = [j for j, bundle in enumerate(block) if bundle.feasible]
         if costed:
             rates = theta_dot, theta_ddot
-            if len(costed) < len(bundles):  # only a block of several has uncosted columns
+            if len(costed) < size:  # only a block of several has uncosted columns
                 design = _Lengths(*(length[costed] for length in design))
                 rates, geometry = ([c[:, costed] for c in cs] for cs in (rates, geometry))
-            _, t_rms, singular = _cycle_torque(design, cfg, task, steps, geometry, *rates)
-            for j, value, uncosted in zip(costed, t_rms.tolist(), singular.any(axis=0).tolist()):
-                objective[j] = None if uncosted else value
-        scored.extend(zip(bundles, objective))
-    return scored
+            _, values, singular = _cycle_torque(design, cfg, task, steps, geometry, *rates)
+            for j, value, uncosted in zip(costed, values.tolist(), singular.any(axis=0).tolist()):
+                t_rms[j] = None if uncosted else value
+        bundles += block
+        objective += t_rms
+    return bundles, objective
 
 
 def evaluate_design(
@@ -486,10 +495,12 @@ def evaluate_design(
     ``static_gaps`` on one row; the body after it is the one
     ``evaluate_designs`` runs.
     """
-    gaps = (static_gap(design, cfg, task, "i").value, static_gap(design, cfg, task, "e").value)
-    if gaps[0] <= 0.0 and gaps[1] <= 0.0:
-        return EvaluationRecord(design, *_walk_and_cost([design], [gaps], cfg, task)[0])
-    return EvaluationRecord(design, ConstraintBundle(*gaps, None))
+    gap_i = static_gap(design, cfg, task, "i").value
+    gap_e = static_gap(design, cfg, task, "e").value
+    if gap_i <= 0.0 and gap_e <= 0.0:
+        (bundle,), (t_rms,) = _walk_and_cost([design], [gap_i], [gap_e], cfg, task)
+        return EvaluationRecord(design, bundle, t_rms)
+    return EvaluationRecord(design, ConstraintBundle(gap_i, gap_e, None))
 
 
 def evaluate_designs(
@@ -500,21 +511,33 @@ def evaluate_designs(
     One record per row, in row order, each ``==`` the one ``evaluate_design``
     returns.  Only the gate differs: one ``static_gaps`` pass, about 50 us
     plus 0.4 us a row, gates all rows, and the rows that pass go through
-    the same body in blocks of about 8,192 samples.
+    the same body in blocks of about 8,192 samples.  The records are built
+    column-wise, each class mapped over its column lists: every row's
+    design, one bundle for each rejected row, and the walked rows' bundles
+    and t_rms written into their rows by index.
 
     Raises ValidationError for a row that is not a valid design, and
     ValueError for an array of another shape or, as ``torque_profile``
     does, when walked joints do not close the coupler.
     """
     designs = _design_rows(designs)
-    params = [DesignParams(*row) for row in designs.tolist()]
-    gaps = list(zip(*static_gaps(designs, cfg, task).tolist()))
-    walked = [r for r, (gap_i, gap_e) in enumerate(gaps) if gap_i <= 0.0 and gap_e <= 0.0]
+    params = list(map(DesignParams, *designs.T.tolist()))
+    gaps = static_gaps(designs, cfg, task)
+    gate = (gaps <= 0.0).all(axis=0)
+    walked = np.flatnonzero(gate)
     step = max(1, _BLOCK_SAMPLES // task.n_samples)
     blocks = (_Lengths(*designs[walked[k : k + step]].T) for k in range(0, len(walked), step))
-    scored = dict(zip(walked, _walk_and_cost(blocks, [gaps[r] for r in walked], cfg, task)))
-    return [EvaluationRecord(design, *(scored.get(r) or (ConstraintBundle(*gaps[r], None), None)))
-            for r, design in enumerate(params)]
+    bundles: list[ConstraintBundle | None] = [None] * len(params)
+    objective: list[float | None] = [None] * len(params)
+    scored = _walk_and_cost(blocks, *gaps[:, walked].tolist(), cfg, task)
+    for r, bundle, t_rms in zip(walked.tolist(), *scored):
+        bundles[r] = bundle
+        objective[r] = t_rms
+    rejected = np.flatnonzero(~gate)
+    unwalked = map(ConstraintBundle, *gaps[:, rejected].tolist(), repeat(None))
+    for r, bundle in zip(rejected.tolist(), unwalked):
+        bundles[r] = bundle
+    return list(map(EvaluationRecord, params, bundles, objective))
 
 
 def __getattr__(name: str):

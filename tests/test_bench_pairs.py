@@ -1,4 +1,4 @@
-"""The claim and no-regression rules of ``tools/bench_pairs.py`` on fixed runs."""
+"""The claim and no-regression rules of ``tools/bench_pairs.py`` on fixed runs, and what a run reports."""
 import runpy
 
 import pytest
@@ -101,3 +101,15 @@ def test_an_empty_reversed_or_non_numeric_seed_range_is_a_usage_error(seeds, cap
         TOOL["main"](["--parent", "HEAD", "--change", "HEAD", "--seeds", seeds])
     assert stop.value.code == 2
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_a_run_gives_its_values_and_the_line_naming_its_tail_percentile(tmp_path):
+    # call_tail_ms is p90 or p99 by the run's call count, so each run's line carries run.py's count
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        'print("# calls: 957, call_tail_ms is p90; setup runs: 5")\n'
+        'print(\'{"failed": 0, "metrics": {"call_p50_ms": {"value": 25.5, "unit": "ms"}}}\')\n'
+    )
+    values, calls = TOOL["run_once"](tmp_path, "grid-sweep", 1, 30)
+    assert values == {"call_p50_ms": 25.5}
+    assert calls == "calls: 957, call_tail_ms is p90; setup runs: 5"

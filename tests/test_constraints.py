@@ -619,6 +619,20 @@ def test_evaluate_designs_equals_evaluate_design_on_random_mechanisms(mechanism,
         event(outcome(record))
 
 
+def test_evaluate_designs_equals_evaluate_design_across_blocks():
+    # a grid of the canon box walks several blocks with rejected rows between
+    # them, so a block that took another block's gaps shows here
+    axes = [np.linspace(lo, hi, 11) for lo, hi in CANON_BOX]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    designs = np.insert(grid, [400, 800], [REVERSAL, SINGULAR], axis=0)
+    walked = np.flatnonzero((static_gaps(designs, CANON, TASK) <= 0.0).all(axis=0))
+    block = constraints._BLOCK_SAMPLES // TASK.n_samples
+    assert len(walked) >= 3 * block and walked[-1] - walked[0] >= len(walked)
+    want = [evaluate_design(DesignParams(*design), CANON, TASK) for design in designs.tolist()]
+    assert evaluate_designs(designs, CANON, TASK) == want
+    assert {"static reject", "motion defect", "singular", "costed"} <= {outcome(record) for record in want}
+
+
 def test_evaluate_designs_takes_an_m_by_3_array(canon_cfg, canon_task):
     assert evaluate_designs(np.zeros((0, 3)), canon_cfg, canon_task) == []
     for shape in ((3,), (1, 4), (2, 6), (1, 3, 1)):

@@ -15,7 +15,9 @@ for the next: each run compiles the package as a cold benchmark run does.
 Pair k runs seed k of ``--seeds`` on both sides, every workload of
 ``BENCHMARK.json`` in turn for its ``run_seconds``, the parent first in
 even pairs and the change first in odd ones, so that every workload and
-metric is compared, not only the one a gain is claimed on.
+metric is compared, not only the one a gain is claimed on.  Each run's line
+gives its metric values and ``run.py``'s call count, with the percentile
+its ``call_tail_ms`` reports, which moves with the count.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json`` it
 prints both sides' median and quartiles, how many pairs the change wins
@@ -119,8 +121,9 @@ def archive(rev: str, into: Path) -> Path:
     return into
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run in ``tree``: its end-to-end metric values."""
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, str]:
+    """One untraced perfbench run in ``tree``: its end-to-end metric values, and the
+    line of ``run.py``'s output that gives its call count and ``call_tail_ms``'s percentile."""
     stale = list(tree.rglob("__pycache__"))
     if stale:
         raise RuntimeError(f"{stale[0]} exists before a cold run")
@@ -130,10 +133,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, env=env, capture_output=True, text=True, check=True,
     )
-    result = json.loads(done.stdout.splitlines()[-1])
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
     if result["failed"]:
         raise RuntimeError(f"{workload} seed {seed} in {tree}: {result['failed']} failed operations")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    calls = next((line[2:] for line in lines if line.startswith("# calls:")), "calls: not reported")
+    return {name: entry["value"] for name, entry in result["metrics"].items()}, calls
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,10 +157,10 @@ def main(argv: list[str] | None = None) -> int:
         for k, seed in enumerate(args.seeds):
             for workload in workloads:
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    values = run_once(trees[side], workload, seed, bench["run_seconds"])
+                    values, calls = run_once(trees[side], workload, seed, bench["run_seconds"])
                     runs[workload, side].append(values)
                     shown = " ".join(f"{name}={value:.6g}" for name, value in values.items())
-                    print(f"# pair {k} seed {seed} {workload} {side}: {shown}", flush=True)
+                    print(f"# pair {k} seed {seed} {workload} {side}: {shown} ({calls})", flush=True)
     finally:
         shutil.rmtree(work)
 
