@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "dynamics": ("TorqueProfile", "posture_terms", "torque_profile"),
     "constraints": (
-        "Pose", "StaticGapResult", "DynamicConstraintResult", "baseline_posture", "static_gap",
-        "static_gaps", "assembles", "dynamic_constraint", "evaluate_design", "evaluate_designs",
+        "Pose", "StaticGapResult", "baseline_posture", "static_gap", "static_gaps", "assembles",
+        "dynamic_constraint", "evaluate_design", "evaluate_designs",
     ),
     "gp": ("GpModel", "KernelParams", "gp_fit", "gp_predict"),
     "optimizer": (

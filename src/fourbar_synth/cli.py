@@ -107,7 +107,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    cfg, task, _opt = load_config(args.config, degrees=args.degrees)
+    cfg, task, _opt = load_config(args.config)
     stroke = validate_baseline(cfg, task)
     print(json.dumps({"status": "ok", "baseline_samples": len(stroke)}))
     return 0
@@ -117,7 +117,7 @@ def _cmd_evaluate(args) -> int:
     # validate scores no design, so only the scoring commands load constraints and dynamics
     from .constraints import evaluate_design, static_gap
 
-    cfg, task, _opt = load_config(args.config, degrees=args.degrees)
+    cfg, task, _opt = load_config(args.config)
     design = args.design if args.design is not None else cfg.baseline
 
     if args.pose is not None:
@@ -149,7 +149,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_trace(args) -> int:
     from .dynamics import torque_profile
 
-    cfg, task, _opt = load_config(args.config, degrees=args.degrees)
+    cfg, task, _opt = load_config(args.config)
     design = args.design if args.design is not None else cfg.baseline
     stroke = kinematic_transform(design, cfg, task)
     profile = torque_profile(design, cfg, task, stroke)
@@ -175,7 +175,7 @@ def _cmd_grid(args) -> int:
     # only this command sweeps a grid, so only it loads the oracle module
     from .oracle import grid_sweep
 
-    cfg, task, opt_cfg = load_config(args.config, degrees=args.degrees)
+    cfg, task, opt_cfg = load_config(args.config)
     records = grid_sweep(cfg, task, opt_cfg.bounds, args.resolution)
     lines = [_EVAL_HEADER]
     lines.extend(_record_row(r) for r in records)
@@ -214,9 +214,7 @@ def _gp_dump(trace, opt_cfg) -> dict:
 
     return {
         "objective": model_dict(models.objective) if models.objective else None,
-        "constraints": {
-            name: model_dict(m) for name, m in zip(models.constraint_names, models.constraints)
-        },
+        "constraints": {name: model_dict(m) for name, m in models.constraints.items()},
         "f_best_log": models.f_best,
     }
 
@@ -225,7 +223,7 @@ def _cmd_optimize(args) -> int:
     # only this command fits GPs, so only it loads the optimizer and scipy
     from .optimizer import run_optimization
 
-    cfg, task, opt_cfg = load_config(args.config, degrees=args.degrees)
+    cfg, task, opt_cfg = load_config(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -257,11 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument(
-            "--degrees",
-            action="store_true",
-            help="interpret bare angle numbers in the config as degrees",
-        )
 
     p = sub.add_parser("validate", help="load a config and validate the baseline")
     add_common(p)

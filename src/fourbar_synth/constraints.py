@@ -39,7 +39,9 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .dynamics import _cycle_torque, _task_steps, torque_profile
-from .kinematics import Stroke, _crank_angle, _Lengths, _walk, _walk_columns, kinematic_transform, solve_ik
+from .kinematics import (
+    Stroke, _crank_angle, _Lengths, _rocker_direction, _walk, _walk_columns, kinematic_transform, solve_ik,
+)
 from .model import (
     BaselineInfeasible,
     ConstraintBundle,
@@ -54,7 +56,6 @@ from .model import (
 __all__ = [
     "Pose",
     "StaticGapResult",
-    "DynamicConstraintResult",
     "baseline_posture",
     "static_gap",
     "static_gaps",
@@ -94,18 +95,6 @@ class StaticGapResult:
     o_prime_init: tuple[float, float]
     o_prime_final: tuple[float, float]
     degenerate_start: bool
-
-
-@dataclass(frozen=True, slots=True)
-class DynamicConstraintResult:
-    """Crank-reversal range over the stroke.
-
-    ``reference_sign`` is the sign of the net crank displacement; violating
-    samples move against it.  value = 0 means defect-free motion.
-    """
-
-    value: float
-    reference_sign: int
 
 
 def _pose_delta(task: MotionTask, pose: Pose) -> float:
@@ -157,12 +146,11 @@ def _slide_frame(
     """The design-independent directions of the static-gap chain at a pose.
 
     Returns the unit ray C->B, the unit ray B->A' and the unit ray A'->O'
-    as (x, y) pairs flattened.  C->B takes numpy's cosine and sine, as the
-    walk's rocker tip does, so that every design's B is the walk's B.
+    as (x, y) pairs flattened.  C->B is the walk's ``_rocker_direction``,
+    so every design's B is the walk's B.
     """
     alpha0, beta0 = baseline_posture(cfg, task, pose)
-    ang = _pose_delta(task, pose) - cfg.effector_offset
-    ucbx, ucby = float(np.cos(ang)), float(np.sin(ang))
+    ucbx, ucby = map(float, _rocker_direction(cfg, _pose_delta(task, pose)))
 
     # chain: A' = B + l_ab * R(beta0) u(B->C); O' = A' + l_oa * R(alpha0) u(A'->B)
     ubcx, ubcy = -ucbx, -ucby
@@ -402,8 +390,8 @@ def assembles(designs: np.ndarray, cfg: MechanismConfig, task: MotionTask) -> np
     return passes[0] & passes[1]
 
 
-def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:
-    """Crank-angle range travelled against the net direction of the stroke.
+def dynamic_constraint(stroke: Stroke) -> float:
+    """Crank-angle range (rad) travelled against the net direction of the stroke.
 
     Zero when the crank rate keeps one sign over the whole stroke.
     Otherwise the violators are the samples whose rate opposes the sign of
@@ -414,6 +402,8 @@ def dynamic_constraint(stroke: Stroke) -> DynamicConstraintResult:
     """
     if len(stroke) == 0:
         raise EmptyTrajectory("dynamic_constraint needs at least one sample")
+    if _keeps_sign(stroke.theta_dot):
+        return 0.0
     return _crank_reversal(stroke.theta, stroke.theta_dot)
 
 
@@ -422,18 +412,14 @@ def _keeps_sign(rates: np.ndarray) -> np.ndarray:
     return (rates >= 0.0).all(axis=0) | (rates <= 0.0).all(axis=0)
 
 
-def _crank_reversal(theta: np.ndarray, rates: np.ndarray) -> DynamicConstraintResult:
-    """The rule of ``dynamic_constraint`` on a stroke's angle and rate columns."""
-    net = theta[-1] - theta[0]
-    reference_sign = 1 if net >= 0.0 else -1
-    if _keeps_sign(rates):
-        return DynamicConstraintResult(0.0, reference_sign)
-    against = rates < 0.0 if reference_sign > 0 else rates > 0.0
+def _crank_reversal(theta: np.ndarray, rates: np.ndarray) -> float:
+    """The value of ``dynamic_constraint`` for a stroke whose crank rates change sign."""
+    against = rates < 0.0 if theta[-1] - theta[0] >= 0.0 else rates > 0.0
     bad = against & (np.abs(rates) > _RATE_EPS)
     if not bad.any():
-        return DynamicConstraintResult(0.0, reference_sign)
+        return 0.0
     values = theta[bad]
-    return DynamicConstraintResult(float(values.max() - values.min()), reference_sign)
+    return float(values.max() - values.min())
 
 
 def _walk_and_cost(blocks: Iterable, gap_i: Iterable, gap_e: Iterable, cfg: MechanismConfig,
@@ -463,7 +449,7 @@ def _walk_and_cost(blocks: Iterable, gap_i: Iterable, gap_e: Iterable, cfg: Mech
         solved = ~failed.any(axis=0)
         c_dyn = [0.0 if ok else None for ok in solved.tolist()]
         for j in np.flatnonzero(solved & ~_keeps_sign(theta_dot)).tolist():
-            c_dyn[j] = _crank_reversal(_crank_angle(rax[:, j], ray[:, j]), theta_dot[:, j]).value
+            c_dyn[j] = _crank_reversal(_crank_angle(rax[:, j], ray[:, j]), theta_dot[:, j])
         size = len(c_dyn)
         block = list(map(ConstraintBundle, islice(gap_i, size), islice(gap_e, size), c_dyn))
         t_rms: list[float | None] = [None] * size

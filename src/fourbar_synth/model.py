@@ -374,14 +374,14 @@ class EvaluationRecord:
 # config ingestion
 #
 # One table per JSON object maps each key to the reader of its value,
-# (raw, "section.key", degrees) -> value, and the object is read through it,
+# (raw, "section.key") -> value, and the object is read through it,
 # rejecting keys it lacks.  Defaults live only on the dataclass fields and
 # range checks only in their __post_init__.
 
-_Reader = Callable[[Any, str, bool], Any]
+_Reader = Callable[[Any, str], Any]
 
 
-def _number(raw: Any, name: str, degrees: bool = False) -> float:
+def _number(raw: Any, name: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ParseError(f"{name}: expected a number, got {raw!r}")
     try:
@@ -390,44 +390,40 @@ def _number(raw: Any, name: str, degrees: bool = False) -> float:
         raise ParseError(f"{name}: integer too large for a float") from exc
 
 
-def _integer(raw: Any, name: str, degrees: bool) -> int:
+def _integer(raw: Any, name: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ParseError(f"{name}: expected an integer, got {raw!r}")
     return raw
 
 
-def _vector(raw: Any, name: str, degrees: bool) -> tuple[float, ...]:
+def _vector(raw: Any, name: str) -> tuple[float, ...]:
     """A list of numbers; the dataclass checks its length."""
     if not isinstance(raw, (list, tuple)):
         raise ParseError(f"{name}: expected a list of numbers, got {raw!r}")
     return tuple(_number(x, name) for x in raw)
 
 
-def _branch(raw: Any, name: str, degrees: bool) -> str:
+def _branch(raw: Any, name: str) -> str:
     if not isinstance(raw, str):
         raise ParseError(f"{name}: expected a string, got {raw!r}")
     return raw
 
 
-def _units(raw: Any, name: str, degrees: bool) -> str:
+def _units(raw: Any, name: str) -> str:
     if raw not in ("rad", "deg"):
         raise ParseError(f"{name}: must be 'rad' or 'deg', got {raw!r}")
     return raw
 
 
-def _angle(raw: Any, name: str, degrees: bool) -> float:
-    """A bare number (degrees if ``degrees``, else radians) or {"value": x, "units": "rad"|"deg"}."""
-    if isinstance(raw, dict):
-        angle = _read_keys(raw, name, _ANGLE_OBJECT, ("value",), degrees)
-        degrees = angle.get("units", "rad") == "deg"
-        raw = angle["value"]
-    value = _number(raw, name)
-    return math.radians(value) if degrees else value
+def _angle(raw: Any, name: str) -> float:
+    """A bare number in radians, or {"value": x, "units": "rad"|"deg"}."""
+    if not isinstance(raw, dict):
+        return _number(raw, name)
+    angle = _read_keys(raw, name, _ANGLE_OBJECT, ("value",))
+    return math.radians(angle["value"]) if angle.get("units") == "deg" else angle["value"]
 
 
-def _read_keys(
-    raw: Any, name: str, table: dict[str, _Reader], required: Iterable[str], degrees: bool
-) -> dict[str, Any]:
+def _read_keys(raw: Any, name: str, table: dict[str, _Reader], required: Iterable[str]) -> dict[str, Any]:
     """Read the keys present in one JSON object; each must be in ``table``."""
     if not isinstance(raw, dict):
         raise ParseError(f"{name}: expected an object, got {raw!r}")
@@ -435,21 +431,21 @@ def _read_keys(
     for key, value in raw.items():
         if key not in table:
             raise ParseError(f"{name}.{key}: unknown key")
-        values[key] = table[key](value, f"{name}.{key}", degrees)
+        values[key] = table[key](value, f"{name}.{key}")
     for key in required:
         if key not in values:
             raise ParseError(f"{name}.{key}: missing required key")
     return values
 
 
-def _read_object(cls: type, table: dict[str, _Reader], raw: Any, name: str, degrees: bool) -> Any:
+def _read_object(cls: type, table: dict[str, _Reader], raw: Any, name: str) -> Any:
     """Build ``cls`` from the keys present; an absent key takes the field default."""
     required = [f.name for f in fields(cls) if f.init and f.default is MISSING]
-    return cls(**_read_keys(raw, name, table, required, degrees))
+    return cls(**_read_keys(raw, name, table, required))
 
 
-def _read_bounds(raw: Any, name: str, degrees: bool) -> tuple[tuple[float, ...], ...]:
-    pairs = _read_keys(raw, name, _BOUNDS, _BOUNDS, degrees)
+def _read_bounds(raw: Any, name: str) -> tuple[tuple[float, ...], ...]:
+    pairs = _read_keys(raw, name, _BOUNDS, _BOUNDS)
     return tuple(pairs[key] for key in _BOUNDS)
 
 
@@ -491,7 +487,7 @@ _SECTIONS: dict[str, tuple[type, dict[str, _Reader]]] = {
 }
 
 
-def load_config_dict(data: dict, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
+def load_config_dict(data: dict) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
     """Build the three config objects from an already-parsed JSON dict.
 
     Raises ParseError naming ``section.key`` for a key the schema lacks, a
@@ -507,7 +503,7 @@ def load_config_dict(data: dict, degrees: bool = False) -> tuple[MechanismConfig
     for name, (cls, table) in _SECTIONS.items():
         if name not in data:
             raise ParseError(f"missing required section {name!r}")
-        objects.append(_read_object(cls, table, data[name], name, degrees))
+        objects.append(_read_object(cls, table, data[name], name))
     cfg, task, opt = objects
     # OptimizerConfig also serves signed analytic boxes; bar lengths must be positive.
     for name, (lo, _hi) in zip(_BOUNDS, opt.bounds):
@@ -526,7 +522,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return data
 
 
-def load_config(path: str, degrees: bool = False) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
+def load_config(path: str) -> tuple[MechanismConfig, MotionTask, OptimizerConfig]:
     """Load and validate a JSON config file.
 
     Raises ParseError for a file that is not UTF-8, malformed JSON, a key
@@ -542,4 +538,4 @@ def load_config(path: str, degrees: bool = False) -> tuple[MechanismConfig, Moti
         raise ParseError(f"config {path!r} is not UTF-8: {exc}") from exc
     except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
-    return load_config_dict(data, degrees=degrees)
+    return load_config_dict(data)

@@ -99,13 +99,13 @@ class BoStep:
 class SurrogateSet:
     """Models fitted to the trace so far; f_best in objective-GP units.
 
-    ``constraint_names`` parallels ``constraints``; a constraint with fewer
-    than two observations has no model and is absent from both.
+    ``constraints`` maps each modelled constraint's name to its model, in
+    the steps' key order; a constraint with fewer than two observations has
+    no model and no entry.
     """
 
     objective: GpModel | None
-    constraints: tuple[GpModel, ...]
-    constraint_names: tuple[str, ...]
+    constraints: dict[str, GpModel]
     f_best: float | None
 
 
@@ -242,7 +242,7 @@ def propose_next(
         vals = np.zeros(len(points))
         if passing.any():
             vals[passing] = constrained_ei(
-                points[passing], models.objective, models.constraints, models.f_best
+                points[passing], models.objective, models.constraints.values(), models.f_best
             )
         return vals, passing
 
@@ -341,8 +341,7 @@ def fit_surrogates(
     bounds = opt_cfg.bounds
     iteration = len(steps)
     restart = iteration % _RESTART_EVERY == 0
-    prev = previous if previous is not None else SurrogateSet(None, (), (), None)
-    prev_constraints = dict(zip(prev.constraint_names, prev.constraints))
+    prev = previous if previous is not None else SurrogateSet(None, {}, None)
 
     def model_seed(idx: int) -> int:
         return (opt_cfg.seed * 999_983 + iteration * 101 + idx) % (2**63)
@@ -365,16 +364,13 @@ def fit_surrogates(
         if feasible_objs:
             f_best = min(feasible_objs)
 
-    constraint_models = []
-    kept_names = []
+    constraint_models = {}
     for k, name in enumerate(steps[0].constraints.keys()):
         pts = [(s.x, s.constraints[name]) for s in steps if s.constraints[name] is not None]
         if len(pts) >= 2:
-            start = _warm_start(prev_constraints.get(name))
-            model = gp_fit(pts, bounds, seed=model_seed(k + 1), start=start, restart=restart)
-            constraint_models.append(model)
-            kept_names.append(name)
-    return SurrogateSet(objective_model, tuple(constraint_models), tuple(kept_names), f_best)
+            start = _warm_start(prev.constraints.get(name))
+            constraint_models[name] = gp_fit(pts, bounds, seed=model_seed(k + 1), start=start, restart=restart)
+    return SurrogateSet(objective_model, constraint_models, f_best)
 
 
 def bo_minimize(

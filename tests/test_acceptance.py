@@ -156,12 +156,12 @@ def test_criterion_05_dynamic_constraint_correctness(canon_cfg, canon_task):
     swept = brute_theta_sweep(canon_cfg.baseline, canon_cfg, canon_task, n=4001)
     thetas = [th for _, _, th in swept]
     assert all(b > a for a, b in zip(thetas, thetas[1:]))
-    assert dynamic_constraint(base_traj).value == 0.0
+    assert dynamic_constraint(base_traj) == 0.0
 
     # defective stroke: constraint equals the oracle reversal range to a step
     design = DesignParams(0.244710222, 0.133037882, 0.166103598)
     traj = kinematic_transform(design, canon_cfg, canon_task)
-    c_dyn = dynamic_constraint(traj).value
+    c_dyn = dynamic_constraint(traj)
     assert c_dyn > 0.0
     swept = brute_theta_sweep(design, canon_cfg, canon_task, n=4001)
     thetas = [th for _, _, th in swept]
@@ -179,7 +179,7 @@ def test_criterion_05_dynamic_constraint_correctness(canon_cfg, canon_task):
 
     # hand trace: two forward samples, two reversed, one recovering
     hand = fake_stroke([0.0, 0.20, 0.15, 0.05, 0.10], [1.0, 1.0, -1.0, -1.0, 1.0])
-    hand_value = dynamic_constraint(hand).value
+    hand_value = dynamic_constraint(hand)
     assert hand_value == 0.15 - 0.05
     assert hand_value == pytest.approx(0.10, abs=1e-15)
     print(

@@ -40,6 +40,19 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "nonsense")[0] == 64
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("validate", ()), ("evaluate", ()), ("trace", ("--out",)), ("grid", ("--out",)), ("optimize", ())],
+)
+def test_degrees_is_not_an_option(capsys, tmp_path, command, extra):
+    # bare angles are radians; a degree value is written {"value": x, "units": "deg"}
+    argv = [command, "--config", str(CANON_CONFIG), *(f"{flag}={tmp_path / 'out.csv'}" for flag in extra)]
+    code, _, err = run_cli(capsys, *argv, "--degrees")
+    assert code == 64
+    assert "unrecognized arguments: --degrees" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_missing_config_is_a_validation_failure(capsys):
     code, _, err = run_cli(capsys, "validate", "--config", "/no/such/file.json")
     assert code == 1

@@ -429,29 +429,33 @@ def test_assembles_equals_static_gaps(designs):
 
 def test_dynamic_constraint_hand_trace():
     rates = [1.0, 1.0, -1.0, -1.0, 1.0]
-    res = dynamic_constraint(fake_stroke([0.0, 0.20, 0.15, 0.05, 0.10], rates))
-    assert res.reference_sign == 1
-    assert res.value == 0.15 - 0.05
-    assert res.value == pytest.approx(0.10, abs=1e-15)
+    value = dynamic_constraint(fake_stroke([0.0, 0.20, 0.15, 0.05, 0.10], rates))
+    assert value == 0.15 - 0.05
+    assert value == pytest.approx(0.10, abs=1e-15)
     # the violators are samples 2 and 3 alone: the others' angles do not count
-    far = dynamic_constraint(fake_stroke([-5.0, 5.0, 0.15, 0.05, 9.0], rates))
-    assert far.value == 0.15 - 0.05
+    assert dynamic_constraint(fake_stroke([-5.0, 5.0, 0.15, 0.05, 9.0], rates)) == 0.15 - 0.05
+    # net travel still up, so the violators are now samples 2 to 4, against it
     flipped = dynamic_constraint(fake_stroke([-5.0, 5.0, 0.15, 0.05, 9.0], rates[:4] + [-1.0]))
-    assert flipped.value == 9.0 - 0.05
+    assert flipped == 9.0 - 0.05
+    # net travel down: the violators are the rising samples 1 and 2
+    falling = dynamic_constraint(fake_stroke([0.3, 0.32, 0.35, 0.1, 0.0], [-1.0, 1.0, 1.0, -1.0, -1.0]))
+    assert falling == 0.35 - 0.32
 
 
 def test_dynamic_constraint_clean_strokes():
     ups = fake_stroke([0.0, 0.1, 0.2], [0.0, 1.0, 0.0])
-    assert dynamic_constraint(ups).value == 0.0
+    assert dynamic_constraint(ups) == 0.0
     downs = fake_stroke([0.2, 0.1, 0.0], [0.0, -1.0, 0.0])
-    res = dynamic_constraint(downs)
-    assert res.value == 0.0
-    assert res.reference_sign == -1
+    assert dynamic_constraint(downs) == 0.0
+    # rates of one sign are defect-free even where the angles travel the other way:
+    # against the net travel every sample would be a violator, a range of 0.2
+    contrary = fake_stroke([0.2, 0.1, 0.0], [1.0, 1.0, 1.0])
+    assert dynamic_constraint(contrary) == 0.0
 
 
 def test_dynamic_constraint_ignores_numerical_rest():
     traj = fake_stroke([0.0, 0.1, 0.2], [1.0, -1e-13, 1.0])
-    assert dynamic_constraint(traj).value == 0.0
+    assert dynamic_constraint(traj) == 0.0
     with pytest.raises(EmptyTrajectory):
         dynamic_constraint(fake_stroke([], []))
 
@@ -542,7 +546,7 @@ def layered_record(design: DesignParams, cfg: MechanismConfig, task: MotionTask)
         except TransformUnsolvable:
             stroke = None
         else:
-            c_dyn = dynamic_constraint(stroke).value
+            c_dyn = dynamic_constraint(stroke)
     bundle = ConstraintBundle(gap_i, gap_e, c_dyn)
     if bundle.feasible:
         try:

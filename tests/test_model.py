@@ -364,16 +364,21 @@ def test_load_config_rejects_a_key_given_twice(tmp_path, key, value):
         load_config(str(p))
 
 
-def test_degrees_flag_converts_task_angles():
+def test_bare_angles_are_radians_and_unit_objects_convert():
     data = {
         "mechanism": {
             "pivot_c": [0.3, 0.0],
             "baseline": {"l_oa": 0.10, "l_ab": 0.25, "l_bc": 0.15},
             "branch": "plus",
+            "effector_offset": 0.5,
         },
-        "task": {"delta_i": 150.0, "delta_e": 90.0, "t_move": 0.5},
+        "task": {"delta_i": {"value": 150.0, "units": "deg"}, "delta_e": 1.5, "t_move": 0.5},
         "optimizer": {"bounds": {"l_oa": [0.03, 0.14], "l_ab": [0.15, 0.34], "l_bc": [0.08, 0.25]}},
     }
-    _, task, _ = load_config_dict(data, degrees=True)
+    cfg, task, _ = load_config_dict(data)
+    assert cfg.effector_offset == 0.5 and task.delta_e == 1.5
     assert task.delta_i == math.radians(150.0)
-    assert task.delta_e == math.pi / 2
+    data["task"]["delta_e"] = {"value": 1.5, "units": "rad"}
+    data["task"]["delta_i"] = {"value": 90}
+    _, task, _ = load_config_dict(data)
+    assert task.delta_e == 1.5 and task.delta_i == 90.0

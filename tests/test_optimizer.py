@@ -266,11 +266,10 @@ def test_bo_minimize_warm_starts_each_surrogate_from_its_previous_fit(monkeypatc
     bo_minimize(evaluate, small_cfg(n_max=10))
 
     seen = []
-    previous = optimizer.SurrogateSet(None, (), (), None)
+    previous = optimizer.SurrogateSet(None, {}, None)
     for iteration, models in enumerate(sets, start=4):  # n_init = 4
-        before = dict(zip(previous.constraint_names, previous.constraints))
         pairs = [("objective", models.objective, previous.objective)]
-        pairs += [(name, m, before.get(name)) for name, m in zip(models.constraint_names, models.constraints)]
+        pairs += [(name, m, previous.constraints.get(name)) for name, m in models.constraints.items()]
         for name, model, pred in pairs:
             x0s = fits[id(model)]
             if model.degenerate:
@@ -349,7 +348,7 @@ def test_propose_next_stays_where_the_known_mask_passes():
     assert x[0] > 0.6
     assert acq > 0.0
     assert acq == pytest.approx(
-        constrained_ei(x, models.objective, models.constraints, models.f_best), rel=1e-12
+        constrained_ei(x, models.objective, models.constraints.values(), models.f_best), rel=1e-12
     )
 
 
@@ -357,7 +356,7 @@ def test_propose_next_keeps_to_the_mask_where_ei_underflows():
     # far below every prediction, EI is exactly zero at every point; the
     # tie must still go to a point that passes the mask
     opt, evaluated, models = proposal_setup()
-    hopeless = optimizer.SurrogateSet(models.objective, (), (), -1e3)
+    hopeless = optimizer.SurrogateSet(models.objective, {}, -1e3)
     x, acq = propose_next(evaluated, hopeless, opt)
     assert acq == 0.0 and x[0] < 0.6  # unmasked, the first probe wins the tie
     x, acq = propose_next(evaluated, hopeless, opt, known=lambda X: X[:, 0] > 0.6)
@@ -406,7 +405,7 @@ def sweep_calls(monkeypatch, mask):
         return 1.0 - np.abs(X[:, 0] - calls[0][0])
 
     monkeypatch.setattr(optimizer, "constrained_ei", peaked)
-    propose_next([], optimizer.SurrogateSet(None, (), (), None), opt, known=known)
+    propose_next([], optimizer.SurrogateSet(None, {}, None), opt, known=known)
     return calls
 
 
@@ -446,8 +445,7 @@ def test_fit_surrogates_best_uses_only_constraint_satisfying_steps():
     ]
     models = fit_surrogates(steps, opt)
     assert models.f_best == pytest.approx(0.4)
-    assert models.constraint_names == ("c",)
-    assert len(models.constraints) == 1
+    assert list(models.constraints) == ["c"]
 
 
 def test_run_optimization_canon_smoke(canon_cfg, canon_task):
@@ -580,7 +578,7 @@ def test_static_rejected_record_is_seen_only_through_c_dyn():
     assert step.payload is rejected
     steps = [step] + [step_from_record(r) for r in (defective, clean, costly)]
     models = fit_surrogates(steps, small_cfg(bounds=bounds))
-    assert models.constraint_names == ("c_dyn",)
-    assert models.constraints[0].train_y.shape == (3,)
+    assert list(models.constraints) == ["c_dyn"]
+    assert models.constraints["c_dyn"].train_y.shape == (3,)
     assert models.objective.train_y.shape == (2,)
     assert models.f_best == math.log(2.0)

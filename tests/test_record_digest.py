@@ -33,6 +33,21 @@ def test_it_prints_each_sets_count_and_digest(monkeypatch, capsys):
     assert TOOL["main"]([]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [(name, int(count)) for name, count, _ in lines] == [
-        ("grid-21", 9261), ("grid-21-shifted", 9261), ("stream", 2000), ("drawn", 300),
+        ("grid-21", 9261), ("grid-21-shifted", 9261), ("stream", 2000), ("drawn", 300), ("edges", 301),
     ]
     assert all(len(sha) == 64 for *_, sha in lines)
+
+
+def test_the_edges_set_holds_every_outcome_the_other_sets_lack(canon_cfg, canon_task):
+    outcomes = set()
+    for record in TOOL["edge_records"](canon_cfg, canon_task):
+        c = record.constraints
+        if c.c_static_i > 0.0 or c.c_static_e > 0.0:
+            outcomes.add("static reject")
+        elif c.c_dyn is None:
+            outcomes.add("unsolvable")
+        elif c.c_dyn > 0.0:
+            outcomes.add("motion defect")
+        else:
+            outcomes.add("costed" if record.objective is not None else "singular")
+    assert outcomes == {"static reject", "unsolvable", "motion defect", "costed", "singular"}

@@ -19,7 +19,16 @@ gaps, ``c_dyn``, ``feasible`` and ``t_rms`` (a missing value hashes as
 - ``drawn``: the 6 mechanisms of ``tools/regret_suite.py``
   (``draw_mechanisms``), each with 50 designs within e^-0.5 and e^0.5 of
   its baseline per length, drawn from ``numpy.random.default_rng(1)``, one
-  ``evaluate_designs`` batch each.
+  ``evaluate_designs`` batch each;
+- ``edges``: the designs the other sets miss, two ``evaluate_designs``
+  batches on draws from ``numpy.random.default_rng(2)``.  On canon,
+  ``SINGULAR`` (feasible, its torque singular at delta_i) and 100 designs
+  within e^-0.2 and e^0.2 of ``REVERSAL`` per length (motion defects and
+  static rejects); on ``stretched``, canon with the pivot and baseline
+  whose crank and coupler stretch into one line at mid-stroke, 200 designs
+  within e^-0.2 and e^0.2 of that baseline (designs that pass the static
+  gate and do not assemble along the stroke, motion defects, static
+  rejects and costed designs).
 
 The package is imported from the ``--src`` tree (default: this checkout's
 ``src``); the drawn mechanisms always come from this checkout's
@@ -39,6 +48,10 @@ GRID_RESOLUTION = 21
 STREAM_DESIGNS = 2000
 DRAWN_MECHANISMS = 6
 DRAWN_DESIGNS = 50
+EDGE_DESIGNS = 100
+# canon designs: coupler and rocker collinear at delta_i; a crank that reverses mid-stroke
+SINGULAR = (0.20531415706603068, 0.25, 0.15)
+REVERSAL = (0.244710222, 0.133037882, 0.166103598)
 
 
 def digest(records) -> str:
@@ -73,7 +86,26 @@ def record_sets() -> dict[str, list]:
         cfg, task, _ = load_config_dict(config)
         designs = np.exp(rng.uniform(-0.5, 0.5, (DRAWN_DESIGNS, 3))) * cfg.baseline.as_tuple()
         sets["drawn"] += evaluate_designs(designs, cfg, task)
+    sets["edges"] = edge_records(*load_config(str(ROOT / "configs" / "canon.json"))[:2])
     return sets
+
+
+def edge_records(cfg, task) -> list:
+    """The ``edges`` set, from canon's ``cfg`` and ``task``."""
+    import dataclasses
+
+    import numpy as np
+
+    from fourbar_synth import DesignParams, evaluate_designs
+
+    stretched = dataclasses.replace(
+        cfg, pivot_c=(0.25, 0.0), baseline=DesignParams(0.125, 0.375, 0.25), effector_offset=task.delta_mid
+    )
+    rng = np.random.default_rng(2)
+    near_reversal = np.exp(rng.uniform(-0.2, 0.2, (EDGE_DESIGNS, 3))) * REVERSAL
+    near_stretched = np.exp(rng.uniform(-0.2, 0.2, (2 * EDGE_DESIGNS, 3))) * stretched.baseline.as_tuple()
+    records = evaluate_designs(np.vstack([SINGULAR, near_reversal]), cfg, task)
+    return records + evaluate_designs(near_stretched, stretched, task)
 
 
 def main(argv: list[str] | None = None) -> int:
